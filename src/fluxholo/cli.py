@@ -454,7 +454,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="zero modes of point fluxons: metric, transport, braiding")
     ap.add_argument("--quad-tol", type=float, default=1e-8)
     ap.add_argument("--ode-tol", type=float, default=1e-8)
-    ap.add_argument("--fd-step", type=float, default=None)
+    ap.add_argument("--fd-step", type=float, default=None,
+                    help="step of the curvature-map stencil")
     ap.add_argument("--collision-guard", type=float, default=None)
     ap.add_argument("--output", default=None)
     ap.add_argument("--seed", type=int, default=20260811)

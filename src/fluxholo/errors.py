@@ -93,7 +93,8 @@ class PathBlocked(NumericalError):
 
 
 class StepTooLarge(NumericalError):
-    """Finite-difference error estimate exceeds its budget."""
+    """The step of the abelian curvature stencil is comparable to the
+    fluxon separations."""
 
 
 class IllConditionedMetric(NumericalError):

@@ -223,16 +223,21 @@ def _primitive_raw(zetas, phis, n_cols, xi0, xi0_anchor, tol, im_tol):
     return out, err
 
 
-def primitive_matrix(vc: ValidatedConfig, gauge="last", tol: float = 1e-10) -> PrimitiveMatrix:
+def primitive_matrix(vc: ValidatedConfig, gauge="last", tol: float = 1e-10,
+                     columns: int | None = None) -> PrimitiveMatrix:
     """Contour matrix Psi on the default cut sheet, rows in cut order.
 
     gauge is either "last" (fiducial point = strand-N fluxon, last row 0)
-    or a complex fiducial point.  Requires every reduced flux < 1 so the
-    endpoint integrals converge, and an unambiguous cut ordering.
+    or a complex fiducial point.  columns is the number of monomials
+    xi^k (default D_f, the free modes; the Gauss-Manin connection needs
+    all of them).  Requires every reduced flux < 1 so the endpoint
+    integrals converge, and an unambiguous cut ordering.
     """
     counts = vc.counts
     if counts.D_f < 1 or not counts.free_modes_ok:
         raise NoFreeModes(f"configuration has D_f = {counts.D_f} free modes")
+    if columns is None:
+        columns = counts.D_f
     conv = cut_order(vc)
     order = conv.order
     zetas = vc.zeta[list(order)]
@@ -246,9 +251,77 @@ def primitive_matrix(vc: ValidatedConfig, gauge="last", tol: float = 1e-10) -> P
         if hit.size:
             anchor = int(hit[0])
             xi0 = zetas[anchor]
-    mat, err = _primitive_raw(zetas, phis, counts.D_f, xi0, anchor, tol, im_tol)
+    mat, err = _primitive_raw(zetas, phis, columns, xi0, anchor, tol, im_tol)
     return PrimitiveMatrix(matrix=mat, gauge=gauge, order=order,
                            fluxes=tuple(phis), error_estimate=err)
+
+
+def _gauss_manin(zetas, phis) -> np.ndarray:
+    """Exact position derivatives of the contour matrix.
+
+    Returns D with shape (N, m, m), m = (number of fluxons with phi' != 0)
+    - 1, such that d Psi / d zeta_a = Psi D[a]^T for every contour matrix
+    Psi whose rows are integrals between branch points and whose columns
+    are the monomials xi^k Phi d xi, k < m.  zetas and phis (reduced) may be
+    in any order; D[a] refers to the same index a.
+
+    The rows are twisted cycles, so d_a of an integral is the integral of
+    the cohomology class of d_a(xi^k Phi) = phi'_a xi^k Phi / (xi - zeta_a),
+    reduced onto the monomials (Aomoto-Kita, Theory of Hypergeometric
+    Functions, ch. 2; the Knizhnik-Zamolodchikov-type connection whose
+    monodromy is the Burau matrix, Kohno 1987).  With
+    omega_c = Phi d xi / (xi - zeta_c) and S_q = sum_c phi'_c zeta_c^q:
+      sum_c phi'_c omega_c = -d Phi ~ 0,
+      (k + 1 - S_0) xi^k Phi ~ sum_{j<k} S_{k-j} xi^j Phi + sum_c phi'_c zeta_c^(k+1) omega_c
+    (rows A_k), so the first m columns of inv([A; phi'^T]) express each
+    omega_c in monomials, and
+      d_a(xi^k Phi) ~ phi'_a [sum_{j<k} zeta_a^(k-1-j) xi^j Phi + zeta_a^k omega_a].
+    A fluxon with phi' = 0 is no branch point: it drops out of the sums
+    and its D is zero.
+    """
+    zetas = np.asarray(zetas, dtype=complex)
+    phis = np.asarray(phis, dtype=float)
+    branch = np.nonzero(phis != 0.0)[0]
+    z, p = zetas[branch], phis[branch]
+    m = len(branch) - 1
+    k = np.arange(m + 1)
+    powers = z[None, :] ** k[:, None]             # powers[q, c] = zeta_c^q
+    S = powers @ p
+    A = np.empty((m, m + 1), dtype=complex)
+    for i in range(m):
+        A[i] = (p * powers[i + 1] + S[i:0:-1] @ A[:i]) / (i + 1.0 - S[0].real)
+    B = np.linalg.inv(np.vstack([A, p]))[:, :m]   # omega_c = sum_k B[c, k] xi^k Phi
+    lag = k[:m, None] - 1 - k[None, :m]
+    tri = np.where(lag >= 0, z[:, None, None] ** np.maximum(lag, 0), 0.0)
+    out = np.zeros((len(zetas), m, m), dtype=complex)
+    out[branch] = p[:, None, None] * (tri + powers[:m].T[:, :, None] * B[:, None, :])
+    return out
+
+
+def _contour_frame(vc: ValidatedConfig, tol: float):
+    """Contour matrix that the Gauss-Manin connection acts on.
+
+    Returns (psi, G, error_estimate).  psi has one row per branch point
+    (fluxon with phi' != 0), in cut order, and all m = rows - 1 monomial
+    columns; every row is re-anchored to the last branch point, so each is
+    an integral between two branch points.  G is the coupling matrix in the
+    same row order, and psi_f^* G psi_f with psi_f the first D_f columns is
+    the metric (a fluxon with phi' = 0 has a zero row and column in G).
+    An ambiguous cut order is resolved once by the rigid-rotation law: the
+    rotated matrix with column k scaled by e^{-i k alpha} is a frame at the
+    unrotated positions.
+    """
+    m = int(np.count_nonzero(vc.phi_reduced)) - 1
+    try:
+        psi, lam = primitive_matrix(vc, tol=tol, columns=m), 1.0
+    except AmbiguousOrdering:
+        lam = np.exp(1j * best_rotation_angle(vc.zeta))
+        rot = validate(FluxConfig(vc.zeta * lam, vc.config.fluxes), strict=vc.strict)
+        psi = primitive_matrix(rot, tol=tol, columns=m)
+    phis = np.array(psi.fluxes)
+    branch = phis != 0.0
+    mat = psi.matrix[branch] * lam ** -np.arange(m)
+    return mat - mat[-1], coupling_matrix(phis[branch]).G, psi.error_estimate
 
 
 def metric_factorized(vc: ValidatedConfig, tol: float = 1e-8,
@@ -314,9 +387,10 @@ def _metric_rotated(vc: ValidatedConfig, tol: float) -> Metric:
 class MetricEvaluator:
     """Positions -> metric map for one flux assignment.
 
-    Used by the transport module, which evaluates the metric at many
-    nearby configurations; rotation fallback is always on because moving
-    fluxons routinely sweep through aligned imaginary parts.
+    Used by the abelian curvature stencil and the curvature map, which
+    evaluate the metric at many nearby configurations; rotation fallback
+    is always on because moving fluxons routinely sweep through aligned
+    imaginary parts.
     """
 
     def __init__(self, fluxes, tol: float = 1e-10, strict: bool = True):

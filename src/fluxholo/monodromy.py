@@ -22,6 +22,7 @@ path-independently (checked in the acceptance suite).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -77,21 +78,38 @@ class BraidWord:
     @classmethod
     def from_json(cls, doc: dict) -> "BraidWord":
         """{"moves": [{"encircle": [a, b], "power": k} |
-                      {"exchange": i, "power": k}, ...]} (0-based)."""
-        moves = []
-        for mv in doc["moves"]:
-            power = int(mv.get("power", 1))
-            if "encircle" in mv:
-                a, b = mv["encircle"]
-                if int(b) != int(a) + 1:
+                      {"exchange": i, "power": k}, ...]} (0-based).
+
+        Raises ValueError for a document it cannot parse: a missing
+        "moves" list, a move that is not an object with exactly one kind,
+        or a strand or power that is not an integer."""
+        moves = doc.get("moves") if isinstance(doc, dict) else None
+        if not isinstance(moves, list):
+            raise ValueError('a braid word needs a "moves" list')
+        out = []
+        for mv in moves:
+            kinds = [k for k in ("encircle", "exchange") if isinstance(mv, dict) and k in mv]
+            if len(kinds) != 1:
+                raise ValueError(f"unrecognized move {mv!r}")
+            power = _json_int(mv.get("power", 1), "power")
+            if kinds[0] == "encircle":
+                pair = mv["encircle"]
+                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                    raise ValueError(f"encircle needs a strand pair [a, a + 1], got {pair!r}")
+                a, b = (_json_int(s, "strand") for s in pair)
+                if b != a + 1:
                     raise NonAdjacentEncircle(
                         f"encircle needs adjacent strands, got ({a}, {b})")
-                moves.append(Move("encircle", int(a), power))
-            elif "exchange" in mv:
-                moves.append(Move("exchange", int(mv["exchange"]), power))
+                out.append(Move("encircle", a, power))
             else:
-                raise ValueError(f"unrecognized move {mv!r}")
-        return cls(moves)
+                out.append(Move("exchange", _json_int(mv["exchange"], "strand"), power))
+        return cls(out)
+
+
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)

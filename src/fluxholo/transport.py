@@ -11,11 +11,13 @@ whole monomial basis and assembles the D_f x D_f matrix u with
 u^* g u = g (the holonomy is unitary in the zero-mode inner product,
 not in the coefficient coordinates).
 
-Position derivatives of the metric are taken by Richardson-extrapolated
-central differences; differentiating under the metric integral is only
-conditionally convergent near fluxons for reduced fluxes >= 1/2, while
-the finite difference of the factorized metric is cheap and validated
-against the exact scaling identity in the tests.
+Position derivatives are exact.  With the factorization g = Psi^* G Psi
+and the Gauss-Manin connection d_a Psi = Psi D_a^T of the contour matrix
+(metric._gauss_manin), d_a g = Psi^* G d_a Psi and the curvature is
+algebraic in Psi and its derivatives.  Transport continues Psi along the
+path with the same connection, so a whole holonomy costs one contour
+quadrature at the start; G stays fixed in the starting cut order because
+continuation changes Psi only by monodromies, which preserve G.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .errors import (
     ODEStepUnderflow,
     StepTooLarge,
 )
-from .metric import MetricEvaluator
+from .metric import MetricEvaluator, _contour_frame, _gauss_manin
 from .modes import ModeVector
 
 TWO_PI = 2.0 * np.pi
@@ -273,15 +275,6 @@ class ControlPath:
         i, s = self._locate(t)
         return self.segments[i].vel(s) * len(self.segments)
 
-    def min_separation(self, samples: int = 257) -> float:
-        out = np.inf
-        for t in np.linspace(0.0, 1.0, samples):
-            z = self.position(t)
-            if len(z) > 1:
-                d = np.abs(z[:, None] - z[None, :]) + np.diag([np.inf] * len(z))
-                out = min(out, float(d.min()))
-        return out
-
 
 # --------------------------------------------------------------------------
 # metric derivatives and the connection
@@ -295,56 +288,34 @@ def _min_distance(positions) -> float:
     return float(d.min())
 
 
-def _holomorphic_fd(ev, positions, a, h):
-    """Central-difference holomorphic derivative d g / d zeta_a =
-    (d/dx - i d/dy) g / 2 at step h (4 metric evaluations)."""
-    z = np.asarray(positions, dtype=complex)
-
-    def shifted(dz):
-        zz = z.copy()
-        zz[a] += dz
-        return ev(zz)
-
-    gx = (shifted(h) - shifted(-h)) / (2.0 * h)
-    gy = (shifted(1j * h) - shifted(-1j * h)) / (2.0 * h)
-    return 0.5 * (gx - 1j * gy)
+def _metric_jet(vc: ValidatedConfig, tol: float):
+    """Free-mode contour matrix psi_f, coupling G, the exact derivatives
+    d psi_f / d zeta_a (one per fluxon) and the quadrature error of psi."""
+    psi, G, err = _contour_frame(vc, tol)
+    dpsi = psi[None] @ _gauss_manin(vc.zeta, vc.phi_reduced).transpose(0, 2, 1)
+    f = vc.counts.D_f
+    return psi[:, :f], G, dpsi[:, :, :f], err
 
 
-def _d_metric_raw(ev, positions, a, h):
-    d1 = _holomorphic_fd(ev, positions, a, h)
-    d2 = _holomorphic_fd(ev, positions, a, 0.5 * h)
-    err = float(np.abs(d2 - d1).max()) / 3.0
-    return (4.0 * d2 - d1) / 3.0, err
-
-
-def metric_derivative(vc: ValidatedConfig, a: int, h: float | None = None,
-                      tol: float = 1e-10, err_budget: float | None = None):
-    """Richardson-extrapolated d g / d zeta_a and its error estimate."""
-    ev = MetricEvaluator(vc.config.fluxes, tol=tol)
-    positions = vc.zeta
-    if h is None:
-        h = 1e-3 * _min_distance(positions)
-    if h >= 0.5 * _min_distance(positions):
-        raise StepTooLarge(f"step {h:g} comparable to the nearest fluxon distance")
-    deriv, err = _d_metric_raw(ev, positions, a, h)
-    if err_budget is not None and err > err_budget * max(1.0, float(np.abs(deriv).max())):
-        raise StepTooLarge(f"Richardson estimate {err:.3g} exceeds budget", attained=err)
-    return deriv, err
+def metric_derivative(vc: ValidatedConfig, a: int, tol: float = 1e-10):
+    """Exact d g / d zeta_a = Psi_f^* G d_a Psi_f and its error estimate,
+    propagated from the contour quadrature (d_a Psi is linear in Psi, so
+    it carries the relative error of Psi)."""
+    psi, G, dpsi, err = _metric_jet(vc, tol)
+    deriv = psi.conj().T @ G @ dpsi[a]
+    return deriv, 2.0 * float(np.abs(G).max()) * float(np.abs(dpsi[a]).max()) * err
 
 
 def connection(vc: ValidatedConfig, tol: float = 1e-10) -> list:
     """Connection coefficients A_a = g^{-1} (d g / d zeta_a), one D_f x D_f
     matrix per fluxon."""
-    ev = MetricEvaluator(vc.config.fluxes, tol=tol)
-    g = ev(vc.zeta)
+    psi, G, dpsi, _ = _metric_jet(vc, tol)
+    left = psi.conj().T @ G
+    g = left @ psi
     cond = np.linalg.cond(g)
     if cond > 1e12:
         raise IllConditionedMetric(f"metric condition number {cond:.3g}")
-    out = []
-    for a in range(vc.n_fluxons):
-        dg, _ = _d_metric_raw(ev, vc.zeta, a, 1e-3 * _min_distance(vc.zeta))
-        out.append(np.linalg.solve(g, dg))
-    return out
+    return [np.linalg.solve(g, left @ d) for d in dpsi]
 
 
 # --------------------------------------------------------------------------
@@ -371,18 +342,30 @@ class HolonomyResult:
 
 
 class _TransportProblem:
+    """The contour matrix Psi continued along the path by the Gauss-Manin
+    connection, dPsi/dt = sum_a v_a Psi D_a^T, together with the transport
+    matrix U of the coefficients, dU/dt = -g^{-1} Psi_f^* G (dPsi_f/dt) U
+    with g = Psi_f^* G Psi_f.  Psi is stored divided by its largest entry
+    at the start, which leaves U unchanged."""
+
     def __init__(self, vc: ValidatedConfig, path: ControlPath,
                  quad_tol: float, collision_guard: float | None):
         if not np.array_equal(path.start, vc.zeta):
             raise ValueError("path must start at the configuration's positions")
-        self.vc = vc
         self.path = path
-        self.ev = MetricEvaluator(vc.config.fluxes, tol=quad_tol)
+        psi, self.G, _ = _contour_frame(vc, quad_tol)
+        self.scale = float(np.abs(psi).max())
+        self.psi0 = psi / self.scale
+        self.phis = vc.phi_reduced
         self.dim = vc.counts.D_f
         if collision_guard is None:
             collision_guard = 1e-2 * vc.diameter
         self.guard = collision_guard
         self.nfev = 0
+
+    def metric(self, psi) -> np.ndarray:
+        f = psi[:, :self.dim] * self.scale
+        return f.conj().T @ self.G @ f
 
     def rhs(self, t, y):
         self.nfev += 1
@@ -391,21 +374,24 @@ class _TransportProblem:
             raise CollisionGuardTripped(
                 f"fluxons within {self.guard:g} of each other at t = {t:.4f}")
         v = self.path.velocity(t)
-        g = self.ev(z)
-        h = 1e-3 * _min_distance(z)
-        drive = np.zeros((self.dim, self.dim), dtype=complex)
-        for a in np.nonzero(np.abs(v) > 0.0)[0]:
-            dg, _ = _d_metric_raw(self.ev, z, a, h)
-            drive += dg * v[a]
-        U = y.reshape(self.dim, self.dim)
-        return (-np.linalg.solve(g, drive @ U)).ravel()
+        n = self.psi0.size
+        psi = y[:n].reshape(self.psi0.shape)
+        U = y[n:].reshape(self.dim, self.dim)
+        dpsi = psi @ np.einsum("a,akj->jk", v, _gauss_manin(z, self.phis))
+        left = psi[:, :self.dim].conj().T @ self.G
+        dU = -np.linalg.solve(left @ psi[:, :self.dim], left @ dpsi[:, :self.dim] @ U)
+        return np.concatenate([dpsi.ravel(), dU.ravel()])
 
-    def solve(self, u0, ode_tol):
-        sol = solve_ivp(self.rhs, (0.0, 1.0), u0.ravel(), method="RK45",
+    def solve(self, ode_tol):
+        """(Psi(1), U(1), solution) for U(0) = identity."""
+        y0 = np.concatenate([self.psi0.ravel(), np.eye(self.dim, dtype=complex).ravel()])
+        sol = solve_ivp(self.rhs, (0.0, 1.0), y0, method="DOP853",
                         rtol=ode_tol, atol=ode_tol)
         if sol.status != 0 or not sol.success:
             raise ODEStepUnderflow(f"transport integrator failed: {sol.message}")
-        return sol.y[:, -1].reshape(self.dim, self.dim), sol
+        y1 = sol.y[:, -1]
+        n = self.psi0.size
+        return y1[:n].reshape(self.psi0.shape), y1[n:].reshape(self.dim, self.dim), sol
 
 
 def parallel_transport(vc: ValidatedConfig, path: ControlPath, p0,
@@ -414,8 +400,9 @@ def parallel_transport(vc: ValidatedConfig, path: ControlPath, p0,
     """Transport a coefficient vector along a control path.
 
     Returns (p_final, info); info reports the relative drift of the
-    conserved zero-mode norm p^* g p, the accepted step count and the
-    number of metric evaluations.
+    conserved zero-mode norm p^* g p (g at the end from the continued
+    contour matrix), the accepted step count and the number of ODE
+    right-hand-side evaluations.
     """
     coeffs = np.asarray(p0.coefficients if isinstance(p0, ModeVector) else p0,
                         dtype=complex)
@@ -423,12 +410,10 @@ def parallel_transport(vc: ValidatedConfig, path: ControlPath, p0,
     if coeffs.shape != (dim,):
         raise ValueError(f"coefficient vector must have length D_f = {dim}")
     prob = _TransportProblem(vc, path, quad_tol, collision_guard)
-    u, sol = prob.solve(np.eye(dim, dtype=complex), ode_tol)
+    psi1, u, sol = prob.solve(ode_tol)
     p1 = u @ coeffs
-    g0 = prob.ev(path.start)
-    g1 = prob.ev(path.end)
-    n0 = float(np.real(coeffs.conj() @ g0 @ coeffs))
-    n1 = float(np.real(p1.conj() @ g1 @ p1))
+    n0 = float(np.real(coeffs.conj() @ prob.metric(prob.psi0) @ coeffs))
+    n1 = float(np.real(p1.conj() @ prob.metric(psi1) @ p1))
     info = {
         "norm_start": n0,
         "norm_end": n1,
@@ -444,15 +429,21 @@ def holonomy(vc: ValidatedConfig, loop: ControlPath,
              collision_guard: float | None = None) -> HolonomyResult:
     """Numeric holonomy of a closed loop: transports the whole monomial
     basis and reports the transport matrix, its eigenvalues and the
-    pseudo-unitarity drift |u^* g u - g| / |g|."""
+    pseudo-unitarity drift |u^* g u - g| / |g|.
+
+    metadata["monodromy"] is the numeric monodromy of the loop on the
+    quotient by constants, Psi~(1) Psi~(0)^{-1}, with Psi~ the continued
+    contour matrix without its (zero) anchor row, in the cut order of the
+    start; it matches reduce_monodromy(word_to_monodromy(...)) of the
+    braid word the loop realizes."""
     if not loop.is_closed(vc.config.fluxes):
         raise ClosedPathRequired("holonomy needs an exactly closed loop "
                                  "(same positions, same fluxes)")
-    dim = vc.counts.D_f
     prob = _TransportProblem(vc, loop, quad_tol, collision_guard)
-    u, sol = prob.solve(np.eye(dim, dtype=complex), ode_tol)
-    g0 = prob.ev(loop.start)
+    psi1, u, sol = prob.solve(ode_tol)
+    g0 = prob.metric(prob.psi0)
     drift = float(np.abs(u.conj().T @ g0 @ u - g0).max() / np.abs(g0).max())
+    monodromy = np.linalg.solve(prob.psi0[:-1].T, psi1[:-1].T).T
     return HolonomyResult(
         u=u,
         eigenvalues=np.linalg.eigvals(u),
@@ -462,7 +453,7 @@ def holonomy(vc: ValidatedConfig, loop: ControlPath,
         nfev=prob.nfev,
         base_positions=tuple(loop.start),
         permutation=loop.closure_permutation(),
-        metadata={"ode_tol": ode_tol, "quad_tol": quad_tol},
+        metadata={"ode_tol": ode_tol, "quad_tol": quad_tol, "monodromy": monodromy},
     )
 
 
@@ -497,35 +488,25 @@ def curvature_abelian(vc: ValidatedConfig, moving: int, h: float | None = None,
     return complex(0.25 * lap)
 
 
-def curvature_nonabelian(vc: ValidatedConfig, h: float | None = None,
-                         pairs=None, quad_tol: float = 1e-11) -> dict:
+def curvature_nonabelian(vc: ValidatedConfig, pairs=None,
+                         quad_tol: float = 1e-11) -> dict:
     """Curvature two-form coefficients R_{b-bar, a} = dbar_b (g^{-1} d_a g)
     as D_f x D_f matrices, for the requested (a, b) coordinate pairs
     (default: all diagonal pairs (a, a)).
 
     The purely holomorphic part of dA + A wedge A cancels identically, so
     the antiholomorphic derivative of the connection is the whole
-    curvature."""
-    ev = MetricEvaluator(vc.config.fluxes, tol=quad_tol)
-    z0 = vc.zeta
-    if h is None:
-        h = 2e-3 * _min_distance(z0)
+    curvature.  With g = Psi^* G Psi and holomorphic Psi it is algebraic:
+    R = g^{-1} [(d_b Psi)^* G d_a Psi
+                - (d_b Psi)^* G Psi g^{-1} Psi^* G d_a Psi]."""
+    psi, G, dpsi, _ = _metric_jet(vc, quad_tol)
     if pairs is None:
         pairs = [(a, a) for a in range(vc.n_fluxons)]
-
-    def A(positions, a):
-        g = ev(positions)
-        dg, _ = _d_metric_raw(ev, positions, a, 1e-3 * _min_distance(positions))
-        return np.linalg.solve(g, dg)
-
+    left = psi.conj().T @ G
+    g = left @ psi
     out = {}
     for a, b in pairs:
-        def shifted(dz):
-            z = z0.copy()
-            z[b] += dz
-            return A(z, a)
-
-        ax = (shifted(h) - shifted(-h)) / (2.0 * h)
-        ay = (shifted(1j * h) - shifted(-1j * h)) / (2.0 * h)
-        out[(a, b)] = 0.5 * (ax + 1j * ay)
+        db = dpsi[b].conj().T @ G
+        inner = db @ dpsi[a] - db @ psi @ np.linalg.solve(g, left @ dpsi[a])
+        out[(a, b)] = np.linalg.solve(g, inner)
     return out

@@ -113,6 +113,13 @@ class TestHolonomy:
         code, _ = run(["holonomy", cfg, "--path", path], tmp_path)
         assert code == 2
 
+    def test_malformed_word_rejected(self, tmp_path):
+        cfg = write_config(tmp_path, [0.9, 0.9, 0.9],
+                           [0.0, 0.3 + 1.0j, -0.2 + 2.2j])
+        word = json.dumps({"moves": [{"encircle": 0}]})
+        code, _ = run(["holonomy", cfg, "--word", word, "--analytic-only"], tmp_path)
+        assert code == 2
+
 
 class TestVerify:
     def test_quick_level_deterministic(self, tmp_path):

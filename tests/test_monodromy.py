@@ -28,6 +28,8 @@ from fluxholo.errors import (
     NotMaximalFreeModes,
 )
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
@@ -149,6 +151,11 @@ class TestWords:
         assert w.moves[1] == Move("exchange", 1, 1)
         with pytest.raises(NonAdjacentEncircle):
             BraidWord.from_json({"moves": [{"encircle": [0, 2]}]})
+        for bad in ({"moves": [{"encircle": 0}]}, {"moves": [{"exchange": 1.5}]},
+                    {"moves": [{"encircle": [0, "1"]}]}, {"moves": [{"power": 2}]},
+                    {"moves": [{"exchange": 1, "power": 0.5}]}, {"move": []}, []):
+            with pytest.raises(ValueError):
+                BraidWord.from_json(bad)
 
 
 class TestReduction:

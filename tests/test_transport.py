@@ -21,6 +21,8 @@ from fluxholo import (
 )
 from fluxholo.errors import ClosedPathRequired, CollisionGuardTripped
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class TestControlPath:
     def test_circle_closes_exactly(self, two_fluxon):
