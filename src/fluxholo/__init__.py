@@ -9,7 +9,6 @@ from .config import (
     count_modes,
     cut_factor,
     cut_order,
-    mode_counts,
     validate,
 )
 from .metric import (
@@ -68,7 +67,7 @@ __all__ = [
     "cut_factor", "cut_order", "density", "elliptic_k", "encircle_block",
     "exchange_block", "holonomy", "holonomy_analytic", "hyp2f1_reg",
     "log_gamma", "metric_bruteforce", "metric_derivative",
-    "metric_factorized", "metric_half_fluxes", "mode_counts", "mode_value",
+    "metric_factorized", "metric_half_fluxes", "mode_value",
     "parallel_transport", "primitive_matrix", "reduce_monodromy",
     "reduced_coupling", "rigid_rotation_phase",
     "three_fluxon_primitive_matrix", "validate", "word_to_monodromy",

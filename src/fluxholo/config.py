@@ -104,10 +104,9 @@ class ModeCounts:
 
 @dataclass(frozen=True)
 class CutConvention:
-    """Cut rays (all in ray_direction) and the counter-clockwise-at-infinity
-    ordering of the fluxons, as indices into the configuration."""
+    """Counter-clockwise-at-infinity ordering of the fluxons (cut rays all
+    point in +x), as indices into the configuration."""
 
-    ray_direction: complex
     order: tuple
 
 
@@ -171,9 +170,6 @@ class ValidatedConfig:
             return 1.0
         return float(np.abs(z[:, None] - z[None, :]).max())
 
-    def cut_convention(self) -> CutConvention:
-        return cut_order(self)
-
 
 def _check_distinct(positions: np.ndarray) -> None:
     n = len(positions)
@@ -229,11 +225,6 @@ def validate(config: FluxConfig, *, strict: bool = True,
     return ValidatedConfig(config=config, counts=counts, strict=strict)
 
 
-def mode_counts(vc: ValidatedConfig) -> ModeCounts:
-    """Mode counts of a validated configuration (already computed)."""
-    return vc.counts
-
-
 def cut_order(vc: ValidatedConfig) -> CutConvention:
     """Order fluxons so a large counter-clockwise circle crosses their cuts
     in sequence.
@@ -244,7 +235,7 @@ def cut_order(vc: ValidatedConfig) -> CutConvention:
     """
     z = vc.zeta
     if len(z) == 1:
-        return CutConvention(ray_direction=1.0 + 0j, order=(0,))
+        return CutConvention(order=(0,))
     im = z.imag
     order = tuple(int(i) for i in np.argsort(im, kind="stable"))
     tol = IM_TIE_TOL * vc.diameter
@@ -254,4 +245,4 @@ def cut_order(vc: ValidatedConfig) -> CutConvention:
                 f"fluxons {prev} and {nxt} share Im zeta = {im[prev]:.6g}; "
                 f"cut rays would overlap"
             )
-    return CutConvention(ray_direction=1.0 + 0j, order=order)
+    return CutConvention(order=order)

@@ -84,10 +84,6 @@ class NotConverged(NumericalError):
     pass
 
 
-class DivergentIntegral(NumericalError):
-    pass
-
-
 class PathBlocked(NumericalError):
     """No admissible integration path around the cuts."""
 

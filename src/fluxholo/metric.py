@@ -315,9 +315,8 @@ def _contour_frame(vc: ValidatedConfig, tol: float):
     try:
         psi, lam = primitive_matrix(vc, tol=tol, columns=m), 1.0
     except AmbiguousOrdering:
-        lam = np.exp(1j * best_rotation_angle(vc.zeta))
-        rot = validate(FluxConfig(vc.zeta * lam, vc.config.fluxes), strict=vc.strict)
-        psi = primitive_matrix(rot, tol=tol, columns=m)
+        rot, alpha = _best_rotated(vc)
+        psi, lam = primitive_matrix(rot, tol=tol, columns=m), np.exp(1j * alpha)
     phis = np.array(psi.fluxes)
     branch = phis != 0.0
     mat = psi.matrix[branch] * lam ** -np.arange(m)
@@ -328,19 +327,21 @@ def metric_factorized(vc: ValidatedConfig, tol: float = 1e-8,
                       auto_rotate: bool = False) -> Metric:
     """Metric via g = Psi^* G Psi.
 
-    With auto_rotate=True an ambiguous cut ordering is resolved by rigidly
-    rotating the configuration and undoing the rotation exactly through
-    the scaling law g_jk(e^{i a} zeta) = e^{i (k - j) a} g_jk(zeta).
+    Psi is always evaluated on the configuration rigidly rotated by
+    lambda = e^{i alpha}, alpha = best_rotation_angle(zeta), the frame in
+    which the imaginary parts (the cut order) are best separated.  The
+    rotation is undone exactly through the scaling law
+    g_jk(lambda zeta) = lambda^(k - j) g_jk(zeta): g = D g_rot D^* with
+    D = diag(lambda^k).  auto_rotate=False only adds a check that the given
+    configuration has an unambiguous cut order (AmbiguousOrdering if not).
     """
     counts = vc.counts
     if counts.D_f < 1 or not counts.free_modes_ok:
         raise NoFreeModes(f"configuration has D_f = {counts.D_f} free modes")
-    try:
-        psi = primitive_matrix(vc, gauge="last", tol=tol * 1e-2)
-    except AmbiguousOrdering:
-        if not auto_rotate:
-            raise
-        return _metric_rotated(vc, tol)
+    if not auto_rotate:
+        cut_order(vc)
+    rot, alpha = _best_rotated(vc)
+    psi = primitive_matrix(rot, gauge="last", tol=tol * 1e-2)
     G = coupling_matrix(psi.fluxes).G
     g = psi.matrix.conj().T @ G @ psi.matrix
     g = 0.5 * (g + g.conj().T)
@@ -349,48 +350,46 @@ def metric_factorized(vc: ValidatedConfig, tol: float = 1e-8,
     if np.linalg.eigvalsh(g).min() <= 0.0:
         raise QuadratureNotConverged(
             "factorized metric lost positive definiteness", attained=err / scale)
-    return Metric(g=g, method="factorized", error_estimate=err)
+    d = np.diag(np.exp(1j * np.arange(counts.D_f) * alpha))
+    g = d @ g @ d.conj().T
+    return Metric(g=0.5 * (g + g.conj().T), method="factorized", error_estimate=err)
 
 
-_ROTATION_ANGLES = np.pi * (np.arange(1, 32) / 32.0)
+_ROTATION_ANGLES = np.pi * (np.arange(32) / 32.0)
+_ROTATIONS = np.exp(1j * _ROTATION_ANGLES)
 
 
 def best_rotation_angle(zetas) -> float:
     """Deterministic rigid-rotation angle separating the imaginary parts
-    as much as possible (0 when the configuration is already fine)."""
+    as much as possible: the first of the angles k pi / 32, k = 0..31, whose
+    smallest gap no later angle beats by more than 1e-12 relative."""
     zetas = np.asarray(zetas, dtype=complex)
-    n = len(zetas)
-    if n == 1:
+    if len(zetas) == 1:
         return 0.0
+    im = np.sort((zetas[None, :] * _ROTATIONS[:, None]).imag, axis=1)
     best, best_a = -1.0, 0.0
-    for a in np.concatenate([[0.0], _ROTATION_ANGLES]):
-        im = (zetas * np.exp(1j * a)).imag
-        gap = np.abs(im[:, None] - im[None, :]) + np.diag([np.inf] * n)
-        m = float(gap.min())
-        if m > best * (1.0 + 1e-12):
-            best, best_a = m, float(a)
+    for k, gap in enumerate(np.diff(im, axis=1).min(axis=1).tolist()):
+        if gap > best * (1.0 + 1e-12):
+            best, best_a = gap, float(_ROTATION_ANGLES[k])
     return best_a
 
 
-def _metric_rotated(vc: ValidatedConfig, tol: float) -> Metric:
+def _best_rotated(vc: ValidatedConfig):
+    """(vc rigidly rotated by e^{i alpha}, alpha), alpha = best_rotation_angle."""
     alpha = best_rotation_angle(vc.zeta)
     lam = np.exp(1j * alpha)
     rot = validate(FluxConfig([z * lam for z in vc.config.positions], vc.config.fluxes),
                    strict=vc.strict)
-    m = metric_factorized(rot, tol=tol, auto_rotate=False)
-    d = np.diag(np.exp(1j * np.arange(m.dim) * alpha))
-    g = d @ m.g @ d.conj().T
-    return Metric(g=0.5 * (g + g.conj().T), method=m.method,
-                  error_estimate=m.error_estimate)
+    return rot, alpha
 
 
 class MetricEvaluator:
     """Positions -> metric map for one flux assignment.
 
     Used by the abelian curvature stencil and the curvature map, which
-    evaluate the metric at many nearby configurations; rotation fallback
-    is always on because moving fluxons routinely sweep through aligned
-    imaginary parts.
+    evaluate the metric at many nearby configurations; moving fluxons
+    routinely sweep through aligned imaginary parts, which the rotated
+    frame of metric_factorized absorbs (auto_rotate=True).
     """
 
     def __init__(self, fluxes, tol: float = 1e-10, strict: bool = True):
@@ -436,7 +435,7 @@ class _BruteForce:
         self.r_in = 0.20 * self.dnn
         self.r_out = 0.45 * self.dnn
         self.center = zetas.mean()
-        self.R0 = 2.0 * max(float(np.abs(zetas - self.center).max() + self.r_out.max()), 1.0)
+        self.R0 = 2.0 * float(np.abs(zetas - self.center).max() + self.r_out.max())
         # base angular resolution of the remainder piece: the bump around a
         # fluxon near radius rho subtends ~ r_out / rho, which the periodic
         # trapezoid grid must resolve from the start

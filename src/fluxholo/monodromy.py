@@ -22,7 +22,6 @@ path-independently (checked in the acceptance suite).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -36,7 +35,7 @@ from .errors import (
     NotMaximalFreeModes,
 )
 from .metric import coupling_matrix, primitive_matrix
-from .transport import ControlPath, HolonomyResult
+from .transport import ControlPath, HolonomyResult, _json_int
 
 FLUX_EQUALITY_TOL = 1e-12
 
@@ -104,12 +103,6 @@ class BraidWord:
             else:
                 out.append(Move("exchange", _json_int(mv["exchange"], "strand"), power))
         return cls(out)
-
-
-def _json_int(value, what: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)

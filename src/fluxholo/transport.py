@@ -23,6 +23,7 @@ continuation changes Psi only by monodromies, which preserve G.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -46,6 +47,12 @@ TWO_PI = 2.0 * np.pi
 # --------------------------------------------------------------------------
 # control paths
 # --------------------------------------------------------------------------
+
+def _json_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
 
 @dataclass(frozen=True)
 class _Segment:
@@ -205,25 +212,34 @@ class ControlPath:
            "radius": r (optional), "turns": k}
           {"type": "segment", "mover": a, "to": [x, y]}
           {"type": "exchange", "pair": [a, b], "power": k}
-        Each move starts from the previous move's final positions.
+        Each move starts from the previous move's final positions.  Raises
+        ValueError for moves it cannot parse (a missing field, a point that
+        is not [x, y], a pair that is not [a, b], an index, power or turn
+        count that is not an integer, an unknown type).
         """
+        if not isinstance(moves, list):
+            raise ValueError("a path needs a list of moves")
         path = None
         current = cls._as_positions(base)
         for mv in moves:
-            kind = mv["type"]
-            if kind == "circle":
-                piece = cls.circle(current, int(mv["mover"]),
-                                   complex(*mv["center"]),
-                                   turns=int(mv.get("turns", 1)),
-                                   radius=mv.get("radius"))
-            elif kind == "segment":
-                piece = cls.segment(current, int(mv["mover"]), complex(*mv["to"]))
-            elif kind == "exchange":
-                i, j = mv["pair"]
-                piece = cls.exchange(current, int(i), int(j),
-                                     power=int(mv.get("power", 1)))
-            else:
-                raise ValueError(f"unknown path move type {kind!r}")
+            try:
+                kind = mv["type"]
+                if kind == "circle":
+                    piece = cls.circle(current, _json_int(mv["mover"], "mover"),
+                                       complex(*mv["center"]),
+                                       turns=_json_int(mv.get("turns", 1), "turns"),
+                                       radius=mv.get("radius"))
+                elif kind == "segment":
+                    piece = cls.segment(current, _json_int(mv["mover"], "mover"),
+                                        complex(*mv["to"]))
+                elif kind == "exchange":
+                    i, j = (_json_int(a, "strand") for a in mv["pair"])
+                    piece = cls.exchange(current, i, j,
+                                         power=_json_int(mv.get("power", 1), "power"))
+                else:
+                    raise ValueError(f"unknown path move type {kind!r}")
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"malformed path move {mv!r}") from exc
             path = piece if path is None else path.then(piece)
             current = path.end
         return path

@@ -1,7 +1,11 @@
 import json
 import math
 
+import pytest
+
 from fluxholo.cli import main
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def write_config(tmp_path, fluxes, positions, name="cfg.json"):
@@ -118,6 +122,18 @@ class TestHolonomy:
                            [0.0, 0.3 + 1.0j, -0.2 + 2.2j])
         word = json.dumps({"moves": [{"encircle": 0}]})
         code, _ = run(["holonomy", cfg, "--word", word, "--analytic-only"], tmp_path)
+        assert code == 2
+
+    @pytest.mark.parametrize("path", [
+        [{"type": "circle", "mover": 0, "center": 5}],
+        {"type": "circle"},
+        [{"type": "exchange", "pair": 3}],
+        [{"type": "circle", "mover": 0.9, "center": [0.3, 1.0]}],
+    ])
+    def test_malformed_path_rejected(self, tmp_path, path):
+        cfg = write_config(tmp_path, [0.9, 0.9, 0.9],
+                           [0.0, 0.3 + 1.0j, -0.2 + 2.2j])
+        code, _ = run(["holonomy", cfg, "--path", json.dumps(path)], tmp_path)
         assert code == 2
 
 

@@ -16,6 +16,8 @@ from fluxholo import (
 from fluxholo.errors import AmbiguousOrdering, NoFreeModes, ThresholdSingularity
 from conftest import random_subcritical_config
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class TestCouplingMatrix:
     def test_two_identical_fluxes_closed_form(self):
@@ -175,14 +177,23 @@ class TestOracleEquivalence:
         fac = metric_factorized(vc, tol=1e-9)
         assert np.abs(bf.g - fac.g).max() < 1e-5 * np.abs(bf.g).max()
 
-    @pytest.mark.parametrize("pos", [
-        [0.0, 0.15j, 5.0 + 3.0j],          # 30:1 scale contrast
-        [0.0, 0.08 + 0.03j, 1.5 + 1.0j],   # near-collision, heavy pair
-    ])
-    def test_hard_geometries(self, pos):
-        vc = validate(FluxConfig(pos, [0.6, 0.7, 0.55]))
+    @pytest.mark.parametrize("pos, fluxes", [
+        ([0.0, 0.15j, 5.0 + 3.0j], [0.6, 0.7, 0.55]),          # 30:1 scale contrast
+        ([0.0, 0.08 + 0.03j, 1.5 + 1.0j], [0.6, 0.7, 0.55]),   # near-collision, heavy pair
+        ([0.0, 0.9e-3 + 0.7e-3j, 0.2e-3 + 1.9e-3j], [0.4, 0.5, 0.6]),  # diameter 2e-3
+    ], ids=["pos0", "pos1", "pos2"])
+    def test_hard_geometries(self, pos, fluxes):
+        vc = validate(FluxConfig(pos, fluxes))
         bf = metric_bruteforce(vc, tol=1e-7)
         fac = metric_factorized(vc, tol=1e-9, auto_rotate=True)
+        assert np.abs(bf.g - fac.g).max() < 1e-6 * np.abs(bf.g).max()
+
+    def test_near_tie(self):
+        # imaginary parts 1.5e-8 apart, just above the tie tolerance: the
+        # rotated frame separates them, so the contour legs stay clear
+        vc = validate(FluxConfig([0.0, 0.6 + 1.5e-8j, -0.4 + 1.1j], [0.87, 0.82, 0.59]))
+        bf = metric_bruteforce(vc, tol=1e-7)
+        fac = metric_factorized(vc, tol=1e-10)
         assert np.abs(bf.g - fac.g).max() < 1e-6 * np.abs(bf.g).max()
 
     def test_blowup_on_collision(self):
