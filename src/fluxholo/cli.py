@@ -28,7 +28,7 @@ import numpy as np
 
 from . import monodromy as mono
 from . import transport as tr
-from .config import FluxConfig, count_modes, validate
+from .config import FluxConfig, count_modes, separations, validate
 from .errors import DomainError, NumericalError, ValidationError
 from .metric import MetricEvaluator, metric_bruteforce, metric_factorized
 from .special import ELLIPTIC_CONVENTION
@@ -187,11 +187,6 @@ def cmd_curvature_map(manifest: RunManifest, args) -> int:
         guard = 1e-2 * vc.diameter
     others = [z for a, z in enumerate(vc.zeta) if a != mover]
     base = vc.zeta.copy()
-    ev = MetricEvaluator(cfg.fluxes, tol=manifest.quad_tol)
-
-    def metric_at(positions):
-        return float(np.real(ev(positions)[0, 0]))
-
     lines = ["x,y,R"]
     for iy in range(ny):
         y = y0 + (y1 - y0) * iy / max(ny - 1, 1)
@@ -205,8 +200,7 @@ def cmd_curvature_map(manifest: RunManifest, args) -> int:
             pos[mover] = u
             moved = validate(FluxConfig(pos, cfg.fluxes))
             r = tr.curvature_abelian(moved, moving=mover, h=manifest.fd_step,
-                                     quad_tol=manifest.quad_tol,
-                                     metric_fn=metric_at)
+                                     quad_tol=manifest.quad_tol)
             lines.append(f"{x:.10g},{y:.10g},{r.real:.12g}")
     text = "\n".join(lines) + "\n"
     if manifest.output:
@@ -275,9 +269,7 @@ def _random_subcritical(rng, n):
             break
     while True:
         pos = rng.uniform(-1.5, 1.5, n) + 1j * rng.uniform(-1.5, 1.5, n)
-        d = np.abs(pos[:, None] - pos[None, :]) + np.diag([np.inf] * n)
-        im = np.abs(pos.imag[:, None] - pos.imag[None, :]) + np.diag([np.inf] * n)
-        if d.min() > 0.5 and im.min() > 0.05:
+        if separations(pos).min() > 0.5 and separations(pos.imag).min() > 0.05:
             break
     return pos, fluxes
 

@@ -165,21 +165,28 @@ class ValidatedConfig:
 
     @property
     def diameter(self) -> float:
-        z = self.zeta
-        if len(z) == 1:
+        if self.n_fluxons == 1:
             return 1.0
-        return float(np.abs(z[:, None] - z[None, :]).max())
+        sep = separations(self.zeta)
+        return float(sep[np.isfinite(sep)].max())
+
+
+def separations(z) -> np.ndarray:
+    """|z_i - z_j| for every pair of points (complex or real), +inf on the
+    diagonal so that min() gives the closest pair.  Needs two points."""
+    z = np.asarray(z)
+    sep = np.abs(z[:, None] - z[None, :])
+    np.fill_diagonal(sep, np.inf)
+    return sep
 
 
 def _check_distinct(positions: np.ndarray) -> None:
-    n = len(positions)
-    if n == 1:
+    if len(positions) == 1:
         return
-    sep = np.abs(positions[:, None] - positions[None, :])
-    diam = sep.max()
+    sep = separations(positions)
+    diam = sep[np.isfinite(sep)].max()
     if diam == 0.0:
         raise CoincidentFluxons("all fluxons coincide")
-    sep = sep + np.diag([np.inf] * n)
     i, j = np.unravel_index(np.argmin(sep), sep.shape)
     if sep[i, j] <= COINCIDENCE_TOL * diam:
         raise CoincidentFluxons(

@@ -22,19 +22,22 @@ and contracts it with the position-independent hermitian coupling matrix
 G(phi):  g = Psi^* G Psi.  G has rank N - 1 with kernel spanned by the
 all-ones vector (a fiducial-point shift adds a constant to each column
 of Psi and must not change g) and exactly D_f positive eigenvalues.
+
+The paths share their legs, so N fluxons cost 2N - 1 line integrals
+(_primitive_raw).  _contour_frame is the one place that turns a
+configuration into (Psi, G), optionally on a rigidly rotated copy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ._quad import gauss_jacobi01, gauss_legendre, integrate_panels, trapezoid_angles
-from .config import FluxConfig, ValidatedConfig, cut_order, validate
+from .config import FluxConfig, ValidatedConfig, cut_order, separations, validate
 from .errors import (
-    AmbiguousOrdering,
     NoFreeModes,
     PathBlocked,
     QuadratureNotConverged,
@@ -186,41 +189,37 @@ def _assert_leg_clear(start, end, zetas, im_tol):
                 f"perturb the fiducial point or rotate the configuration")
 
 
-def _route(zetas, phis, target, xi0, xi0_anchor, diam, im_tol):
-    """Legs (with orientation signs) from the fiducial point to zeta_target,
-    routed through the half plane left of every fluxon."""
-    x_left = zetas.real.min() - 1.5 * diam
-    p1 = complex(x_left, xi0.imag)
-    p2 = complex(x_left, zetas[target].imag)
-    legs = []
-    if xi0_anchor is not None:
-        legs.append((_Leg(xi0, p1, zetas, sing_phi=phis[xi0_anchor]), +1.0))
-    else:
-        _assert_leg_clear(xi0, p1, zetas, im_tol)
-        legs.append((_Leg(xi0, p1, zetas), +1.0))
-    legs.append((_Leg(p1, p2, zetas), +1.0))
-    # approach the target from the left; parameterized from the singular end
-    legs.append((_Leg(zetas[target], p2, zetas, sing_phi=phis[target]), -1.0))
-    return legs
+def _primitive_raw(zetas, phis, n_cols, xi0, xi0_anchor, x_left, tol, im_tol):
+    """Row a = start + C(y_a) - C(y_0) - arm_a, every leg integrated once.
 
-
-def _primitive_raw(zetas, phis, n_cols, xi0, xi0_anchor, tol, im_tol):
-    n = len(zetas)
-    diam = max(float(np.abs(zetas[:, None] - zetas[None, :]).max()), 1e-3) if n > 1 else 1.0
-    out = np.zeros((n, n_cols), dtype=complex)
+    arm_a runs from zeta_a (its singular end) to the line x = x_left, left
+    of every fluxon; C sums the gaps of that line between consecutive
+    heights of the fluxons and the fiducial point xi0; start runs from xi0
+    to the line and is the anchor's arm when xi0 is a fluxon.
+    """
     err = 0.0
-    for a in range(n):
-        if xi0_anchor is not None and a == xi0_anchor:
-            continue
-        total = np.zeros(n_cols, dtype=complex)
-        for leg, sign in _route(zetas, phis, a, xi0, xi0_anchor, diam, im_tol):
-            val, e = integrate_panels(
-                lambda t, leg=leg: leg.values(t, phis, n_cols),
-                tol, breakpoints=leg.x_breakpoints())
-            total += sign * val
-            err += e
-        out[a] = total
-    return out, err
+
+    def integral(start, end, sing_phi=None):
+        nonlocal err
+        leg = _Leg(start, end, zetas, sing_phi)
+        val, e = integrate_panels(lambda t: leg.values(t, phis, n_cols), tol,
+                                  breakpoints=leg.x_breakpoints())
+        err += e
+        return val
+
+    arms = np.array([integral(z, complex(x_left, z.imag), ph) for z, ph in zip(zetas, phis)])
+    if xi0_anchor is not None:
+        start = arms[xi0_anchor]
+    else:
+        _assert_leg_clear(xi0, complex(x_left, xi0.imag), zetas, im_tol)
+        start = integral(xi0, complex(x_left, xi0.imag))
+    heights = np.unique(np.append(zetas.imag, xi0.imag))
+    C = np.cumsum([np.zeros(n_cols, dtype=complex)]
+                  + [integral(complex(x_left, lo), complex(x_left, hi))
+                     for lo, hi in zip(heights[:-1], heights[1:])], axis=0)
+    rise = C[np.searchsorted(heights, zetas.imag)] - C[np.searchsorted(heights, xi0.imag)]
+    # the anchor's row is exactly zero: (start + 0) - start
+    return start + rise - arms, err
 
 
 def primitive_matrix(vc: ValidatedConfig, gauge="last", tol: float = 1e-10,
@@ -242,7 +241,8 @@ def primitive_matrix(vc: ValidatedConfig, gauge="last", tol: float = 1e-10,
     order = conv.order
     zetas = vc.zeta[list(order)]
     phis = vc.phi_reduced[list(order)]
-    im_tol = 1e-10 * max(vc.diameter, 1.0)
+    diam = vc.diameter
+    im_tol = 1e-10 * max(diam, 1.0)
     if gauge == "last":
         xi0, anchor = zetas[-1], len(zetas) - 1
     else:
@@ -251,7 +251,8 @@ def primitive_matrix(vc: ValidatedConfig, gauge="last", tol: float = 1e-10,
         if hit.size:
             anchor = int(hit[0])
             xi0 = zetas[anchor]
-    mat, err = _primitive_raw(zetas, phis, columns, xi0, anchor, tol, im_tol)
+    x_left = zetas.real.min() - 1.5 * max(diam, 1e-3)
+    mat, err = _primitive_raw(zetas, phis, columns, xi0, anchor, x_left, tol, im_tol)
     return PrimitiveMatrix(matrix=mat, gauge=gauge, order=order,
                            fluxes=tuple(phis), error_estimate=err)
 
@@ -298,28 +299,29 @@ def _gauss_manin(zetas, phis) -> np.ndarray:
     return out
 
 
-def _contour_frame(vc: ValidatedConfig, tol: float):
-    """Contour matrix that the Gauss-Manin connection acts on.
+def _contour_frame(vc: ValidatedConfig, tol: float, columns: int, alpha: float = 0.0):
+    """Contour matrix psi, coupling matrix G and the quadrature error.
 
-    Returns (psi, G, error_estimate).  psi has one row per branch point
-    (fluxon with phi' != 0), in cut order, and all m = rows - 1 monomial
-    columns; every row is re-anchored to the last branch point, so each is
-    an integral between two branch points.  G is the coupling matrix in the
-    same row order, and psi_f^* G psi_f with psi_f the first D_f columns is
-    the metric (a fluxon with phi' = 0 has a zero row and column in G).
-    An ambiguous cut order is resolved once by the rigid-rotation law: the
-    rotated matrix with column k scaled by e^{-i k alpha} is a frame at the
-    unrotated positions.
+    psi is evaluated on vc rigidly rotated by lambda = e^{i alpha}, which
+    must have an unambiguous cut order (AmbiguousOrdering if not), with
+    column k scaled by lambda^(-k): by the rigid-rotation law a contour
+    matrix at the unrotated positions.  It keeps `columns` monomials and one
+    row per branch point (phi' != 0) in the rotated cut order, each
+    re-anchored to the last one, so every row is an integral between branch
+    points, as the Gauss-Manin connection needs.  G is in the same row
+    order, and psi_f^* G psi_f over the first D_f columns is the metric.
+    metric_factorized passes best_rotation_angle(zeta), the transport
+    (transport._frame) rotates only on a tie, and holonomy_analytic passes
+    0, keeping the cut order its braid word refers to.
     """
-    m = int(np.count_nonzero(vc.phi_reduced)) - 1
-    try:
-        psi, lam = primitive_matrix(vc, tol=tol, columns=m), 1.0
-    except AmbiguousOrdering:
-        rot, alpha = _best_rotated(vc)
-        psi, lam = primitive_matrix(rot, tol=tol, columns=m), np.exp(1j * alpha)
+    lam = np.exp(1j * alpha)
+    if alpha != 0.0:
+        vc = replace(vc, config=FluxConfig([z * lam for z in vc.config.positions],
+                                           vc.config.fluxes))
+    psi = primitive_matrix(vc, tol=tol, columns=columns)
     phis = np.array(psi.fluxes)
     branch = phis != 0.0
-    mat = psi.matrix[branch] * lam ** -np.arange(m)
+    mat = psi.matrix[branch] * lam ** -np.arange(columns)
     return mat - mat[-1], coupling_matrix(phis[branch]).G, psi.error_estimate
 
 
@@ -327,32 +329,24 @@ def metric_factorized(vc: ValidatedConfig, tol: float = 1e-8,
                       auto_rotate: bool = False) -> Metric:
     """Metric via g = Psi^* G Psi.
 
-    Psi is always evaluated on the configuration rigidly rotated by
-    lambda = e^{i alpha}, alpha = best_rotation_angle(zeta), the frame in
-    which the imaginary parts (the cut order) are best separated.  The
-    rotation is undone exactly through the scaling law
-    g_jk(lambda zeta) = lambda^(k - j) g_jk(zeta): g = D g_rot D^* with
-    D = diag(lambda^k).  auto_rotate=False only adds a check that the given
-    configuration has an unambiguous cut order (AmbiguousOrdering if not).
+    Psi and G come from _contour_frame with alpha = best_rotation_angle(zeta),
+    the rotation that best separates the imaginary parts (the cut order), so
+    ties and near ties of the given configuration cost nothing extra.
+    auto_rotate=False only adds a check that the given configuration has an
+    unambiguous cut order (AmbiguousOrdering if not).
     """
-    counts = vc.counts
-    if counts.D_f < 1 or not counts.free_modes_ok:
-        raise NoFreeModes(f"configuration has D_f = {counts.D_f} free modes")
     if not auto_rotate:
         cut_order(vc)
-    rot, alpha = _best_rotated(vc)
-    psi = primitive_matrix(rot, gauge="last", tol=tol * 1e-2)
-    G = coupling_matrix(psi.fluxes).G
-    g = psi.matrix.conj().T @ G @ psi.matrix
+    psi, G, psi_err = _contour_frame(vc, tol * 1e-2, vc.counts.D_f,
+                                     best_rotation_angle(vc.zeta))
+    g = psi.conj().T @ G @ psi
     g = 0.5 * (g + g.conj().T)
     scale = max(float(np.abs(g).max()), 1e-300)
-    err = 2.0 * float(np.abs(G).max()) * float(np.abs(psi.matrix).max()) * psi.error_estimate
+    err = 2.0 * float(np.abs(G).max()) * float(np.abs(psi).max()) * psi_err
     if np.linalg.eigvalsh(g).min() <= 0.0:
         raise QuadratureNotConverged(
             "factorized metric lost positive definiteness", attained=err / scale)
-    d = np.diag(np.exp(1j * np.arange(counts.D_f) * alpha))
-    g = d @ g @ d.conj().T
-    return Metric(g=0.5 * (g + g.conj().T), method="factorized", error_estimate=err)
+    return Metric(g=g, method="factorized", error_estimate=err)
 
 
 _ROTATION_ANGLES = np.pi * (np.arange(32) / 32.0)
@@ -374,15 +368,6 @@ def best_rotation_angle(zetas) -> float:
     return best_a
 
 
-def _best_rotated(vc: ValidatedConfig):
-    """(vc rigidly rotated by e^{i alpha}, alpha), alpha = best_rotation_angle."""
-    alpha = best_rotation_angle(vc.zeta)
-    lam = np.exp(1j * alpha)
-    rot = validate(FluxConfig([z * lam for z in vc.config.positions], vc.config.fluxes),
-                   strict=vc.strict)
-    return rot, alpha
-
-
 class MetricEvaluator:
     """Positions -> metric map for one flux assignment.
 
@@ -392,13 +377,12 @@ class MetricEvaluator:
     frame of metric_factorized absorbs (auto_rotate=True).
     """
 
-    def __init__(self, fluxes, tol: float = 1e-10, strict: bool = True):
+    def __init__(self, fluxes, tol: float = 1e-10):
         self.fluxes = tuple(float(f) for f in fluxes)
         self.tol = tol
-        self.strict = strict
 
     def __call__(self, positions) -> np.ndarray:
-        vc = validate(FluxConfig(positions, self.fluxes), strict=self.strict)
+        vc = validate(FluxConfig(positions, self.fluxes))
         return metric_factorized(vc, tol=self.tol, auto_rotate=True).g
 
 
@@ -427,11 +411,7 @@ class _BruteForce:
         self.n_cols = n_cols
         self.jk = [(j, k) for j in range(n_cols) for k in range(n_cols) if j <= k]
         n = len(zetas)
-        if n > 1:
-            dist = np.abs(zetas[:, None] - zetas[None, :]) + np.diag([np.inf] * n)
-            self.dnn = dist.min(axis=1)
-        else:
-            self.dnn = np.array([1.0])
+        self.dnn = separations(zetas).min(axis=1) if n > 1 else np.array([1.0])
         self.r_in = 0.20 * self.dnn
         self.r_out = 0.45 * self.dnn
         self.center = zetas.mean()

@@ -34,7 +34,7 @@ from .errors import (
     NotConfined,
     NotMaximalFreeModes,
 )
-from .metric import coupling_matrix, primitive_matrix
+from .metric import _contour_frame, coupling_matrix
 from .transport import ControlPath, HolonomyResult, _json_int
 
 FLUX_EQUALITY_TOL = 1e-12
@@ -211,12 +211,12 @@ def holonomy_analytic(vc: ValidatedConfig, word: BraidWord,
     if vc.counts.D_f != n - 1:
         raise NotMaximalFreeModes(
             f"analytic holonomy needs D_f = N - 1, got D_f = {vc.counts.D_f}")
-    psi = primitive_matrix(vc, gauge="last", tol=tol)
-    mono = word_to_monodromy(word, psi.fluxes)
-    psi_t = psi.matrix[:n - 1, :] - psi.matrix[n - 1:n, :]
-    m_t = reduce_monodromy(mono)
+    order = cut_order(vc).order
+    psi, G, _ = _contour_frame(vc, tol, n - 1)
+    psi_t = psi[:n - 1]
+    m_t = reduce_monodromy(word_to_monodromy(word, vc.phi_reduced[list(order)]))
     u = np.linalg.solve(m_t @ psi_t, psi_t)
-    g = psi_t.conj().T @ reduced_coupling(coupling_matrix(psi.fluxes).G) @ psi_t
+    g = psi_t.conj().T @ reduced_coupling(G) @ psi_t
     drift = float(np.abs(u.conj().T @ g @ u - g).max() / np.abs(g).max())
     return HolonomyResult(
         u=u,
@@ -225,16 +225,15 @@ def holonomy_analytic(vc: ValidatedConfig, word: BraidWord,
         method="analytic",
         base_positions=tuple(vc.zeta),
         permutation=tuple(range(n)),
-        metadata={"order": psi.order},
+        metadata={"order": order},
     )
 
 
-def word_to_path(vc: ValidatedConfig, word: BraidWord,
-                 radius_factor: float = 1.0) -> ControlPath:
+def word_to_path(vc: ValidatedConfig, word: BraidWord) -> ControlPath:
     """Geometric realization of a braid word as a control path.
 
-    Encircle(i): the strand-i fluxon travels a circle of
-    radius_factor x (strand distance) around strand i + 1.  Exchange(i):
+    Encircle(i): the strand-i fluxon travels a circle through its own
+    position around the strand-(i + 1) fluxon.  Exchange(i):
     half-turn of the pair about its midpoint.  Raises ValueError when the
     requested circles would sweep over a third fluxon."""
     cut_order(vc)  # reject ambiguous strand assignments up front
@@ -248,10 +247,7 @@ def word_to_path(vc: ValidatedConfig, word: BraidWord,
         mover, around = int(rank[i]), int(rank[i + 1])
         if mv.kind == "encircle":
             center = positions[around]
-            radius = abs(positions[mover] - center) * radius_factor
-            if radius_factor != 1.0:
-                raise ValueError("only radius_factor = 1 paths start at the "
-                                 "mover's position")
+            radius = abs(positions[mover] - center)
             others = np.delete(np.arange(vc.n_fluxons), [mover, around])
             if np.any(np.abs(positions[others] - center) <= radius * (1.0 + 1e-9)):
                 raise ValueError("encircle loop would sweep over a third fluxon")

@@ -30,15 +30,16 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .config import ValidatedConfig
+from .config import ValidatedConfig, separations
 from .errors import (
+    AmbiguousOrdering,
     ClosedPathRequired,
     CollisionGuardTripped,
     IllConditionedMetric,
     ODEStepUnderflow,
     StepTooLarge,
 )
-from .metric import MetricEvaluator, _contour_frame, _gauss_manin
+from .metric import MetricEvaluator, _contour_frame, _gauss_manin, best_rotation_angle
 from .modes import ModeVector
 
 TWO_PI = 2.0 * np.pi
@@ -297,17 +298,24 @@ class ControlPath:
 # --------------------------------------------------------------------------
 
 def _min_distance(positions) -> float:
-    z = np.asarray(positions, dtype=complex)
-    if len(z) == 1:
-        return 1.0
-    d = np.abs(z[:, None] - z[None, :]) + np.diag([np.inf] * len(z))
-    return float(d.min())
+    return float(separations(positions).min()) if len(positions) > 1 else 1.0
+
+
+def _frame(vc: ValidatedConfig, tol: float):
+    """_contour_frame with every monomial column, rotated only when the cut
+    order is tied, so holonomy(...).metadata["monodromy"] keeps the rows in
+    the configuration's cut order."""
+    m = int(np.count_nonzero(vc.phi_reduced)) - 1
+    try:
+        return _contour_frame(vc, tol, m)
+    except AmbiguousOrdering:
+        return _contour_frame(vc, tol, m, best_rotation_angle(vc.zeta))
 
 
 def _metric_jet(vc: ValidatedConfig, tol: float):
     """Free-mode contour matrix psi_f, coupling G, the exact derivatives
     d psi_f / d zeta_a (one per fluxon) and the quadrature error of psi."""
-    psi, G, err = _contour_frame(vc, tol)
+    psi, G, err = _frame(vc, tol)
     dpsi = psi[None] @ _gauss_manin(vc.zeta, vc.phi_reduced).transpose(0, 2, 1)
     f = vc.counts.D_f
     return psi[:, :f], G, dpsi[:, :, :f], err
@@ -369,7 +377,7 @@ class _TransportProblem:
         if not np.array_equal(path.start, vc.zeta):
             raise ValueError("path must start at the configuration's positions")
         self.path = path
-        psi, self.G, _ = _contour_frame(vc, quad_tol)
+        psi, self.G, _ = _frame(vc, quad_tol)
         self.scale = float(np.abs(psi).max())
         self.psi0 = psi / self.scale
         self.phis = vc.phi_reduced

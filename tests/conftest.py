@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fluxholo import FluxConfig, validate
+from fluxholo.cli import _random_subcritical
 
 SEED = 20260811
 
@@ -29,18 +30,9 @@ def two_fluxon():
     return validate(FluxConfig([0.0, 0.3 + 1.0j], [0.7, 0.8]))
 
 
-def random_subcritical_config(rng, n, min_sep=0.5, min_im_gap=0.05):
-    """Subcritical fluxes away from thresholds; generic positions with
-    distinct imaginary parts."""
-    while True:
-        fluxes = rng.uniform(0.1, 0.9, n)
-        total = fluxes.sum()
-        if abs(total - round(total)) > 5e-2 and total > 1.05:
-            break
-    while True:
-        pos = rng.uniform(-1.5, 1.5, n) + 1j * rng.uniform(-1.5, 1.5, n)
-        d = np.abs(pos[:, None] - pos[None, :]) + np.diag([np.inf] * n)
-        im = np.abs(pos.imag[:, None] - pos.imag[None, :]) + np.diag([np.inf] * n)
-        if d.min() > min_sep and im.min() > min_im_gap:
-            break
+def random_subcritical_config(rng, n):
+    """The verify suite's random draw (subcritical fluxes away from
+    thresholds, separated positions with distinct imaginary parts),
+    validated."""
+    pos, fluxes = _random_subcritical(rng, n)
     return validate(FluxConfig(pos, fluxes))

@@ -83,6 +83,17 @@ class TestPrimitiveMatrix:
         g1 = psi2.matrix.conj().T @ G @ psi2.matrix
         assert np.abs(g0 - g1).max() < 1e-9 * np.abs(g0).max()
 
+    def test_fiducial_heights_shift_columns_only(self):
+        # the fiducial height may fall below, between or above the fluxon
+        # heights, or on a fluxon, on the line whose gaps the rows share;
+        # any fiducial point moves each column by one constant
+        vc = validate(FluxConfig([0.0, 0.9 + 0.7j, -0.6 + 1.3j, 0.4 + 2.1j, 1.2 + 2.9j],
+                                 [0.3, 0.5, 0.6, 0.4, 0.7]))
+        ref = primitive_matrix(vc, gauge="last", tol=1e-12).matrix
+        for xi0 in (-1.5 - 1.0j, -1.5 + 1.0j, -1.5 + 3.5j, 0.9 + 0.7j):
+            shift = primitive_matrix(vc, gauge=xi0, tol=1e-12).matrix - ref
+            assert np.abs(shift - shift[-1]).max() < 1e-10 * np.abs(ref).max()
+
     def test_ambiguous_ordering_propagates(self):
         vc = validate(FluxConfig([0.0, 1.0, 0.5 + 1.0j], [0.5, 0.6, 0.7]))
         with pytest.raises(AmbiguousOrdering):
@@ -129,9 +140,9 @@ class TestFactorizedMetric:
 
 class TestOracleEquivalence:
     def test_bruteforce_matches_factorized(self, rng):
-        # randomized N in 2..5; the quadrature and the holomorphic
+        # randomized N in 2..6; the quadrature and the holomorphic
         # factorization are developed independently, so agreement pins both
-        for n in (2, 3, 4, 5):
+        for n in (2, 3, 4, 5, 6):
             vc = random_subcritical_config(rng, n)
             bf = metric_bruteforce(vc, tol=1e-7)
             fac = metric_factorized(vc, tol=1e-9)
