@@ -28,10 +28,16 @@ import numpy as np
 
 from . import monodromy as mono
 from . import transport as tr
-from .config import FluxConfig, count_modes, separations, validate
+from .config import FluxConfig, count_modes, cut_factor, separations, validate
 from .errors import DomainError, NumericalError, ValidationError
-from .metric import MetricEvaluator, metric_bruteforce, metric_factorized
-from .special import ELLIPTIC_CONVENTION
+from .metric import (
+    MetricEvaluator,
+    coupling_matrix,
+    metric_bruteforce,
+    metric_factorized,
+    primitive_matrix,
+)
+from .special import ELLIPTIC_CONVENTION, metric_half_fluxes
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -53,13 +59,11 @@ class RunManifest:
     seed: int
 
     def check(self):
-        for name in ("quad_tol", "ode_tol"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"--{name.replace('_', '-')} must be positive")
-        if self.fd_step is not None and self.fd_step <= 0:
-            raise ValidationError("--fd-step must be positive")
-        if self.collision_guard is not None and self.collision_guard <= 0:
-            raise ValidationError("--collision-guard must be positive")
+        for name in ("quad_tol", "ode_tol", "fd_step", "collision_guard"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value > 0):
+                raise ValidationError(f"--{name.replace('_', '-')} must be positive "
+                                      f"and finite, got {value!r}")
         if self.output:
             parent = os.path.dirname(os.path.abspath(self.output)) or "."
             if not os.access(parent, os.W_OK):
@@ -169,10 +173,13 @@ def _parse_grid(spec: str):
         xs, ys = spec.split(",")
         x0, x1, nx = xs.split(":")
         y0, y1, ny = ys.split(":")
-        return (float(x0), float(x1), int(nx)), (float(y0), float(y1), int(ny))
+        grid = (float(x0), float(x1), int(nx)), (float(y0), float(y1), int(ny))
     except ValueError as exc:
         raise ValidationError(f"bad grid spec {spec!r}; "
                               f"expected x0:x1:nx,y0:y1:ny") from exc
+    if grid[0][2] < 1 or grid[1][2] < 1:
+        raise ValidationError(f"grid {spec!r} has no points; nx and ny must be >= 1")
+    return grid
 
 
 def cmd_curvature_map(manifest: RunManifest, args) -> int:
@@ -181,6 +188,8 @@ def cmd_curvature_map(manifest: RunManifest, args) -> int:
     if vc.counts.D_f != 1:
         raise ValidationError("curvature-map needs a configuration with one free mode")
     mover = args.mover
+    if not 0 <= mover < vc.n_fluxons:
+        raise ValidationError(f"--mover {mover} out of range for {vc.n_fluxons} fluxons")
     (x0, x1, nx), (y0, y1, ny) = _parse_grid(args.grid)
     guard = manifest.collision_guard
     if guard is None:
@@ -248,9 +257,7 @@ def cmd_holonomy(manifest: RunManifest, args) -> int:
     if "numeric" not in doc and "analytic" not in doc:
         raise ValidationError("the flag combination selects no computation")
     if "numeric" in doc and "analytic" in doc:
-        un = np.array([[complex(*p) for p in row] for row in doc["numeric"]["u"]])
-        ua = np.array([[complex(*p) for p in row] for row in doc["analytic"]["u"]])
-        doc["discrepancy"] = float(np.abs(un - ua).max())
+        doc["discrepancy"] = float(np.abs(res.u - res_a.u).max())
     _emit(doc, manifest)
     return EXIT_OK
 
@@ -258,162 +265,215 @@ def cmd_holonomy(manifest: RunManifest, args) -> int:
 # --------------------------------------------------------------------------
 # verify
 # --------------------------------------------------------------------------
+# One check_* function per property: each draws one case from rng (n and
+# quad_tol are the caller's) and returns its named residuals.  The test
+# suite runs the same functions with its own seeds and sample counts.
+
+#: Bound on the worst residual of each verify check.
+TOLERANCES = {
+    "mode_counting": 0,
+    "cut_factor_periodicity": 1e-14,
+    "coupling_kernel": 1e-12,
+    "coupling_hermitian": 1e-12,
+    "coupling_signature": 0,
+    "monodromy_pseudo_unitarity": 1e-12,
+    "burau_yang_baxter": 1e-14,
+    "burau_exchange_squared": 1e-14,
+    "burau_permutation_limit": 1e-14,
+    "metric_gauge_independence": 1e-9,
+    "metric_scaling_law": 1e-8,
+    "half_flux_closed_form": 1e-9,
+    "bruteforce_vs_factorized": 1e-5,
+    "holonomy_numeric_vs_analytic": 1e-4,
+    "rigid_rotation_phase": 1e-4,
+    "two_fluxon_flat_curvature": 1e-6,
+}
+
+
+def _clear_fluxes(rng, n, lo, hi, min_total=0.0):
+    """n fluxes drawn from [lo, hi) whose total exceeds min_total and lies
+    more than 5e-2 from an integer."""
+    while True:
+        fluxes = rng.uniform(lo, hi, n)
+        total = fluxes.sum()
+        if abs(total - round(total)) > 5e-2 and total > min_total:
+            return fluxes
+
 
 def _random_subcritical(rng, n):
     """Subcritical fluxes clear of thresholds plus positions with distinct
     imaginary parts and sane separations."""
-    while True:
-        fluxes = rng.uniform(0.1, 0.9, n)
-        total = fluxes.sum()
-        if abs(total - round(total)) > 5e-2 and total > 1.05:
-            break
+    fluxes = _clear_fluxes(rng, n, 0.1, 0.9, min_total=1.05)
     while True:
         pos = rng.uniform(-1.5, 1.5, n) + 1j * rng.uniform(-1.5, 1.5, n)
         if separations(pos).min() > 0.5 and separations(pos.imag).min() > 0.05:
-            break
-    return pos, fluxes
+            return pos, fluxes
 
 
-def _verify_checks(level: str, seed: int, quad_tol: float):
-    rng = np.random.default_rng(seed)
-    checks = []
+def check_mode_counting(rng):
+    """count_modes against a direct evaluation of the counting formulas."""
+    n = int(rng.integers(1, 6))
+    fluxes = rng.uniform(-2.0, 3.0, n)
+    c = count_modes(fluxes)
+    d_direct = max(0, math.ceil(abs(math.fsum(fluxes))) - 1)
+    red = [f - max(0, math.floor(f)) for f in fluxes]
+    df_direct = max(0, math.ceil(math.fsum(red)) - 1)
+    return {"mode_counting": max(abs(c.D - d_direct), abs(c.D_f - df_direct))}
 
-    def record(name, residual, tolerance):
-        checks.append({
-            "name": name,
-            "residual": float(residual),
-            "tolerance": float(tolerance),
-            "passed": bool(residual <= tolerance),
-        })
 
-    # mode counting against a direct evaluation of the counting formulas
-    worst = 0
-    for _ in range(200):
-        n = int(rng.integers(1, 6))
-        fluxes = rng.uniform(-2.0, 3.0, n)
-        c = count_modes(fluxes)
-        d_direct = max(0, math.ceil(abs(math.fsum(fluxes))) - 1)
-        red = [f - max(0, math.floor(f)) for f in fluxes]
-        df_direct = max(0, math.ceil(math.fsum(red)) - 1)
-        worst = max(worst, abs(c.D - d_direct), abs(c.D_f - df_direct))
-    record("mode_counting", worst, 0)
+def check_cut_factor(rng):
+    p = rng.uniform(-3, 3)
+    return {"cut_factor_periodicity": abs(cut_factor(p + 1) - cut_factor(p))}
 
-    from .config import cut_factor
-    res = max(abs(cut_factor(p + 1) - cut_factor(p))
-              for p in rng.uniform(-3, 3, 50))
-    record("cut_factor_periodicity", res, 1e-14)
 
-    from .metric import coupling_matrix
-    worst_k = worst_h = worst_c = 0.0
-    for _ in range(25):
-        n = int(rng.integers(2, 7))
-        while True:
-            fluxes = rng.uniform(0.05, 0.95, n)
-            if abs(fluxes.sum() - round(fluxes.sum())) > 5e-2:
-                break
-        G = coupling_matrix(fluxes).G
-        worst_k = max(worst_k, float(np.abs(G @ np.ones(n)).max()))
-        worst_h = max(worst_h, float(np.abs(G - G.conj().T).max()))
-        df = max(0, math.ceil(fluxes.sum()) - 1)
-        pos_count = int((np.linalg.eigvalsh(G) > 1e-10).sum())
-        worst_c = max(worst_c, abs(pos_count - df))
-    record("coupling_kernel", worst_k, 1e-12)
-    record("coupling_hermitian", worst_h, 1e-12)
-    record("coupling_signature", worst_c, 0)
+def check_coupling(rng):
+    """G annihilates the all-ones vector, is hermitian and has D_f
+    positive eigenvalues."""
+    n = int(rng.integers(2, 7))
+    fluxes = _clear_fluxes(rng, n, 0.05, 0.95)
+    G = coupling_matrix(fluxes).G
+    df = max(0, math.ceil(fluxes.sum()) - 1)
+    return {
+        "coupling_kernel": float(np.abs(G @ np.ones(n)).max()),
+        "coupling_hermitian": float(np.abs(G - G.conj().T).max()),
+        "coupling_signature": abs(int((np.linalg.eigvalsh(G) > 1e-10).sum()) - df),
+    }
 
-    worst = 0.0
-    for _ in range(40):
-        n = int(rng.integers(2, 6))
-        identical = bool(rng.integers(0, 2))
-        if identical:
-            fluxes = np.full(n, float(rng.uniform(1 - 1 / n + 0.02, 0.98)))
-        else:
-            while True:
-                fluxes = rng.uniform(0.1, 0.9, n)
-                if abs(fluxes.sum() - round(fluxes.sum())) > 5e-2:
-                    break
-        moves = []
-        for _ in range(int(rng.integers(1, 9))):
-            s = int(rng.integers(0, n - 1))
-            p = int(rng.choice([-1, 1]))
-            kind = "exchange" if identical and rng.integers(0, 2) else "encircle"
-            moves.append(mono.Move(kind, s, p))
-        M = mono.word_to_monodromy(mono.BraidWord(moves), fluxes)
-        worst = max(worst, M.pseudo_unitarity_residual(), M.stabilization_residual())
-    record("monodromy_pseudo_unitarity", worst, 1e-12)
 
+def check_monodromy(rng):
+    """G = M^* G M and M 1 = 1 for the Burau monodromy of a random word."""
+    n = int(rng.integers(2, 6))
+    identical = bool(rng.integers(0, 2))
+    if identical:
+        fluxes = np.full(n, float(rng.uniform(1 - 1 / n + 0.02, 0.98)))
+    else:
+        fluxes = _clear_fluxes(rng, n, 0.1, 0.9)
+    moves = []
+    for _ in range(int(rng.integers(1, 9))):
+        s = int(rng.integers(0, n - 1))
+        p = int(rng.choice([-1, 1]))
+        kind = "exchange" if identical and rng.integers(0, 2) else "encircle"
+        moves.append(mono.Move(kind, s, p))
+    M = mono.word_to_monodromy(mono.BraidWord(moves), fluxes)
+    return {"monodromy_pseudo_unitarity":
+            max(M.pseudo_unitarity_residual(), M.stabilization_residual())}
+
+
+def check_burau():
+    """Braid relation, exchange squared = encirclement, permutation limit."""
     nu = cut_factor(0.83)
     b1 = np.eye(3, dtype=complex)
     b1[:2, :2] = mono.exchange_block(nu)
     b2 = np.eye(3, dtype=complex)
     b2[1:, 1:] = mono.exchange_block(nu)
-    record("burau_yang_baxter",
-           np.abs(b1 @ b2 @ b1 - b2 @ b1 @ b2).max(), 1e-14)
-    record("burau_exchange_squared",
-           np.abs(np.linalg.matrix_power(mono.exchange_block(nu), 2)
-                  - mono.encircle_block(nu, nu)).max(), 1e-14)
-    record("burau_permutation_limit",
-           np.abs(mono.exchange_block(1.0) - np.array([[0, 1], [1, 0]])).max(), 1e-14)
+    return {
+        "burau_yang_baxter": np.abs(b1 @ b2 @ b1 - b2 @ b1 @ b2).max(),
+        "burau_exchange_squared":
+            np.abs(np.linalg.matrix_power(mono.exchange_block(nu), 2)
+                   - mono.encircle_block(nu, nu)).max(),
+        "burau_permutation_limit":
+            np.abs(mono.exchange_block(1.0) - np.array([[0, 1], [1, 0]])).max(),
+    }
 
-    gauge_res = scale_res = 0.0
-    for _ in range(2 if level == "quick" else 4):
-        n = int(rng.integers(2, 4))
-        pos, fluxes = _random_subcritical(rng, n)
-        vc = validate(FluxConfig(pos, fluxes))
-        from .metric import primitive_matrix
-        g1 = metric_factorized(vc, tol=quad_tol).g
-        psi = primitive_matrix(vc, gauge=complex(pos.real.min() - 2.0, 0.37), tol=quad_tol)
-        G = coupling_matrix(psi.fluxes).G
-        g2 = psi.matrix.conj().T @ G @ psi.matrix
-        gauge_res = max(gauge_res, float(np.abs(g1 - g2).max() / np.abs(g1).max()))
-        lam = rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        vcs = validate(FluxConfig(pos * lam, fluxes))
-        gs = metric_factorized(vcs, tol=quad_tol, auto_rotate=True).g
-        k = np.arange(vc.counts.D_f)
-        pred = (lam ** k[None, :] * np.conj(lam) ** k[:, None]
-                * abs(lam) ** (2 * (1 - fluxes.sum())) * g1)
-        scale_res = max(scale_res, float(np.abs(gs - pred).max() / np.abs(gs).max()))
-    record("metric_gauge_independence", gauge_res, 1e-9)
-    record("metric_scaling_law", scale_res, 1e-8)
 
-    from .special import metric_half_fluxes
+def check_metric_laws(rng, n, quad_tol):
+    """The factorized metric of a random subcritical configuration against
+    the metric of another fiducial point, and the scaling law
+    g_jk(lam zeta) = lam^k conj(lam)^j |lam|^(2 (1 - Phi'_T)) g_jk(zeta)."""
+    pos, fluxes = _random_subcritical(rng, n)
+    vc = validate(FluxConfig(pos, fluxes))
+    g1 = metric_factorized(vc, tol=quad_tol).g
+    psi = primitive_matrix(vc, gauge=complex(pos.real.min() - 2.0, 0.37), tol=quad_tol)
+    g2 = psi.matrix.conj().T @ coupling_matrix(psi.fluxes).G @ psi.matrix
+    lam = rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+    gs = metric_factorized(validate(FluxConfig(pos * lam, fluxes)), tol=quad_tol,
+                           auto_rotate=True).g
+    k = np.arange(vc.counts.D_f)
+    pred = (lam ** k[None, :] * np.conj(lam) ** k[:, None]
+            * abs(lam) ** (2 * (1 - fluxes.sum())) * g1)
+    return {
+        "metric_gauge_independence": float(np.abs(g1 - g2).max() / np.abs(g1).max()),
+        "metric_scaling_law": float(np.abs(gs - pred).max() / np.abs(gs).max()),
+    }
+
+
+def check_half_flux(quad_tol):
     ev = MetricEvaluator([0.5, 0.5, 0.5], tol=quad_tol)
     res = 0.0
     for u in (0.37 + 0.41j, -0.52 + 0.66j, 1.31 + 0.24j):
         g = float(np.real(ev(np.array([0.0, 1.0, u]))[0, 0]))
         res = max(res, abs(g - metric_half_fluxes(u)) / g)
-    record("half_flux_closed_form", res, 1e-9)
+    return {"half_flux_closed_form": res}
 
+
+def check_metric_oracle(rng, n, quad_tol):
+    """Factorized metric against brute force (at 1e-7) on a random
+    subcritical configuration, relative to the largest entry."""
+    pos, fluxes = _random_subcritical(rng, n)
+    vc = validate(FluxConfig(pos, fluxes))
+    bf = metric_bruteforce(vc, tol=1e-7).g
+    fac = metric_factorized(vc, tol=quad_tol).g
+    return {"bruteforce_vs_factorized": float(np.abs(bf - fac).max() / np.abs(bf).max())}
+
+
+def check_numeric_holonomy():
+    vc = validate(FluxConfig([0.0, 0.3 + 1.0j, -0.2 + 2.2j], [0.9, 0.9, 0.9]))
+    word = mono.BraidWord([mono.Move("encircle", 0, 1)])
+    num = tr.holonomy(vc, mono.word_to_path(vc, word), ode_tol=1e-7)
+    ana = mono.holonomy_analytic(vc, word)
+    return {"holonomy_numeric_vs_analytic": float(np.abs(num.u - ana.u).max())}
+
+
+def check_rigid_rotation():
+    vc = validate(FluxConfig([0.2 + 0.1j, 1.1 + 0.6j, 0.4 + 1.3j], [0.5, 0.55, 0.5]))
+    res = tr.holonomy(vc, tr.ControlPath.rotation(vc, center=0.0), ode_tol=1e-7)
+    expect = math.remainder(mono.rigid_rotation_phase(0, 1.55), 2 * math.pi)
+    return {"rigid_rotation_phase":
+            abs(math.remainder(float(np.angle(res.u[0, 0])) - expect, 2 * math.pi))}
+
+
+def check_flat_curvature():
+    vc = validate(FluxConfig([0.0, 0.3 + 1.0j], [0.7, 0.8]))
+    return {"two_fluxon_flat_curvature": abs(tr.curvature_abelian(vc, moving=1))}
+
+
+def worst_residuals(check, count: int) -> dict:
+    """The largest residual of each name over count calls of check; a NaN
+    residual is kept (np.maximum), so it fails its tolerance."""
+    worst = {}
+    for _ in range(count):
+        for name, residual in check().items():
+            worst[name] = np.maximum(worst.get(name, 0.0), residual)
+    return worst
+
+
+def _verify_checks(level: str, seed: int, quad_tol: float):
+    rng = np.random.default_rng(seed)
+    runs = [
+        (200, lambda: check_mode_counting(rng)),
+        (50, lambda: check_cut_factor(rng)),
+        (25, lambda: check_coupling(rng)),
+        (40, lambda: check_monodromy(rng)),
+        (1, check_burau),
+        (2 if level == "quick" else 4,
+         lambda: check_metric_laws(rng, int(rng.integers(2, 4)), quad_tol)),
+        (1, lambda: check_half_flux(quad_tol)),
+    ]
     if level == "full":
-        res = 0.0
-        for _ in range(3):
-            n = int(rng.integers(2, 4))
-            pos, fluxes = _random_subcritical(rng, n)
-            vc = validate(FluxConfig(pos, fluxes))
-            bf = metric_bruteforce(vc, tol=1e-7).g
-            fac = metric_factorized(vc, tol=quad_tol).g
-            res = max(res, float(np.abs(bf - fac).max() / np.abs(bf).max()))
-        record("bruteforce_vs_factorized", res, 1e-5)
-
-        vc = validate(FluxConfig([0.0, 0.3 + 1.0j, -0.2 + 2.2j], [0.9, 0.9, 0.9]))
-        word = mono.BraidWord([mono.Move("encircle", 0, 1)])
-        num = tr.holonomy(vc, mono.word_to_path(vc, word), ode_tol=1e-7)
-        ana = mono.holonomy_analytic(vc, word)
-        record("holonomy_numeric_vs_analytic",
-               float(np.abs(num.u - ana.u).max()), 1e-4)
-
-        vcr = validate(FluxConfig([0.2 + 0.1j, 1.1 + 0.6j, 0.4 + 1.3j], [0.5, 0.55, 0.5]))
-        rot = tr.ControlPath.rotation(vcr, center=0.0)
-        rres = tr.holonomy(vcr, rot, ode_tol=1e-7)
-        expect = math.remainder(mono.rigid_rotation_phase(0, 1.55), 2 * math.pi)
-        record("rigid_rotation_phase",
-               abs(math.remainder(float(np.angle(rres.u[0, 0])) - expect, 2 * math.pi)),
-               1e-4)
-
-        vc2 = validate(FluxConfig([0.0, 0.3 + 1.0j], [0.7, 0.8]))
-        record("two_fluxon_flat_curvature",
-               abs(tr.curvature_abelian(vc2, moving=1)), 1e-6)
-    return checks
+        runs += [
+            (3, lambda: check_metric_oracle(rng, int(rng.integers(2, 4)), quad_tol)),
+            (1, check_numeric_holonomy),
+            (1, check_rigid_rotation),
+            (1, check_flat_curvature),
+        ]
+    worst = {}
+    for count, check in runs:
+        worst.update(worst_residuals(check, count))
+    return [{"name": name,
+             "residual": float(residual),
+             "tolerance": float(TOLERANCES[name]),
+             "passed": bool(residual <= TOLERANCES[name])}
+            for name, residual in worst.items()]
 
 
 def cmd_verify(manifest: RunManifest, args) -> int:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -44,6 +45,12 @@ COINCIDENCE_TOL = 1e-12
 IM_TIE_TOL = 1e-9
 
 
+def _json_real(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class FluxConfig:
     """Positions (complex) and fluxes (flux-quantum units) of N fluxons."""
@@ -65,9 +72,19 @@ class FluxConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FluxConfig":
-        """Build from the JSON layout {"fluxes": [...], "positions": [[x, y], ...]}."""
-        pos = [complex(x, y) for x, y in data["positions"]]
-        return cls(pos, data["fluxes"])
+        """Build from the JSON layout {"fluxes": [...], "positions": [[x, y], ...]}.
+        Raises ValueError for a layout it cannot parse (not an object, a
+        missing list, a position that is not [x, y], a coordinate or flux
+        that is not a number)."""
+        if not isinstance(data, dict):
+            raise ValueError("a configuration must be a JSON object")
+        try:
+            pos = [complex(_json_real(x, "a coordinate"), _json_real(y, "a coordinate"))
+                   for x, y in data["positions"]]
+            fluxes = [_json_real(f, "a flux") for f in data["fluxes"]]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed configuration: {exc!r}") from exc
+        return cls(pos, fluxes)
 
     def to_dict(self) -> dict:
         return {

@@ -310,9 +310,10 @@ def _contour_frame(vc: ValidatedConfig, tol: float, columns: int, alpha: float =
     re-anchored to the last one, so every row is an integral between branch
     points, as the Gauss-Manin connection needs.  G is in the same row
     order, and psi_f^* G psi_f over the first D_f columns is the metric.
-    metric_factorized passes best_rotation_angle(zeta), the transport
-    (transport._frame) rotates only on a tie, and holonomy_analytic passes
-    0, keeping the cut order its braid word refers to.
+    metric_factorized and the metric derivatives (transport._metric_jet)
+    pass best_rotation_angle(zeta), the transport ODE rotates only on a tie,
+    and holonomy_analytic passes 0, keeping the cut order its braid word
+    refers to.
     """
     lam = np.exp(1j * alpha)
     if alpha != 0.0:

@@ -55,6 +55,11 @@ def _json_int(value, what: str) -> int:
     return int(value)
 
 
+def _check_fluxon(index: int, base: np.ndarray) -> None:
+    if not 0 <= index < len(base):
+        raise ValueError(f"fluxon index {index} out of range for {len(base)} fluxons")
+
+
 @dataclass(frozen=True)
 class _Segment:
     pos: Callable
@@ -98,6 +103,7 @@ class ControlPath:
         turns for clockwise) around center, starting and ending at its
         base position."""
         base = cls._as_positions(base)
+        _check_fluxon(mover, base)
         if turns == 0 or turns != int(turns):
             raise ValueError("turns must be a nonzero integer")
         center = complex(center)
@@ -123,6 +129,7 @@ class ControlPath:
     @classmethod
     def segment(cls, base, mover: int, to: complex) -> "ControlPath":
         base = cls._as_positions(base)
+        _check_fluxon(mover, base)
         end = base.copy()
         end[mover] = complex(to)
         d = end[mover] - base[mover]
@@ -145,6 +152,8 @@ class ControlPath:
         (counter-clockwise for power = +1), landing exactly on the
         swapped positions.  Odd powers swap, even powers return."""
         base = cls._as_positions(base)
+        _check_fluxon(i, base)
+        _check_fluxon(j, base)
         if power == 0 or power != int(power):
             raise ValueError("power must be a nonzero integer")
         c = 0.5 * (base[i] + base[j])
@@ -301,21 +310,14 @@ def _min_distance(positions) -> float:
     return float(separations(positions).min()) if len(positions) > 1 else 1.0
 
 
-def _frame(vc: ValidatedConfig, tol: float):
-    """_contour_frame with every monomial column, rotated only when the cut
-    order is tied, so holonomy(...).metadata["monodromy"] keeps the rows in
-    the configuration's cut order."""
-    m = int(np.count_nonzero(vc.phi_reduced)) - 1
-    try:
-        return _contour_frame(vc, tol, m)
-    except AmbiguousOrdering:
-        return _contour_frame(vc, tol, m, best_rotation_angle(vc.zeta))
-
-
 def _metric_jet(vc: ValidatedConfig, tol: float):
     """Free-mode contour matrix psi_f, coupling G, the exact derivatives
-    d psi_f / d zeta_a (one per fluxon) and the quadrature error of psi."""
-    psi, G, err = _frame(vc, tol)
+    d psi_f / d zeta_a (one per fluxon) and the quadrature error of psi.
+    psi keeps every monomial column and is taken in the best-separated
+    rotation frame, as in metric_factorized: g, d_a g and the curvature do
+    not depend on the row basis."""
+    m = int(np.count_nonzero(vc.phi_reduced)) - 1
+    psi, G, err = _contour_frame(vc, tol, m, best_rotation_angle(vc.zeta))
     dpsi = psi[None] @ _gauss_manin(vc.zeta, vc.phi_reduced).transpose(0, 2, 1)
     f = vc.counts.D_f
     return psi[:, :f], G, dpsi[:, :, :f], err
@@ -377,7 +379,14 @@ class _TransportProblem:
         if not np.array_equal(path.start, vc.zeta):
             raise ValueError("path must start at the configuration's positions")
         self.path = path
-        psi, self.G, _ = _frame(vc, quad_tol)
+        # rotated only when the cut order is tied, so that the rows, and
+        # with them holonomy(...).metadata["monodromy"], stay in the
+        # configuration's cut order
+        m = int(np.count_nonzero(vc.phi_reduced)) - 1
+        try:
+            psi, self.G, _ = _contour_frame(vc, quad_tol, m)
+        except AmbiguousOrdering:
+            psi, self.G, _ = _contour_frame(vc, quad_tol, m, best_rotation_angle(vc.zeta))
         self.scale = float(np.abs(psi).max())
         self.psi0 = psi / self.scale
         self.phis = vc.phi_reduced

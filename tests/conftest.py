@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fluxholo import FluxConfig, validate
-from fluxholo.cli import _random_subcritical
+from fluxholo.cli import TOLERANCES
 
 SEED = 20260811
 
@@ -30,9 +30,8 @@ def two_fluxon():
     return validate(FluxConfig([0.0, 0.3 + 1.0j], [0.7, 0.8]))
 
 
-def random_subcritical_config(rng, n):
-    """The verify suite's random draw (subcritical fluxes away from
-    thresholds, separated positions with distinct imaginary parts),
-    validated."""
-    pos, fluxes = _random_subcritical(rng, n)
-    return validate(FluxConfig(pos, fluxes))
+def assert_within_tolerance(residuals):
+    """Each residual of a fluxholo.cli check_* function within the
+    tolerance `fluxholo verify` applies to it."""
+    for name, residual in residuals.items():
+        assert residual <= TOLERANCES[name], f"{name}: residual {residual:.3g}"

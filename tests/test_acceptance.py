@@ -19,23 +19,27 @@ from fluxholo import (
     Move,
     confined_phase,
     count_modes,
-    coupling_matrix,
     curvature_abelian,
     curvature_nonabelian,
     cut_factor,
-    encircle_block,
     exchange_block,
     holonomy,
     holonomy_analytic,
     metric_bruteforce,
-    metric_factorized,
     metric_half_fluxes,
     rigid_rotation_phase,
     validate,
-    word_to_monodromy,
     word_to_path,
 )
-from conftest import SEED, random_subcritical_config
+from fluxholo.cli import (
+    check_burau,
+    check_coupling,
+    check_metric_oracle,
+    check_mode_counting,
+    check_monodromy,
+    worst_residuals,
+)
+from conftest import SEED, assert_within_tolerance
 
 ODE_TOL = 1e-8
 DRIFTS = []  # (label, drift) pairs collected from criteria 7-10
@@ -52,34 +56,21 @@ def report(num, label, **vals):
 
 def test_criterion_01_mode_counting():
     rng = np.random.default_rng(SEED)
-    for _ in range(50):
-        n = int(rng.integers(1, 6))
-        fluxes = rng.uniform(-2.0, 3.0, n)
-        c = count_modes(fluxes)
-        d_direct = max(0, math.ceil(abs(math.fsum(fluxes))) - 1)
-        reduced = [f - max(0, math.floor(f)) for f in fluxes]
-        df_direct = max(0, math.ceil(math.fsum(reduced)) - 1)
-        assert c.D == d_direct
-        assert c.D_f == df_direct
-    report(1, "mode counting, 50 random configs", mismatches=0)
+    worst = worst_residuals(lambda: check_mode_counting(rng), 50)
+    assert_within_tolerance(worst)
+    report(1, "mode counting, 50 random configs", **worst)
 
 
 def test_criterion_02_metric_oracle_equivalence():
+    # N = 3 subcritical draws have D_f = 1 or 2
     rng = np.random.default_rng(SEED + 2)
     worst, slowest = 0.0, 0.0
-    done = 0
-    while done < 10:
-        vc = random_subcritical_config(rng, 3)
-        if vc.counts.D_f not in (1, 2):
-            continue
+    for _ in range(10):
         t0 = time.time()
-        bf = metric_bruteforce(vc, tol=1e-6)
-        fac = metric_factorized(vc, tol=1e-9)
+        res = check_metric_oracle(rng, 3, quad_tol=1e-9)
         slowest = max(slowest, time.time() - t0)
-        rel = float(np.abs(bf.g - fac.g).max() / np.abs(bf.g).max())
-        worst = max(worst, rel)
-        assert rel < 1e-5
-        done += 1
+        assert_within_tolerance(res)
+        worst = max(worst, res["bruteforce_vs_factorized"])
     assert slowest < 120.0
     report(2, "brute force vs factorized, 10 subcritical N=3 configs",
            worst_rel=worst, slowest_seconds=slowest)
@@ -99,66 +90,29 @@ def test_criterion_03_half_flux_closed_form():
 
 def test_criterion_04_coupling_matrix_structure():
     rng = np.random.default_rng(SEED + 4)
-    worst_k = worst_h = 0.0
-    for _ in range(40):
-        n = int(rng.integers(2, 7))
-        while True:
-            fluxes = rng.uniform(0.05, 0.95, n)
-            if abs(fluxes.sum() - round(fluxes.sum())) > 5e-2:
-                break
-        G = coupling_matrix(fluxes).G
-        worst_k = max(worst_k, float(np.abs(G @ np.ones(n)).max()))
-        worst_h = max(worst_h, float(np.abs(G - G.conj().T).max()))
-        d_f = max(0, math.ceil(fluxes.sum()) - 1)
-        assert int((np.linalg.eigvalsh(G) > 1e-10).sum()) == d_f
-    assert worst_k < 1e-12 and worst_h < 1e-12
-    report(4, "coupling matrix kernel/hermiticity/signature",
-           kernel=worst_k, hermiticity=worst_h)
+    worst = worst_residuals(lambda: check_coupling(rng), 40)
+    assert_within_tolerance(worst)
+    report(4, "coupling matrix kernel/hermiticity/signature", **worst)
 
 
 def test_criterion_05_pseudo_unitarity():
     rng = np.random.default_rng(SEED + 5)
-    worst = 0.0
-    for _ in range(100):
-        n = int(rng.integers(2, 6))
-        identical = bool(rng.integers(0, 2))
-        if identical:
-            fluxes = np.full(n, float(rng.uniform(1 - 1 / n + 0.02, 0.98)))
-        else:
-            while True:
-                fluxes = rng.uniform(0.1, 0.9, n)
-                if abs(fluxes.sum() - round(fluxes.sum())) > 5e-2:
-                    break
-        moves = []
-        for _ in range(int(rng.integers(1, 9))):
-            kind = "exchange" if identical and rng.integers(0, 2) else "encircle"
-            moves.append(Move(kind, int(rng.integers(0, n - 1)),
-                              int(rng.choice([-1, 1]))))
-        M = word_to_monodromy(BraidWord(moves), fluxes)
-        worst = max(worst, M.pseudo_unitarity_residual(),
-                    M.stabilization_residual())
-        assert worst < 1e-12
-    report(5, "G = M*GM over 100 random words", worst_residual=worst)
+    worst = worst_residuals(lambda: check_monodromy(rng), 100)
+    assert_within_tolerance(worst)
+    report(5, "G = M*GM over 100 random words", **worst)
 
 
 def test_criterion_06_burau_relations():
+    res = check_burau()
+    assert_within_tolerance(res)
     nu = cut_factor(0.83)
-
-    def gen(i, n):
-        M = np.eye(n, dtype=complex)
-        M[i:i + 2, i:i + 2] = exchange_block(nu)
-        return M
-
-    b1, b2 = gen(0, 3), gen(1, 3)
-    yb = float(np.abs(b1 @ b2 @ b1 - b2 @ b1 @ b2).max())
-    c1, c3 = gen(0, 4), gen(2, 4)
+    c1 = np.eye(4, dtype=complex)
+    c1[:2, :2] = exchange_block(nu)
+    c3 = np.eye(4, dtype=complex)
+    c3[2:, 2:] = exchange_block(nu)
     far = float(np.abs(c1 @ c3 - c3 @ c1).max())
-    sq = float(np.abs(exchange_block(nu) @ exchange_block(nu)
-                      - encircle_block(nu, nu)).max())
-    perm = float(np.abs(exchange_block(1.0) - np.array([[0, 1], [1, 0]])).max())
-    assert yb < 1e-14 and far < 1e-14 and sq < 1e-14 and perm < 1e-14
-    report(6, "Burau relations", yang_baxter=yb, far_commutativity=far,
-           exchange_sq=sq, permutation_limit=perm)
+    assert far < 1e-14
+    report(6, "Burau relations", far_commutativity=far, **res)
 
 
 # -- shared transport fixtures (computed once) -------------------------------

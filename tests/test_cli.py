@@ -45,6 +45,19 @@ class TestModes:
         code, doc = run(["modes", cfg], tmp_path)
         assert code == 0 and doc["D"] == 1
 
+    @pytest.mark.parametrize("data", [
+        {"fluxes": 0.5, "positions": [[0.0, 0.0]]},
+        {"fluxes": [0.5], "positions": ["ab"]},
+        {"fluxes": [0.5], "positions": [[1.0, "x"]]},
+        [[0.0, 0.0], [1.0, 0.0]],
+        {"fluxes": [True, 0.5], "positions": [[0.0, 0.0], [1.0, 0.0]]},
+    ])
+    def test_malformed_config_rejected(self, tmp_path, data):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        code, _ = run(["modes", str(cfg)], tmp_path)
+        assert code == 2
+
 
 class TestMetric:
     def test_both_methods_close(self, tmp_path):
@@ -89,6 +102,17 @@ class TestCurvatureMap:
         rows = out.read_text().strip().splitlines()[1:]
         assert all(r.endswith(",nan") for r in rows)
 
+    @pytest.mark.parametrize("args", [
+        ["--mover", "-1", "--grid", "0.9:1.1:2,0.2:0.4:2"],
+        ["--mover", "2", "--grid", "0.9:1.1:0,0.2:0.4:2"],
+    ])
+    def test_bad_mover_or_grid_rejected(self, tmp_path, args):
+        cfg = write_config(tmp_path, [0.5, 0.5, 0.5], [0.0, 1.0, 0.4 + 0.5j])
+        out = tmp_path / "map.csv"
+        code = main(["--output", str(out), "curvature-map", cfg, *args])
+        assert code == 2
+        assert not out.exists()
+
 
 class TestHolonomy:
     def test_circle_loop_numeric(self, tmp_path):
@@ -129,6 +153,8 @@ class TestHolonomy:
         {"type": "circle"},
         [{"type": "exchange", "pair": 3}],
         [{"type": "circle", "mover": 0.9, "center": [0.3, 1.0]}],
+        [{"type": "circle", "mover": -1, "center": [0.3, 1.0]}],
+        [{"type": "exchange", "pair": [-1, 0]}],
     ])
     def test_malformed_path_rejected(self, tmp_path, path):
         cfg = write_config(tmp_path, [0.9, 0.9, 0.9],
@@ -148,6 +174,8 @@ class TestVerify:
 
     def test_bad_tolerance_rejected(self, tmp_path):
         code = main(["--quad-tol", "-1", "verify", "--level", "quick"])
+        assert code == 2
+        code = main(["--quad-tol", "nan", "verify", "--level", "quick"])
         assert code == 2
 
     def test_out_of_range_mover_rejected(self, tmp_path):

@@ -1,9 +1,9 @@
 import math
 
-import numpy as np
 import pytest
 
 from fluxholo import FluxConfig, count_modes, cut_factor, cut_order, validate
+from fluxholo.cli import check_cut_factor, worst_residuals
 from fluxholo.errors import (
     AmbiguousOrdering,
     CoincidentFluxons,
@@ -11,6 +11,7 @@ from fluxholo.errors import (
     NearIntegerTotalFlux,
     NonpositiveTotalFlux,
 )
+from conftest import assert_within_tolerance
 
 
 def test_validate_basic_counts():
@@ -104,8 +105,7 @@ def test_cut_factor_values():
 
 
 def test_cut_factor_periodicity(rng):
-    for p in rng.uniform(-3, 3, 100):
-        assert abs(cut_factor(p + 1) - cut_factor(p)) < 1e-14
+    assert_within_tolerance(worst_residuals(lambda: check_cut_factor(rng), 100))
 
 
 def test_cut_order_sorted_by_imag():

@@ -47,7 +47,7 @@ def richardson_derivative(ev, positions, a, h):
     return (4.0 * d2 - d1) / 3.0
 
 
-@pytest.mark.parametrize("fluxes", [
+FLUXES = [
     [0.7, 0.8],                      # N = 2, D_f = N - 1
     [0.4, 0.5, 0.6],                 # N = 3, D_f = 1
     [0.9, 0.9, 0.9],                 # N = 3, D_f = N - 1
@@ -58,9 +58,17 @@ def richardson_derivative(ev, positions, a, h):
     [0.85, 0.0015, 0.9, 0.8],        # a nearly trivial branch point
     [0.85, 0.0, 0.9, 0.8],           # no branch point at fluxon 1
     [0.85, 2.3, 0.6, 0.8],           # confined modes on fluxon 1
-])
-def test_exact_derivative_matches_finite_differences(fluxes):
-    vc = validate(FluxConfig(POSITIONS[:len(fluxes)], fluxes))
+]
+
+
+@pytest.mark.parametrize("positions, fluxes", [
+    *((POSITIONS[:len(f)], f) for f in FLUXES),
+    # imaginary parts 1.5e-8 apart, just above the tie tolerance: the
+    # derivatives come from the best-separated rotation frame
+    ([0.0, 0.6 + 1.5e-8j, -0.4 + 1.1j], [0.87, 0.82, 0.2]),
+], ids=[*(f"fluxes{i}" for i in range(len(FLUXES))), "near_tie"])
+def test_exact_derivative_matches_finite_differences(positions, fluxes):
+    vc = validate(FluxConfig(positions, fluxes))
     ev = MetricEvaluator(fluxes, tol=1e-13)
     z = vc.zeta
     h = 1e-3 * min(abs(p - q) for i, p in enumerate(z) for q in z[i + 1:])
