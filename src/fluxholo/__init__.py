@@ -2,7 +2,6 @@
 transport and braiding holonomy, with analytic cross-checks."""
 
 from .config import (
-    CutConvention,
     FluxConfig,
     ModeCounts,
     ValidatedConfig,
@@ -59,7 +58,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BranchSheet", "BraidWord", "ControlPath", "CouplingMatrix",
-    "CutConvention", "FluxConfig", "HolonomyResult", "Metric",
+    "FluxConfig", "HolonomyResult", "Metric",
     "MetricEvaluator", "ModeCounts", "ModeVector", "MonodromyMatrix", "Move",
     "PrimitiveMatrix", "ValidatedConfig", "ELLIPTIC_CONVENTION",
     "confined_phase", "connection", "continue_along_path", "count_modes",

@@ -119,14 +119,6 @@ class ModeCounts:
         return self.phi_prime_total > 0.0
 
 
-@dataclass(frozen=True)
-class CutConvention:
-    """Counter-clockwise-at-infinity ordering of the fluxons (cut rays all
-    point in +x), as indices into the configuration."""
-
-    order: tuple
-
-
 def cut_factor(phi: float) -> complex:
     """Phase factor exp(-2*pi*i*phi) picked up when crossing a cut downward.
 
@@ -167,10 +159,6 @@ class ValidatedConfig:
     @property
     def zeta(self) -> np.ndarray:
         return np.array(self.config.positions, dtype=complex)
-
-    @property
-    def phi(self) -> np.ndarray:
-        return np.array(self.config.fluxes, dtype=float)
 
     @property
     def phi_reduced(self) -> np.ndarray:
@@ -249,9 +237,9 @@ def validate(config: FluxConfig, *, strict: bool = True,
     return ValidatedConfig(config=config, counts=counts, strict=strict)
 
 
-def cut_order(vc: ValidatedConfig) -> CutConvention:
-    """Order fluxons so a large counter-clockwise circle crosses their cuts
-    in sequence.
+def cut_order(vc: ValidatedConfig) -> tuple:
+    """Indices of the fluxons in the order in which a large
+    counter-clockwise circle crosses their cuts.
 
     With +x cut rays this is ascending imaginary part.  Ties make the cut
     rays collide and are rejected; the caller is expected to perturb (for
@@ -259,7 +247,7 @@ def cut_order(vc: ValidatedConfig) -> CutConvention:
     """
     z = vc.zeta
     if len(z) == 1:
-        return CutConvention(order=(0,))
+        return (0,)
     im = z.imag
     order = tuple(int(i) for i in np.argsort(im, kind="stable"))
     tol = IM_TIE_TOL * vc.diameter
@@ -269,4 +257,4 @@ def cut_order(vc: ValidatedConfig) -> CutConvention:
                 f"fluxons {prev} and {nxt} share Im zeta = {im[prev]:.6g}; "
                 f"cut rays would overlap"
             )
-    return CutConvention(order=order)
+    return order

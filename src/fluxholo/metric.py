@@ -43,7 +43,7 @@ from .errors import (
     QuadratureNotConverged,
     ThresholdSingularity,
 )
-from .modes import cut_angle
+from .modes import log_psi0
 
 TWO_PI = 2.0 * np.pi
 
@@ -69,13 +69,10 @@ class PrimitiveMatrix:
     """N x D_f matrix of contour integrals, rows in cut order.
 
     order[i] is the original fluxon index sitting on strand i.  Columns
-    are defined only up to an additive constant (fiducial-point freedom);
-    gauge records the fiducial point used ("last" anchors it to the
-    strand-N fluxon, making the last row vanish identically).
+    are defined only up to an additive constant (fiducial-point freedom).
     """
 
     matrix: np.ndarray
-    gauge: object
     order: tuple
     fluxes: tuple
     error_estimate: float
@@ -123,56 +120,43 @@ def coupling_matrix(fluxes) -> CouplingMatrix:
 # --------------------------------------------------------------------------
 
 class _Leg:
-    """Straight integration leg, optionally with a power substitution that
-    flattens an endpoint singularity at the start point.
+    """Straight integration leg of xi^k psi_0(xi) d xi from start to end.
 
-    The start-point offsets to all fluxons are precomputed so that the
-    difference xi - zeta_b never suffers cancellation, even when the leg
-    starts on a fluxon.
+    An arm (sing = index of the fluxon it starts on) is parameterized as
+    xi = zeta_a + d t^p with p = 1 / (1 - phi'_a): the start fluxon's factor
+    times the Jacobian, (d t^p)^(-phi'_a) d p t^(p-1) = p d^(1 - phi'_a), is
+    a constant, so that fluxon leaves the sum and the integrand is smooth
+    at t = 0.  Offsets start - zeta_b are precomputed so that xi - zeta_b
+    suffers no cancellation near the start.
     """
 
-    def __init__(self, start, end, zetas, sing_phi=None):
+    def __init__(self, start, end, zetas, phis, sing=None):
         self.start = complex(start)
-        self.end = complex(end)
-        self.zetas = zetas
-        self.p = 1.0 / (1.0 - sing_phi) if sing_phi is not None else 1.0
-        self.singular = sing_phi is not None
+        self.d = complex(end) - self.start
+        self.offsets = self.start - zetas
+        self.phis = phis
+        self.p = 1.0
+        self.factor = self.d
+        if sing is not None:
+            self.p = 1.0 / (1.0 - phis[sing])
+            self.factor = self.p * self.d * np.exp(log_psi0(self.d, phis[[sing]]))
+            self.offsets = np.delete(self.offsets, sing)
+            self.phis = np.delete(phis, sing)
 
-    def values(self, t, phis, n_cols):
-        d = self.end - self.start
-        if self.singular:
-            tp = t ** self.p
-            dxi = d * self.p * t ** (self.p - 1.0)
-        else:
-            tp = t
-            dxi = np.full(t.shape, d, dtype=complex)
-        xi = self.start + d * tp
-        log_psi = np.zeros(t.shape, dtype=complex)
-        for zc, ph in zip(self.zetas, phis):
-            base = self.start - zc
-            w = d * tp if base == 0.0 else base + d * tp
-            log_psi = log_psi - ph * (np.log(np.abs(w)) + 1j * cut_angle(w))
-        base_val = np.exp(log_psi) * dxi
-        out = np.empty((len(t), n_cols), dtype=complex)
-        mono = np.ones_like(xi)
-        for j in range(n_cols):
-            out[:, j] = mono * base_val
-            if j + 1 < n_cols:
-                mono = mono * xi
-        return out
+    def values(self, t, n_cols):
+        step = self.d * t ** self.p
+        base_val = np.exp(log_psi0(self.offsets + step[:, None], self.phis)) * self.factor
+        xi = self.start + step
+        powers = np.cumprod(np.column_stack([np.ones_like(xi)] + [xi] * (n_cols - 1)), axis=1)
+        return powers * base_val[:, None]
 
-    def x_breakpoints(self):
+    def x_breakpoints(self, zetas):
         """Parameter values where the leg passes a fluxon's real part
         (candidate spots for integrand spikes)."""
-        d = self.end - self.start
-        if abs(d.real) < 1e-300:
+        if abs(self.d.real) < 1e-300:
             return []
-        out = []
-        for zc in self.zetas:
-            s = (zc.real - self.start.real) / d.real
-            if 1e-12 < s < 1.0 - 1e-12:
-                out.append(s ** (1.0 / self.p) if self.singular else s)
-        return out
+        s = (zetas.real - self.start.real) / self.d.real
+        return (s[(s > 1e-12) & (s < 1.0 - 1e-12)] ** (1.0 / self.p)).tolist()
 
 
 def _assert_leg_clear(start, end, zetas, im_tol):
@@ -199,15 +183,15 @@ def _primitive_raw(zetas, phis, n_cols, xi0, xi0_anchor, x_left, tol, im_tol):
     """
     err = 0.0
 
-    def integral(start, end, sing_phi=None):
+    def integral(start, end, sing=None):
         nonlocal err
-        leg = _Leg(start, end, zetas, sing_phi)
-        val, e = integrate_panels(lambda t: leg.values(t, phis, n_cols), tol,
-                                  breakpoints=leg.x_breakpoints())
+        leg = _Leg(start, end, zetas, phis, sing)
+        val, e = integrate_panels(lambda t: leg.values(t, n_cols), tol,
+                                  breakpoints=leg.x_breakpoints(zetas))
         err += e
         return val
 
-    arms = np.array([integral(z, complex(x_left, z.imag), ph) for z, ph in zip(zetas, phis)])
+    arms = np.array([integral(z, complex(x_left, z.imag), a) for a, z in enumerate(zetas)])
     if xi0_anchor is not None:
         start = arms[xi0_anchor]
     else:
@@ -237,12 +221,11 @@ def primitive_matrix(vc: ValidatedConfig, gauge="last", tol: float = 1e-10,
         raise NoFreeModes(f"configuration has D_f = {counts.D_f} free modes")
     if columns is None:
         columns = counts.D_f
-    conv = cut_order(vc)
-    order = conv.order
+    order = cut_order(vc)
     zetas = vc.zeta[list(order)]
     phis = vc.phi_reduced[list(order)]
     diam = vc.diameter
-    im_tol = 1e-10 * max(diam, 1.0)
+    im_tol = 1e-10 * diam
     if gauge == "last":
         xi0, anchor = zetas[-1], len(zetas) - 1
     else:
@@ -251,9 +234,9 @@ def primitive_matrix(vc: ValidatedConfig, gauge="last", tol: float = 1e-10,
         if hit.size:
             anchor = int(hit[0])
             xi0 = zetas[anchor]
-    x_left = zetas.real.min() - 1.5 * max(diam, 1e-3)
+    x_left = zetas.real.min() - 1.5 * diam
     mat, err = _primitive_raw(zetas, phis, columns, xi0, anchor, x_left, tol, im_tol)
-    return PrimitiveMatrix(matrix=mat, gauge=gauge, order=order,
+    return PrimitiveMatrix(matrix=mat, order=order,
                            fluxes=tuple(phis), error_estimate=err)
 
 

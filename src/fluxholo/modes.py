@@ -7,9 +7,13 @@ The gauge-invariant density |P|^2 prod |z - zeta_a|^(-2 phi'_a) needs no
 branch bookkeeping; mode values do, and the default sheet measures every
 argument in (0, 2*pi) from the +x cut direction.
 
-For analytic continuation along a path we accumulate the unwound angle
-around each fluxon instead of recomputing principal values, which makes
-monodromy factors exact by construction.
+log_psi0 is the one evaluation of psi_0 on the default sheet: mode
+values, densities and the contour legs of the metric (metric._Leg) all
+call it.  For analytic continuation along a path we accumulate the
+unwound angle around each fluxon instead of recomputing principal
+values, which makes monodromy factors exact by construction; that code,
+like the closed forms' cut_power, stays separate so that it can check
+the sheet convention independently.
 """
 
 from __future__ import annotations
@@ -31,6 +35,12 @@ def cut_angle(w):
     return np.where(a < 0.0, a + TWO_PI, a)
 
 
+def log_psi0(w, phis):
+    """log psi_0 = -sum_b phi'_b (log|w_b| + i cut_angle(w_b)) on the
+    default sheet, summed over the last axis of w = xi - zeta_b."""
+    return -(phis * (np.log(np.abs(w)) + 1j * cut_angle(w))).sum(axis=-1)
+
+
 def cut_power(w, p):
     """w**p on the default sheet (argument in [0, 2*pi))."""
     w = np.asarray(w, dtype=complex)
@@ -43,10 +53,6 @@ class BranchSheet:
     (z - zeta_a)^(-phi'_a) factor.  The default sheet has all offsets 0."""
 
     offsets: tuple
-
-    @classmethod
-    def default(cls, n: int) -> "BranchSheet":
-        return cls(offsets=(0.0,) * n)
 
 
 @dataclass(frozen=True)
@@ -70,13 +76,15 @@ class ModeVector:
         return acc
 
 
-def _guard_fluxons(z, vc: ValidatedConfig):
+def _offsets(z, vc: ValidatedConfig):
+    """z as an array and w = z - zeta_b along a new last axis; raises
+    EvaluationAtFluxon when a point touches a fluxon."""
     z = np.asarray(z, dtype=complex)
-    tol = 1e-13 * max(vc.diameter, 1.0)
-    for a, zc in enumerate(vc.zeta):
-        if np.any(np.abs(z - zc) <= tol):
-            raise EvaluationAtFluxon(f"evaluation point touches fluxon {a}")
-    return z
+    w = z[..., None] - vc.zeta
+    hit = (np.abs(w) <= 1e-13 * vc.diameter).reshape(-1, vc.n_fluxons).any(axis=0)
+    if hit.any():
+        raise EvaluationAtFluxon(f"evaluation point touches fluxon {int(np.argmax(hit))}")
+    return z, w
 
 
 def density(z, vc: ValidatedConfig, p: ModeVector) -> float:
@@ -86,34 +94,27 @@ def density(z, vc: ValidatedConfig, p: ModeVector) -> float:
     is the free-mode density also in the presence of supercritical
     fluxons.
     """
-    z = _guard_fluxons(z, vc)
-    logw = np.zeros(z.shape if z.shape else ())
-    for zc, ph in zip(vc.zeta, vc.phi_reduced):
-        logw = logw - 2.0 * ph * np.log(np.abs(z - zc))
-    out = np.abs(p.polyval(z)) ** 2 * np.exp(logw)
+    z, w = _offsets(z, vc)
+    out = np.abs(p.polyval(z)) ** 2 * np.exp(2.0 * log_psi0(w, vc.phi_reduced).real)
     return float(out) if np.isscalar(out) or out.shape == () else out
 
 
 def mode_value(z, k: int, vc: ValidatedConfig, sheet: BranchSheet | None = None):
     """Value of the k-th monomial mode z^k psi_0(z) on the given sheet.
 
-    Raises OnCut when z lies within 1e-10 (times the configuration scale)
-    of one of the +x cut rays, where the sheet value is ill defined.
+    Raises OnCut when z lies within 1e-10 (times the configuration
+    diameter) of one of the +x cut rays, where the sheet value is ill
+    defined.
     """
     if k < 0:
         raise ValueError("monomial degree k must be >= 0")
-    z = _guard_fluxons(z, vc)
-    if sheet is None:
-        sheet = BranchSheet.default(vc.n_fluxons)
-    tol = 1e-10 * max(vc.diameter, 1.0)
-    log_total = np.zeros(z.shape if z.shape else (), dtype=complex)
-    for zc, ph, off in zip(vc.zeta, vc.phi_reduced, sheet.offsets):
-        w = z - zc
-        on_ray = (np.abs(np.imag(w)) <= tol) & (np.real(w) > 0)
-        if np.any(on_ray):
-            raise OnCut(f"point within {tol:.2g} of the cut ray of a fluxon")
-        log_total = log_total - ph * (np.log(np.abs(w)) + 1j * (cut_angle(w) + off))
-    return z ** k * np.exp(log_total)
+    z, w = _offsets(z, vc)
+    tol = 1e-10 * vc.diameter
+    if np.any((np.abs(w.imag) <= tol) & (w.real > 0)):
+        raise OnCut(f"point within {tol:.2g} of the cut ray of a fluxon")
+    phis = vc.phi_reduced
+    offset = 0.0 if sheet is None else float(np.dot(phis, sheet.offsets))
+    return z ** k * np.exp(log_psi0(w, phis) - 1j * offset)
 
 
 def continue_along_path(points, k: int, vc: ValidatedConfig):
@@ -124,14 +125,12 @@ def continue_along_path(points, k: int, vc: ValidatedConfig):
     unambiguous.  Starts on the default sheet at points[0].  Returns the
     array of continued values along the path.
     """
-    pts = _guard_fluxons(np.asarray(points, dtype=complex), vc)
+    pts, w = _offsets(points, vc)
     if pts.ndim != 1 or len(pts) < 2:
         raise ValueError("need a 1-d path with at least two samples")
-    zeta = vc.zeta
     phis = vc.phi_reduced
     # unwound angles: start from the default sheet, then accumulate
     # principal-value increments of the relative angle step by step
-    w = pts[:, None] - zeta[None, :]
     steps = np.angle(w[1:] / w[:-1])
     theta = np.concatenate([cut_angle(w[0])[None, :],
                             cut_angle(w[0])[None, :] + np.cumsum(steps, axis=0)])

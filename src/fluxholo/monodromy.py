@@ -211,7 +211,7 @@ def holonomy_analytic(vc: ValidatedConfig, word: BraidWord,
     if vc.counts.D_f != n - 1:
         raise NotMaximalFreeModes(
             f"analytic holonomy needs D_f = N - 1, got D_f = {vc.counts.D_f}")
-    order = cut_order(vc).order
+    order = cut_order(vc)
     psi, G, _ = _contour_frame(vc, tol, n - 1)
     psi_t = psi[:n - 1]
     m_t = reduce_monodromy(word_to_monodromy(word, vc.phi_reduced[list(order)]))
@@ -223,7 +223,6 @@ def holonomy_analytic(vc: ValidatedConfig, word: BraidWord,
         eigenvalues=np.linalg.eigvals(u),
         norm_drift=drift,
         method="analytic",
-        base_positions=tuple(vc.zeta),
         permutation=tuple(range(n)),
         metadata={"order": order},
     )

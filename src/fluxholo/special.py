@@ -21,6 +21,7 @@ import numpy as np
 from scipy.special import gamma as _gamma
 from scipy.special import hyp2f1 as _hyp2f1
 from scipy.special import loggamma as _loggamma
+from scipy.special import rgamma as _rgamma
 
 from .errors import (
     NotConverged,
@@ -53,8 +54,13 @@ def hyp2f1_reg(a, b, c, z) -> complex:
 
     Analytic in z off the cut [1, inf) on the principal sheet; remains
     finite for c a nonpositive integer.  Real parameters ride on scipy's
-    complex-z implementation; complex parameters and rescue cases fall
-    back to mpmath at elevated precision.
+    complex-z implementation, cross-checked against the connection formula
+    to 1/z.  scipy is silently wrong by up to 5e-2 for |z| near 1 when
+    c = 2b, as in 2F1(1/2, 1/2; 1; z), which the three-fluxon closed form
+    reaches for equal fluxes.  The 1/z formula leaves that family; the
+    Pfaff transformation z -> z/(z - 1) keeps it and swaps e^(+-i pi/3), so
+    it would miss the error there.  Complex parameters, disagreements and
+    rescue cases fall back to mpmath at elevated precision.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     if _is_nonpositive_int(c):
@@ -68,10 +74,26 @@ def hyp2f1_reg(a, b, c, z) -> complex:
         return poch * z ** (n + 1) * hyp2f1_reg(a + n + 1, b + n + 1, n + 2, z)
     real_params = max(abs(a.imag), abs(b.imag), abs(c.imag)) == 0.0
     if real_params:
-        val = complex(_hyp2f1(a.real, b.real, c.real, z))
-        if np.isfinite(val.real) and np.isfinite(val.imag):
-            return val * complex(np.exp(-_loggamma(c)))
+        val = complex(_hyp2f1(a.real, b.real, c.real, z)) * complex(np.exp(-_loggamma(c)))
+        if z == 0.0:
+            return val
+        try:
+            alt = _hyp2f1_reg_inverted(a.real, b.real, c.real, z)
+        except OverflowError:  # a power of 1/z beyond the float range
+            alt = complex("nan")
+        if abs(val - alt) <= 1e-12 * abs(val):
+            return val
     return _hyp2f1_reg_mp(a, b, c, z)
+
+
+def _hyp2f1_reg_inverted(a: float, b: float, c: float, z: complex) -> complex:
+    """2F1~(a, b; c; z) for real parameters by the connection formula to
+    1/z (DLMF 15.8.2); not finite when a - b is an integer."""
+    w = 1.0 / z
+    return (float(_gamma(b - a)) * float(_rgamma(b)) * float(_rgamma(c - a))
+            * (-z) ** (-a) * complex(_hyp2f1(a, a - c + 1.0, a - b + 1.0, w))
+            + float(_gamma(a - b)) * float(_rgamma(a)) * float(_rgamma(c - b))
+            * (-z) ** (-b) * complex(_hyp2f1(b, b - c + 1.0, b - a + 1.0, w)))
 
 
 def _hyp2f1_reg_mp(a, b, c, z) -> complex:

@@ -148,12 +148,14 @@ class ControlPath:
 
     @classmethod
     def exchange(cls, base, i: int, j: int, power: int = 1) -> "ControlPath":
-        """Half-turn of fluxons i and j about their midpoint
+        """Half-turn of two distinct fluxons i and j about their midpoint
         (counter-clockwise for power = +1), landing exactly on the
         swapped positions.  Odd powers swap, even powers return."""
         base = cls._as_positions(base)
         _check_fluxon(i, base)
         _check_fluxon(j, base)
+        if i == j:
+            raise ValueError(f"an exchange needs two distinct fluxons, got ({i}, {j})")
         if power == 0 or power != int(power):
             raise ValueError("power must be a nonzero integer")
         c = 0.5 * (base[i] + base[j])
@@ -358,7 +360,6 @@ class HolonomyResult:
     method: str
     n_steps: int = 0
     nfev: int = 0
-    base_positions: tuple = ()
     permutation: tuple = ()
     metadata: dict = field(default_factory=dict)
 
@@ -484,7 +485,6 @@ def holonomy(vc: ValidatedConfig, loop: ControlPath,
         method="ode",
         n_steps=len(sol.t) - 1,
         nfev=prob.nfev,
-        base_positions=tuple(loop.start),
         permutation=loop.closure_permutation(),
         metadata={"ode_tol": ode_tol, "quad_tol": quad_tol, "monodromy": monodromy},
     )

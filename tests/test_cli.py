@@ -5,8 +5,6 @@ import pytest
 
 from fluxholo.cli import main
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def write_config(tmp_path, fluxes, positions, name="cfg.json"):
     p = tmp_path / name
@@ -155,6 +153,7 @@ class TestHolonomy:
         [{"type": "circle", "mover": 0.9, "center": [0.3, 1.0]}],
         [{"type": "circle", "mover": -1, "center": [0.3, 1.0]}],
         [{"type": "exchange", "pair": [-1, 0]}],
+        [{"type": "exchange", "pair": [1, 1]}],
     ])
     def test_malformed_path_rejected(self, tmp_path, path):
         cfg = write_config(tmp_path, [0.9, 0.9, 0.9],

@@ -110,9 +110,9 @@ def test_cut_factor_periodicity(rng):
 
 def test_cut_order_sorted_by_imag():
     vc = validate(FluxConfig([0.0, 1j, 2j], [0.5, 0.6, 0.7]))
-    assert cut_order(vc).order == (0, 1, 2)
+    assert cut_order(vc) == (0, 1, 2)
     vc = validate(FluxConfig([2j, 0.0, 1j], [0.5, 0.6, 0.7]))
-    assert cut_order(vc).order == (1, 2, 0)
+    assert cut_order(vc) == (1, 2, 0)
 
 
 def test_cut_order_tie_rejected():

@@ -20,8 +20,6 @@ from fluxholo import (
     word_to_path,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 POSITIONS = [0.0, 1.1 + 0.4j, 0.3 + 1.5j, -0.8 + 0.9j, 1.4 + 1.9j]
 
 

@@ -28,8 +28,6 @@ from fluxholo.errors import (
     NotMaximalFreeModes,
 )
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 

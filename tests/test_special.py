@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -73,6 +74,26 @@ class TestHyp2F1Reg:
         nearby = hyp2f1_reg(0.4, 0.9, 1e-7, 0.3 + 0.2j)
         assert abs(direct - nearby) < 1e-5 * abs(direct)
 
+    def test_matches_mpmath_on_closed_form_families(self, rng):
+        # the parameters three_fluxon_primitive_matrix passes, with equal
+        # fluxes (c = 2b) and |u| near 1 in half of the draws, where scipy's
+        # real-parameter route alone misses by up to 5e-2
+        cases = [(0.5, 0.5, 1.0, 1.0 / (0.3 + 0.9j))]
+        for _ in range(60):
+            f1, f2, f3 = rng.uniform(0.01, 0.999, 3)
+            if rng.random() < 0.5:
+                f2 = f1
+            u = complex(rng.uniform(-2.0, 3.0), rng.uniform(0.05, 2.0) * rng.choice([-1, 1]))
+            if rng.random() < 0.5:
+                u = rng.uniform(0.88, 1.12) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+            for j in (0, 1):
+                cases += [(f3, 1 + j - f1, 2 + j - f1 - f2, 1.0 / u),
+                          (f2, 1 + j - f1, 2 + j - f1 - f3, u)]
+        with mpmath.workdps(30):
+            for a, b, c, z in cases:
+                ref = complex(mpmath.hyp2f1(a, b, c, z) / mpmath.gamma(c))
+                assert abs(hyp2f1_reg(a, b, c, z) - ref) < 1e-10 * abs(ref), (a, b, c, z)
+
     def test_outside_unit_disk(self):
         # principal-sheet evaluation off the cut [1, inf)
         v = hyp2f1_reg(0.5, 0.4, 1.3, 2.5 + 1.5j)
@@ -116,7 +137,8 @@ class TestThreeFluxonClosedForm:
         assert abs(abs(m[2, 0]) - abs(2.0 * elliptic_k(u))) < 1e-10
 
     @pytest.mark.parametrize("u", [0.3 + 0.2j, -0.8 + 0.5j, 1.7 + 0.9j, 0.3 - 0.2j])
-    @pytest.mark.parametrize("fluxes", [[0.4, 0.5, 0.6], [0.9, 0.9, 0.9]])
+    @pytest.mark.parametrize("fluxes", [[0.4, 0.5, 0.6], [0.9, 0.9, 0.9],
+                                        [0.5, 0.995, 0.7], [0.5, 0.999, 0.7]])
     def test_matches_contour_integration(self, u, fluxes):
         # contour oracle at a slightly rotated configuration, mapped back by
         # the exact rescaling of the columns

@@ -23,8 +23,6 @@ from fluxholo.cli import check_flat_curvature
 from fluxholo.errors import ClosedPathRequired, CollisionGuardTripped
 from conftest import assert_within_tolerance
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 class TestControlPath:
     def test_circle_closes_exactly(self, two_fluxon):
