@@ -1,7 +1,8 @@
 """Shared quadrature primitives.
 
 Gauss-Legendre and Gauss-Jacobi rules with node caching, plus a small
-adaptive panel integrator for vector-valued complex line integrals.
+adaptive panel integrator that refines a batch of vector-valued complex
+line integrals together.
 Everything here is deterministic for given inputs: panels are refined in
 a fixed worst-first order and sums run in fixed order, so repeated runs
 produce identical bits.
@@ -17,6 +18,7 @@ from .errors import QuadratureNotConverged
 
 _GL_CACHE: dict = {}
 _GJ_CACHE: dict = {}
+_RULES = (24, 48)  # coarse and fine Gauss-Legendre rule of every panel
 
 
 def gauss_legendre(n: int):
@@ -41,51 +43,68 @@ def gauss_jacobi01(n: int, beta: float):
     return _GJ_CACHE[key]
 
 
-def integrate_panels(f, tol: float, *, breakpoints=None):
-    """Adaptive panel integration of a vector-valued f over t in [0, 1].
+def integrate_panels(f, tol: float, *, breakpoints=None, legs: int):
+    """Adaptive panel integration of vector-valued line integrals, all legs
+    at once.
 
-    f(t_array) must return an array of shape (len(t), m).  Each panel is
-    estimated with 24- and 48-node Gauss rules; the worst panel is bisected,
-    at most 2000 times, until the summed discrepancy drops below
-    tol * max(1, |result|).
+    Leg l is the integral of f over t in [l, l + 1], l < legs.  f(t) takes
+    a 1-D node array and returns an array of shape (len(t), m); every node
+    lies in a half-open [l, l + 1), so f can tell the legs apart.  Panels
+    start at the integers and the breakpoints; each is estimated with 24-
+    and 48-node Gauss rules.  A round evaluates the new panels of every leg,
+    both rules, in one call of f, then bisects the worst panel of each leg
+    whose summed discrepancy still exceeds tol * max(1, |its result|), for
+    at most 2000 rounds.
 
-    Returns (result, error_estimate) with result of shape (m,).
-    Raises QuadratureNotConverged when the panel budget runs out.
+    Returns (result, error_estimate) of shapes (legs, m) and (legs,).
+    Raises QuadratureNotConverged when a leg runs out of rounds.
     """
-    def panel_value(a, b, n):
-        t, w = gauss_legendre(n)
-        vals = f(a + (b - a) * t)
-        return (b - a) * (w[:, None] * vals).sum(axis=0)
+    x = np.concatenate([gauss_legendre(n)[0] for n in _RULES])
+    coarse_w, fine_w = (gauss_legendre(n)[1] for n in _RULES)
 
-    if breakpoints:
-        pts = sorted({0.0, 1.0, *(float(b) for b in breakpoints if 0.0 < b < 1.0)})
-    else:
-        pts = [0.0, 1.0]
-    panels = list(zip(pts[:-1], pts[1:]))
-    cache: dict = {}
+    def panel_values(lo, hi):
+        """Fine value and |fine - coarse| of each panel [lo, hi]."""
+        width = (hi - lo)[:, None]
+        t = np.minimum(lo[:, None] + width * x, np.nextafter(hi, -np.inf)[:, None])
+        vals = f(t.ravel()).reshape(len(lo), len(x), -1)
+        coarse = width * np.einsum("pnm,n->pm", vals[:, :_RULES[0]], coarse_w)
+        fine = width * np.einsum("pnm,n->pm", vals[:, _RULES[0]:], fine_w)
+        return fine, np.abs(fine - coarse).max(axis=1)
 
+    # panels in t order, hence grouped by leg
+    pts = np.array(sorted({*map(float, range(legs + 1)),
+                           *(float(b) for b in breakpoints or () if 0.0 < b < legs)}))
+    lo, hi = pts[:-1], pts[1:]
+    leg = lo.astype(np.intp)
+    fine, err = panel_values(lo, hi)
     for _ in range(2000):
-        total = None
-        errs = []
-        for a, b in panels:
-            if (a, b) not in cache:
-                coarse = panel_value(a, b, 24)
-                fine = panel_value(a, b, 48)
-                cache[(a, b)] = (fine, float(np.abs(fine - coarse).max()))
-            fine, e = cache[(a, b)]
-            total = fine if total is None else total + fine
-            errs.append(e)
-        err = float(np.sum(errs))
-        bound = tol * max(1.0, float(np.abs(total).max()))
-        if err <= bound:
-            return total, err
-        worst = int(np.argmax(errs))
-        a, b = panels.pop(worst)
-        m = 0.5 * (a + b)
-        panels[worst:worst] = [(a, m), (m, b)]
+        starts = np.searchsorted(leg, np.arange(legs))
+        total = np.add.reduceat(fine, starts, axis=0)
+        error = np.add.reduceat(err, starts)
+        bound = tol * np.maximum(1.0, np.abs(total).max(axis=1))
+        bad = np.flatnonzero(~(error <= bound))
+        if not bad.size:
+            return total, error
+        ends = np.append(starts[1:], len(lo))
+        worst = np.array([starts[i] + int(np.argmax(err[starts[i]:ends[i]])) for i in bad])
+        mid = 0.5 * (lo[worst] + hi[worst])
+        f_new, e_new = panel_values(np.concatenate([lo[worst], mid]),
+                                    np.concatenate([mid, hi[worst]]))
+        right = worst + 1
+        lo = np.insert(lo, right, mid)
+        hi = np.insert(hi, right, hi[worst])
+        leg = np.insert(leg, right, leg[worst])
+        fine = np.insert(fine, right, f_new[len(worst):], axis=0)
+        err = np.insert(err, right, e_new[len(worst):])
+        # the left halves replace the bisected panels
+        left = worst + np.arange(len(worst))
+        hi[left] = mid
+        fine[left] = f_new[:len(worst)]
+        err[left] = e_new[:len(worst)]
+    i = bad[0]
     raise QuadratureNotConverged(
-        f"line integral not converged: estimate {err:.3g} > bound {bound:.3g}",
-        attained=err,
+        f"line integral not converged: estimate {error[i]:.3g} > bound {bound[i]:.3g}",
+        attained=float(error[i]),
     )
 
 

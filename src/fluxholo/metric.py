@@ -24,8 +24,9 @@ all-ones vector (a fiducial-point shift adds a constant to each column
 of Psi and must not change g) and exactly D_f positive eigenvalues.
 
 The paths share their legs, so N fluxons cost 2N - 1 line integrals
-(_primitive_raw).  _contour_frame is the one place that turns a
-configuration into (Psi, G), optionally on a rigidly rotated copy.
+(_primitive_raw), refined together on one panel queue (_Legs).
+_contour_frame is the one place that turns a configuration into
+(Psi, G), optionally on a rigidly rotated copy.
 """
 
 from __future__ import annotations
@@ -119,44 +120,68 @@ def coupling_matrix(fluxes) -> CouplingMatrix:
 # contour matrix
 # --------------------------------------------------------------------------
 
-class _Leg:
-    """Straight integration leg of xi^k psi_0(xi) d xi from start to end.
+class _Legs:
+    """Table of straight legs of xi^k psi_0(xi) d xi, integrated together.
 
-    An arm (sing = index of the fluxon it starts on) is parameterized as
-    xi = zeta_a + d t^p with p = 1 / (1 - phi'_a): the start fluxon's factor
-    times the Jacobian, (d t^p)^(-phi'_a) d p t^(p-1) = p d^(1 - phi'_a), is
-    a constant, so that fluxon leaves the sum and the integrand is smooth
-    at t = 0.  Offsets start - zeta_b are precomputed so that xi - zeta_b
-    suffers no cancellation near the start.
+    Leg l runs from start_l to start_l + d_l and is stacked on t in
+    [l, l + 1) with local parameter s = t - l.  An arm (sing = index of the
+    fluxon it starts on) is parameterized as xi = zeta_a + d s^p with
+    p = m / (1 - phi'_a): the start fluxon's factor times the Jacobian,
+    (d s^p)^(-phi'_a) d p s^(p-1) = p d^(1 - phi'_a) s^(m-1), is smooth, so
+    that fluxon leaves the sum (its offset is 1 and does not move).  m = 2
+    for phi'_a < 1/2 grades the arm further, since with p < 2 the factors
+    smooth in xi would have a singular second derivative in s at the start.
+    Offsets start - zeta_b are precomputed so that xi - zeta_b suffers no
+    cancellation near the start.
     """
 
-    def __init__(self, start, end, zetas, phis, sing=None):
-        self.start = complex(start)
-        self.d = complex(end) - self.start
-        self.offsets = self.start - zetas
+    def __init__(self, zetas, phis):
+        self.zetas = zetas
         self.phis = phis
-        self.p = 1.0
-        self.factor = self.d
+        self.rows = []
+
+    def add(self, start, end, sing=None):
+        start = complex(start)
+        d = complex(end) - start
+        offsets = start - self.zetas
+        move = np.ones(len(self.zetas))
+        p, m, factor = 1.0, 1, d
         if sing is not None:
-            self.p = 1.0 / (1.0 - phis[sing])
-            self.factor = self.p * self.d * np.exp(log_psi0(self.d, phis[[sing]]))
-            self.offsets = np.delete(self.offsets, sing)
-            self.phis = np.delete(phis, sing)
+            m = 2 if self.phis[sing] < 0.5 else 1
+            p = m / (1.0 - self.phis[sing])
+            factor = p * d * np.exp(log_psi0(d, self.phis[[sing]]))
+            offsets[sing], move[sing] = 1.0, 0.0
+        self.rows.append((start, d, p, m - 1, factor, offsets, move))
 
-    def values(self, t, n_cols):
-        step = self.d * t ** self.p
-        base_val = np.exp(log_psi0(self.offsets + step[:, None], self.phis)) * self.factor
-        xi = self.start + step
-        powers = np.cumprod(np.column_stack([np.ones_like(xi)] + [xi] * (n_cols - 1)), axis=1)
-        return powers * base_val[:, None]
+    def integrate(self, n_cols, tol):
+        """Every leg's integral, shape (legs, n_cols), and error estimate."""
+        start, d, p, jac, factor, offsets, move = map(np.array, zip(*self.rows))
+        last = len(self.rows) - 1
 
-    def x_breakpoints(self, zetas):
-        """Parameter values where the leg passes a fluxon's real part
-        (candidate spots for integrand spikes)."""
-        if abs(self.d.real) < 1e-300:
-            return []
-        s = (zetas.real - self.start.real) / self.d.real
-        return (s[(s > 1e-12) & (s < 1.0 - 1e-12)] ** (1.0 / self.p)).tolist()
+        def values(t):
+            leg = np.minimum(t.astype(np.intp), last)
+            s = t - leg
+            step = d[leg] * s ** p[leg]
+            w = offsets[leg] + step[:, None] * move[leg]
+            base = np.exp(log_psi0(w, self.phis)) * factor[leg] * s ** jac[leg]
+            xi = start[leg] + step
+            powers = np.cumprod(np.column_stack([np.ones_like(xi)] + [xi] * (n_cols - 1)),
+                                axis=1)
+            return powers * base[:, None]
+
+        return integrate_panels(values, tol, breakpoints=self._breakpoints(),
+                                legs=len(self.rows))
+
+    def _breakpoints(self):
+        """Values of t where a leg passes a fluxon's real part (candidate
+        spots for integrand spikes)."""
+        out = []
+        for leg, (start, d, p, *_) in enumerate(self.rows):
+            if abs(d.real) < 1e-300:
+                continue
+            s = (self.zetas.real - start.real) / d.real
+            out += (leg + s[(s > 1e-12) & (s < 1.0 - 1e-12)] ** (1.0 / p)).tolist()
+        return out
 
 
 def _assert_leg_clear(start, end, zetas, im_tol):
@@ -181,29 +206,26 @@ def _primitive_raw(zetas, phis, n_cols, xi0, xi0_anchor, x_left, tol, im_tol):
     heights of the fluxons and the fiducial point xi0; start runs from xi0
     to the line and is the anchor's arm when xi0 is a fluxon.
     """
-    err = 0.0
-
-    def integral(start, end, sing=None):
-        nonlocal err
-        leg = _Leg(start, end, zetas, phis, sing)
-        val, e = integrate_panels(lambda t: leg.values(t, n_cols), tol,
-                                  breakpoints=leg.x_breakpoints(zetas))
-        err += e
-        return val
-
-    arms = np.array([integral(z, complex(x_left, z.imag), a) for a, z in enumerate(zetas)])
-    if xi0_anchor is not None:
-        start = arms[xi0_anchor]
-    else:
+    legs = _Legs(zetas, phis)
+    for a, z in enumerate(zetas):
+        legs.add(z, complex(x_left, z.imag), a)
+    if xi0_anchor is None:
         _assert_leg_clear(xi0, complex(x_left, xi0.imag), zetas, im_tol)
-        start = integral(xi0, complex(x_left, xi0.imag))
+        legs.add(xi0, complex(x_left, xi0.imag))
     heights = np.unique(np.append(zetas.imag, xi0.imag))
-    C = np.cumsum([np.zeros(n_cols, dtype=complex)]
-                  + [integral(complex(x_left, lo), complex(x_left, hi))
-                     for lo, hi in zip(heights[:-1], heights[1:])], axis=0)
+    for lo, hi in zip(heights[:-1], heights[1:]):
+        legs.add(complex(x_left, lo), complex(x_left, hi))
+    vals, errs = legs.integrate(n_cols, tol)
+    n = len(zetas)
+    arms, rest = vals[:n], vals[n:]
+    if xi0_anchor is None:
+        start, rest = rest[0], rest[1:]
+    else:
+        start = arms[xi0_anchor]
+    C = np.cumsum(np.vstack([np.zeros(n_cols, dtype=complex), rest]), axis=0)
     rise = C[np.searchsorted(heights, zetas.imag)] - C[np.searchsorted(heights, xi0.imag)]
     # the anchor's row is exactly zero: (start + 0) - start
-    return start + rise - arms, err
+    return start + rise - arms, float(errs.sum())
 
 
 def primitive_matrix(vc: ValidatedConfig, gauge="last", tol: float = 1e-10,

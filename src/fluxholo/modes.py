@@ -8,7 +8,7 @@ branch bookkeeping; mode values do, and the default sheet measures every
 argument in (0, 2*pi) from the +x cut direction.
 
 log_psi0 is the one evaluation of psi_0 on the default sheet: mode
-values, densities and the contour legs of the metric (metric._Leg) all
+values, densities and the contour legs of the metric (metric._Legs) all
 call it.  For analytic continuation along a path we accumulate the
 unwound angle around each fluxon instead of recomputing principal
 values, which makes monodromy factors exact by construction; that code,

@@ -25,6 +25,7 @@ from scipy.special import rgamma as _rgamma
 
 from .errors import (
     NotConverged,
+    OnCut,
     PoleAtNonpositiveInteger,
     SingularAtCollision,
     SingularAtOne,
@@ -53,7 +54,10 @@ def hyp2f1_reg(a, b, c, z) -> complex:
     """Regularized Gauss hypergeometric 2F1(a, b; c; z) / Gamma(c).
 
     Analytic in z off the cut [1, inf) on the principal sheet; remains
-    finite for c a nonpositive integer.  Real parameters ride on scipy's
+    finite for c a nonpositive integer.  On the cut itself, real z > 1, the
+    two sides differ (scipy and mpmath return conjugate values there for
+    real parameters), so it raises OnCut unless a or b is a nonpositive
+    integer and the series is a polynomial.  Real parameters ride on scipy's
     complex-z implementation, cross-checked against the connection formula
     to 1/z.  scipy is silently wrong by up to 5e-2 for |z| near 1 when
     c = 2b, as in 2F1(1/2, 1/2; 1; z), which the three-fluxon closed form
@@ -63,6 +67,9 @@ def hyp2f1_reg(a, b, c, z) -> complex:
     rescue cases fall back to mpmath at elevated precision.
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
+    if z.imag == 0.0 and z.real > 1.0 and not any(
+            x.imag == 0.0 and x.real <= 0.0 and x.real == round(x.real) for x in (a, b)):
+        raise OnCut(f"2F1 is two-valued on its cut: z = {z.real:g} > 1")
     if _is_nonpositive_int(c):
         # 2F1~(a, b; -n; z) = ((a)_{n+1} (b)_{n+1} / (n+1)!) z^{n+1}
         #                     * 2F1~(a+n+1, b+n+1; n+2; z)
@@ -163,8 +170,8 @@ def three_fluxon_primitive_matrix(config_or_fluxes, u, n_free: int | None = None
                  2F1~(phi2, 1+j-phi1; 2+j-phi1-phi3; u)
 
     with the u powers taken on the cut sheet.  Valid for D_f in {1, 2};
-    u must avoid the real segments (0, 1) and [1, inf) where the canonical
-    paths degenerate.
+    u must avoid the real segments (0, 1) and (1, inf), where a canonical
+    path runs along a cut (OnCut).
     """
     fluxes = _fluxes_of(config_or_fluxes)
     if len(fluxes) != 3:
@@ -178,6 +185,8 @@ def three_fluxon_primitive_matrix(config_or_fluxes, u, n_free: int | None = None
     u = complex(u)
     if u == 0.0 or u == 1.0:
         raise SingularAtCollision("canonical positions collide for u in {0, 1}")
+    if u.imag == 0.0 and u.real > 0.0:
+        raise OnCut(f"u = {u.real:g} is real and positive: a canonical path runs along a cut")
     out = np.zeros((3, n_free), dtype=complex)
     phase = np.exp(-1j * np.pi * f2)
     for j in range(n_free):

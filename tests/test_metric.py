@@ -13,6 +13,7 @@ from fluxholo import (
     primitive_matrix,
     validate,
 )
+from fluxholo import metric as metric_module
 from fluxholo.errors import AmbiguousOrdering, NoFreeModes, ThresholdSingularity
 from fluxholo.cli import check_metric_laws, check_metric_oracle, worst_residuals
 from conftest import assert_within_tolerance
@@ -91,6 +92,33 @@ class TestPrimitiveMatrix:
         bad = three_distinct.zeta[1] + 2.0
         with pytest.raises(PathBlocked):
             primitive_matrix(three_distinct, gauge=bad)
+
+
+class TestContourWork:
+    def test_generic_metric_takes_few_integrand_calls(self, monkeypatch):
+        # all 2N - 1 legs share one panel queue, so a metric costs one
+        # integrand call per refinement round, not one per leg, panel and
+        # rule (about 170 at N = 8)
+        integrate = metric_module.integrate_panels
+        calls = []
+
+        def counting(f, *args, **kwargs):
+            def integrand(t):
+                calls[-1] += 1
+                return f(t)
+            return integrate(integrand, *args, **kwargs)
+
+        monkeypatch.setattr(metric_module, "integrate_panels", counting)
+        rng = np.random.default_rng(8)
+        while len(calls) < 20:
+            z = rng.uniform(-1, 1, 8) + 1j * rng.uniform(-1, 1, 8)
+            fluxes = rng.uniform(0.1, 0.9, 8)
+            sep = np.abs(z[:, None] - z[None, :]) + np.eye(8)
+            if sep.min() < 0.25 or not 0.1 < fluxes.sum() % 1.0 < 0.9:
+                continue
+            calls.append(0)
+            metric_factorized(validate(FluxConfig(z, fluxes)), tol=1e-10, auto_rotate=True)
+        assert max(calls) <= 16, calls
 
 
 class TestFactorizedMetric:

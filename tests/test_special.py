@@ -15,7 +15,7 @@ from fluxholo import (
     three_fluxon_primitive_matrix,
     validate,
 )
-from fluxholo.errors import PoleAtNonpositiveInteger, SingularAtCollision, SingularAtOne
+from fluxholo.errors import OnCut, PoleAtNonpositiveInteger, SingularAtCollision, SingularAtOne
 from scipy.special import gamma
 
 
@@ -24,6 +24,20 @@ def k_quadrature_oracle(m):
     val, _ = quad(lambda t: (1.0 - m * math.sin(t) ** 2) ** -0.5, 0.0, math.pi / 2,
                   epsabs=1e-14, epsrel=1e-14)
     return val
+
+
+def contour_in_canonical_frame(fluxes, u, tol):
+    """primitive_matrix of (0, 1, u) and its error estimate: the contour
+    matrix of the configuration rotated by 1e-4, whose cut order is
+    unambiguous, mapped back by the exact rescaling of the columns, with
+    rows in fluxon order and the fiducial point on the first fluxon."""
+    lam = np.exp(1e-4j)
+    vc = validate(FluxConfig([0.0, lam, u * lam], fluxes))
+    psi = primitive_matrix(vc, gauge=0.0, tol=tol)
+    contour = np.empty_like(psi.matrix)
+    contour[list(psi.order)] = psi.matrix
+    contour *= lam ** (sum(fluxes) - 1.0 - np.arange(contour.shape[1]))
+    return contour, psi.error_estimate
 
 
 class TestLogGamma:
@@ -99,6 +113,22 @@ class TestHyp2F1Reg:
         v = hyp2f1_reg(0.5, 0.4, 1.3, 2.5 + 1.5j)
         assert np.isfinite(v.real) and np.isfinite(v.imag)
 
+    def test_real_argument_beyond_one_is_on_the_cut(self):
+        # the two sides of the cut differ; scipy and mpmath would each pick
+        # one, conjugate to each other for real parameters
+        above = hyp2f1_reg(0.5, 0.4, 1.3, 2.5 + 1e-12j)
+        assert abs(above - np.conj(hyp2f1_reg(0.5, 0.4, 1.3, 2.5 - 1e-12j))) < 1e-10
+        assert abs(above.imag) > 0.1
+        for z in (2.5, 1.0 + 1e-9, 1e6):
+            with pytest.raises(OnCut):
+                hyp2f1_reg(0.5, 0.4, 1.3, z)
+
+    def test_polynomial_has_no_cut(self):
+        # a = -2 ends the series: 1 - 2 b z / c + b (b + 1) z^2 / (c (c + 1))
+        b, c, z = 0.7, 1.45, 2.5
+        poly = 1.0 - 2.0 * b * z / c + b * (b + 1.0) * z ** 2 / (c * (c + 1.0))
+        assert abs(hyp2f1_reg(-2.0, b, c, z) - poly / gamma(c)) < 1e-13
+
 
 class TestEllipticK:
     def test_at_zero(self):
@@ -138,21 +168,42 @@ class TestThreeFluxonClosedForm:
 
     @pytest.mark.parametrize("u", [0.3 + 0.2j, -0.8 + 0.5j, 1.7 + 0.9j, 0.3 - 0.2j])
     @pytest.mark.parametrize("fluxes", [[0.4, 0.5, 0.6], [0.9, 0.9, 0.9],
-                                        [0.5, 0.995, 0.7], [0.5, 0.999, 0.7]])
+                                        [0.5, 0.995, 0.7], [0.5, 0.999, 0.7],
+                                        [0.1, 0.3, 0.75], [0.2, 0.15, 0.9],
+                                        [0.45, 0.05, 0.6]])
     def test_matches_contour_integration(self, u, fluxes):
-        # contour oracle at a slightly rotated configuration, mapped back by
-        # the exact rescaling of the columns
-        alpha = 1e-4
-        lam = np.exp(1j * alpha)
-        vc = validate(FluxConfig([0.0, lam, u * lam], fluxes))
-        psi = primitive_matrix(vc, gauge=0.0, tol=1e-13)
-        total = sum(fluxes)
-        contour = np.empty_like(psi.matrix)
-        contour[list(psi.order)] = psi.matrix
-        for j in range(contour.shape[1]):
-            contour[:, j] *= lam ** (-(j + 1) + total)
+        # near-critical and weak fluxes (arms graded twice as hard below
+        # phi' = 1/2) alike stay at round-off
+        contour, _ = contour_in_canonical_frame(fluxes, u, tol=1e-13)
         closed = three_fluxon_primitive_matrix(fluxes, u)
-        assert np.abs(closed - contour).max() < 1e-8 * np.abs(contour).max()
+        assert np.abs(closed - contour).max() < 1e-13 * np.abs(contour).max()
+
+    def test_error_estimate_bounds_the_error(self, rng):
+        # the reported quadrature estimate against the closed form, over
+        # weak, generic and near-critical fluxes at two tolerances
+        for i in range(16):
+            while True:
+                fluxes = rng.uniform(0.02, 0.98, 3)
+                if i % 4 == 0:
+                    fluxes[i // 4 % 3] = 0.995
+                elif i % 4 == 1:
+                    fluxes[i // 4 % 3] = rng.uniform(0.005, 0.1)
+                total = fluxes.sum()
+                if 1.05 < total < 2.95 and abs(total - 2.0) > 0.05:
+                    break
+            while True:
+                u = complex(rng.uniform(-1.5, 2.5), rng.uniform(0.1, 1.5) * rng.choice([-1, 1]))
+                if min(abs(u), abs(u - 1.0)) > 0.2:
+                    break
+            fluxes = fluxes.tolist()
+            contour, estimate = contour_in_canonical_frame(fluxes, u, tol=(1e-8, 1e-11)[i % 2])
+            error = np.abs(three_fluxon_primitive_matrix(fluxes, u) - contour).max()
+            assert error <= estimate + 1e-13 * np.abs(contour).max(), (fluxes, u)
+
+    @pytest.mark.parametrize("u", [0.4, 1.7, 1e3])
+    def test_real_positive_u_is_on_a_cut(self, u):
+        with pytest.raises(OnCut):
+            three_fluxon_primitive_matrix([0.4, 0.5, 0.6], u)
 
 
 class TestMetricHalfFluxes:
