@@ -397,12 +397,16 @@ class MetricEvaluator:
 # --------------------------------------------------------------------------
 
 def _bump(t):
-    """C^infinity step: 1 for t <= 0, 0 for t >= 1."""
-    t = np.clip(t, 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        f1 = np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        f2 = np.where(t < 1.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
-    return f2 / (f1 + f2)
+    """C^infinity step f2 / (f1 + f2), f1 = exp(-1/t), f2 = exp(-1/(1 - t)),
+    from 1 at t = 0 to 0 at t = 1.  Callers pass only 0 < t < 1."""
+    f1 = np.divide(-1.0, t)
+    np.exp(f1, out=f1)
+    f2 = np.subtract(1.0, t)
+    np.divide(-1.0, f2, out=f2)
+    np.exp(f2, out=f2)
+    f1 += f2
+    f2 /= f1
+    return f2
 
 
 class _BruteForce:
@@ -433,29 +437,52 @@ class _BruteForce:
 
     # -- pieces ------------------------------------------------------------
 
-    def _log_weight(self, z, skip=None):
-        out = np.zeros(z.shape)
+    def _weight(self, z, skip=None):
+        """Bump sum and log weight on one chunk of grid points z.
+
+        One pass per fluxon b forms d^2 = |z - zeta_b|^2.  The log weight
+        sums -phi'_b log d^2 over b != skip.  Each bump is 1 for
+        d <= r_in and 0 for d >= r_out, so _bump runs only on the ring in
+        between."""
+        x, y = z.real, z.imag
+        chi = np.zeros(z.shape)
+        logw = np.zeros(z.shape)
+        d2 = np.empty(z.shape)
+        dy = np.empty(z.shape)
         for b, (zc, ph) in enumerate(zip(self.zetas, self.phis)):
-            if b == skip or ph == 0.0:
-                continue
-            out -= 2.0 * ph * np.log(np.abs(z - zc))
-        return out
+            np.subtract(x, zc.real, out=d2)
+            d2 *= d2
+            np.subtract(y, zc.imag, out=dy)
+            dy *= dy
+            d2 += dy
+            near = d2 < self.r_out[b] ** 2
+            if near.any():
+                t = np.sqrt(d2[near])
+                t -= self.r_in[b]
+                t /= self.r_out[b] - self.r_in[b]
+                ring = (t > 0.0) & (t < 1.0)
+                chi[near] += t <= 0.0
+                near[near] = ring
+                chi[near] += _bump(t[ring])
+            if b != skip and ph != 0.0:
+                np.log(d2, out=d2)
+                d2 *= ph
+                logw -= d2
+        return chi, logw
 
-    def _chi_sum(self, z):
-        out = np.zeros(z.shape)
-        for a in range(len(self.zetas)):
-            r = np.abs(z - self.zetas[a])
-            out += _bump((r - self.r_in[a]) / (self.r_out[a] - self.r_in[a]))
-        return out
-
-    def _contract(self, z, smooth, wr, wt):
-        """sum over grid of wr x wt x smooth x monomials, one value per
-        (j, k) pair with j <= k."""
-        out = np.empty(len(self.jk), dtype=complex)
-        zc = np.conj(z)
-        for i, (j, k) in enumerate(self.jk):
-            out[i] = np.einsum("i,it,t->", wr, smooth * zc ** j * z ** k, wt)
-        return out
+    def _contract(self, z, w):
+        """sum over the chunk of w zbar^j z^k, one value per (j, k) pair
+        with j <= k, read from P^H (w P) with P = [1, z, ..., z^(n-1)]."""
+        w = w.ravel()
+        if self.n_cols == 1:
+            return np.array([w.sum()], dtype=complex)
+        p = np.empty((self.n_cols, w.size), dtype=complex)
+        p[0] = 1.0
+        p[1] = z.ravel()
+        for k in range(2, self.n_cols):
+            p[k] = p[k - 1] * p[1]
+        gram = np.conj(p) @ (w * p).T
+        return np.array([gram[j, k] for j, k in self.jk])
 
     def disk_piece(self, a, nr, nt):
         """Bump-weighted neighborhood of fluxon a in local polar
@@ -470,10 +497,10 @@ class _BruteForce:
         for lo in range(0, nt, self.ANGULAR_CHUNK):
             sl = slice(lo, min(lo + self.ANGULAR_CHUNK, nt))
             z = self.zetas[a] + r[:, None] * np.exp(1j * th[None, sl])
-            chi = _bump((np.abs(z - self.zetas[a]) - self.r_in[a])
-                        / (self.r_out[a] - self.r_in[a]))
-            smooth = chi * np.exp(self._log_weight(z, skip=a))
-            total += self._contract(z, smooth, wr, wt[sl])
+            # the bump disks are disjoint (r_out < dnn / 2), so the bump
+            # sum on this disk is fluxon a's own bump
+            chi, logw = self._weight(z, skip=a)
+            total += self._contract(z, chi * np.exp(logw) * wr[:, None] * wt[None, sl])
         return total
 
     def far_piece(self, nr, nt):
@@ -518,9 +545,9 @@ class _BruteForce:
             for lo in range(0, nt, self.ANGULAR_CHUNK):
                 sl = slice(lo, min(lo + self.ANGULAR_CHUNK, nt))
                 z = self.center + r[:, None] * np.exp(1j * th[None, sl])
-                smooth = ((1.0 - self._chi_sum(z)) * np.exp(self._log_weight(z))
-                          * r[:, None])
-                total += self._contract(z, smooth, wr, wt[sl])
+                chi, logw = self._weight(z)
+                total += self._contract(
+                    z, (1.0 - chi) * np.exp(logw) * (r * wr)[:, None] * wt[None, sl])
         return total
 
     # -- assembly ----------------------------------------------------------

@@ -121,6 +121,63 @@ class TestContourWork:
         assert max(calls) <= 16, calls
 
 
+# the unjittered N = 3, 4 and 6 configurations of the cli-session benchmark
+BRUTE_FORCE_BASE = [
+    ([0.0, 0.9 + 0.7j, 0.2 + 1.9j], [0.4, 0.5, 0.6]),
+    ([0.0, 1.1 + 0.4j, 0.3 + 1.5j, -0.8 + 0.9j], [0.45, 0.55, 0.35, 0.6]),
+    ([0.0, 1.2 + 0.3j, 0.5 + 1.4j, -0.9 + 0.8j, 1.4 + 1.9j, -0.3 + 2.6j],
+     [0.3, 0.45, 0.35, 0.5, 0.4, 0.25]),
+]
+
+
+class TestBruteForceWork:
+    def test_bump_runs_only_on_its_ring(self, monkeypatch):
+        # each bump is exactly 1 inside r_in and 0 outside r_out, so the
+        # smooth step is evaluated only strictly between the two radii
+        bump = metric_module._bump
+        seen = []
+
+        def recording(t):
+            seen.append(np.ravel(t))
+            return bump(t)
+
+        monkeypatch.setattr(metric_module, "_bump", recording)
+        rng = np.random.default_rng(6)
+        pos, fluxes = BRUTE_FORCE_BASE[2]
+        pos = np.array(pos) + 0.02 * (rng.normal(size=6) + 1j * rng.normal(size=6))
+        metric_bruteforce(validate(FluxConfig(pos, fluxes)), tol=1e-7)
+        t = np.concatenate(seen)
+        assert t.size > 0
+        assert t.min() > 0.0 and t.max() < 1.0
+
+    def test_refinement_schedule(self, monkeypatch):
+        # the same grids give the same freeze/stop schedule: the number of
+        # middle-piece evaluations at the CLI tolerance is pinned
+        middle = metric_module._BruteForce.middle_piece
+        calls = []
+
+        def counting(self, *args):
+            calls[-1] += 1
+            return middle(self, *args)
+
+        monkeypatch.setattr(metric_module._BruteForce, "middle_piece", counting)
+        for pos, fluxes in BRUTE_FORCE_BASE:
+            calls.append(0)
+            metric_bruteforce(validate(FluxConfig(pos, fluxes)), tol=1e-8)
+        assert calls == [4, 4, 3]
+
+    def test_error_estimate_bounds_the_error(self):
+        # the estimate |level L - level L-1| bounds the coarser level, so
+        # it overstates the error of the returned level (by about 400x)
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            u = complex(rng.uniform(-0.6, 1.6), rng.uniform(0.4, 1.4))
+            bf = metric_bruteforce(validate(FluxConfig([0.0, 1.0, u], [0.5, 0.5, 0.5])),
+                                   tol=1e-7)
+            ref = metric_half_fluxes(u)
+            assert abs(bf.g[0, 0] - ref) <= bf.error_estimate + 1e-13 * ref
+
+
 class TestFactorizedMetric:
     def test_hermitian_positive(self, three_identical_09):
         m = metric_factorized(three_identical_09, tol=1e-10)
@@ -210,6 +267,16 @@ class TestOracleEquivalence:
         bf = metric_bruteforce(vc, tol=1e-7)
         fac = metric_factorized(vc, tol=1e-9, auto_rotate=True)
         assert np.abs(bf.g - fac.g).max() < 1e-6 * np.abs(bf.g).max()
+
+    @pytest.mark.parametrize("fluxes", [[0.0, 0.6, 0.7, 0.5], [-0.3, 0.8, 0.9, 0.7]],
+                             ids=["zero", "negative"])
+    def test_zero_and_negative_reduced_fluxes(self, fluxes):
+        # phi' = 0 adds no log weight but keeps its bump; phi' < 0 makes
+        # the weight vanish at the fluxon
+        vc = validate(FluxConfig([0.0, 1.0, 0.3 + 0.9j, -0.5 + 0.6j], fluxes))
+        bf = metric_bruteforce(vc, tol=1e-7)
+        fac = metric_factorized(vc, tol=1e-10, auto_rotate=True)
+        assert np.abs(bf.g - fac.g).max() < 1e-7 * np.abs(bf.g).max()
 
     def test_near_tie(self):
         # imaginary parts 1.5e-8 apart, just above the tie tolerance: the
