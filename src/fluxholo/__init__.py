@@ -11,7 +11,6 @@ from .config import (
     validate,
 )
 from .metric import (
-    CouplingMatrix,
     Metric,
     MetricEvaluator,
     PrimitiveMatrix,
@@ -57,10 +56,9 @@ from .transport import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BranchSheet", "BraidWord", "ControlPath", "CouplingMatrix",
-    "FluxConfig", "HolonomyResult", "Metric",
-    "MetricEvaluator", "ModeCounts", "ModeVector", "MonodromyMatrix", "Move",
-    "PrimitiveMatrix", "ValidatedConfig", "ELLIPTIC_CONVENTION",
+    "BranchSheet", "BraidWord", "ControlPath", "FluxConfig", "HolonomyResult",
+    "Metric", "MetricEvaluator", "ModeCounts", "ModeVector", "MonodromyMatrix",
+    "Move", "PrimitiveMatrix", "ValidatedConfig", "ELLIPTIC_CONVENTION",
     "confined_phase", "connection", "continue_along_path", "count_modes",
     "coupling_matrix", "curvature_abelian", "curvature_nonabelian",
     "cut_factor", "cut_order", "density", "elliptic_k", "encircle_block",

@@ -191,9 +191,7 @@ def cmd_curvature_map(manifest: RunManifest, args) -> int:
     if not 0 <= mover < vc.n_fluxons:
         raise ValidationError(f"--mover {mover} out of range for {vc.n_fluxons} fluxons")
     (x0, x1, nx), (y0, y1, ny) = _parse_grid(args.grid)
-    guard = manifest.collision_guard
-    if guard is None:
-        guard = 1e-2 * vc.diameter
+    guard = tr.guard_distance(vc, manifest.collision_guard)
     others = [z for a, z in enumerate(vc.zeta) if a != mover]
     base = vc.zeta.copy()
     lines = ["x,y,R"]
@@ -331,7 +329,7 @@ def check_coupling(rng):
     positive eigenvalues."""
     n = int(rng.integers(2, 7))
     fluxes = _clear_fluxes(rng, n, 0.05, 0.95)
-    G = coupling_matrix(fluxes).G
+    G = coupling_matrix(fluxes)
     df = max(0, math.ceil(fluxes.sum()) - 1)
     return {
         "coupling_kernel": float(np.abs(G @ np.ones(n)).max()),
@@ -378,13 +376,15 @@ def check_burau():
 
 def check_metric_laws(rng, n, quad_tol):
     """The factorized metric of a random subcritical configuration against
-    the metric of another fiducial point, and the scaling law
+    Psi^* G Psi with every column of Psi shifted by one constant (a move of
+    the fiducial point; G annihilates the all-ones vector), and the scaling law
     g_jk(lam zeta) = lam^k conj(lam)^j |lam|^(2 (1 - Phi'_T)) g_jk(zeta)."""
     pos, fluxes = _random_subcritical(rng, n)
     vc = validate(FluxConfig(pos, fluxes))
     g1 = metric_factorized(vc, tol=quad_tol).g
-    psi = primitive_matrix(vc, gauge=complex(pos.real.min() - 2.0, 0.37), tol=quad_tol)
-    g2 = psi.matrix.conj().T @ coupling_matrix(psi.fluxes).G @ psi.matrix
+    psi = primitive_matrix(vc, tol=quad_tol)
+    shifted = psi.matrix + (0.7 - 0.3j)
+    g2 = shifted.conj().T @ coupling_matrix(psi.fluxes) @ shifted
     lam = rng.uniform(0.5, 2.0) * np.exp(1j * rng.uniform(0, 2 * np.pi))
     gs = metric_factorized(validate(FluxConfig(pos * lam, fluxes)), tol=quad_tol,
                            auto_rotate=True).g

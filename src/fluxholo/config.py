@@ -200,13 +200,12 @@ def _check_distinct(positions: np.ndarray) -> None:
         )
 
 
-def validate(config: FluxConfig, *, strict: bool = True,
-             eps_threshold: float = EPS_THRESHOLD) -> ValidatedConfig:
+def validate(config: FluxConfig, *, strict: bool = True) -> ValidatedConfig:
     """Validate a configuration and annotate it with mode counts.
 
     With strict=True (the default, required by every metric/transport
     operation) the total flux must be positive and neither the total flux
-    nor any individual flux may sit within eps_threshold of a (nonzero)
+    nor any individual flux may sit within EPS_THRESHOLD of a (nonzero)
     integer.  With strict=False only coincidence is checked, which is all
     that mode counting needs.
     """
@@ -222,16 +221,16 @@ def validate(config: FluxConfig, *, strict: bool = True,
         total = math.fsum(config.fluxes)
         if total <= 0.0:
             raise NonpositiveTotalFlux(f"total flux {total:.6g} <= 0")
-        if abs(total - round(total)) < eps_threshold:
+        if abs(total - round(total)) < EPS_THRESHOLD:
             raise NearIntegerTotalFlux(
-                f"total flux {total:.6g} lies within {eps_threshold:g} of an "
+                f"total flux {total:.6g} lies within {EPS_THRESHOLD:g} of an "
                 f"integer; the metric diverges at thresholds"
             )
         for a, f in enumerate(config.fluxes):
             r = round(f)
-            if r != 0 and abs(f - r) < eps_threshold:
+            if r != 0 and abs(f - r) < EPS_THRESHOLD:
                 raise NearIntegerFluxon(
-                    f"flux {a} = {f:.6g} lies within {eps_threshold:g} of "
+                    f"flux {a} = {f:.6g} lies within {EPS_THRESHOLD:g} of "
                     f"the integer {r}"
                 )
     return ValidatedConfig(config=config, counts=counts, strict=strict)

@@ -84,10 +84,6 @@ class NotConverged(NumericalError):
     pass
 
 
-class PathBlocked(NumericalError):
-    """No admissible integration path around the cuts."""
-
-
 class StepTooLarge(NumericalError):
     """The step of the abelian curvature stencil is comparable to the
     fluxon separations."""

@@ -21,7 +21,8 @@ along paths routed to the left of all fluxons so they never cross a cut,
 and contracts it with the position-independent hermitian coupling matrix
 G(phi):  g = Psi^* G Psi.  G has rank N - 1 with kernel spanned by the
 all-ones vector (a fiducial-point shift adds a constant to each column
-of Psi and must not change g) and exactly D_f positive eigenvalues.
+of Psi and must not change g) and exactly D_f positive eigenvalues.  The
+fiducial point xi0 is always the last fluxon in cut order.
 
 The paths share their legs, so N fluxons cost 2N - 1 line integrals
 (_primitive_raw), refined together on one panel queue (_Legs).
@@ -38,12 +39,7 @@ import numpy as np
 
 from ._quad import gauss_jacobi01, gauss_legendre, integrate_panels, trapezoid_angles
 from .config import FluxConfig, ValidatedConfig, cut_order, separations, validate
-from .errors import (
-    NoFreeModes,
-    PathBlocked,
-    QuadratureNotConverged,
-    ThresholdSingularity,
-)
+from .errors import NoFreeModes, QuadratureNotConverged, ThresholdSingularity
 from .modes import log_psi0
 
 TWO_PI = 2.0 * np.pi
@@ -70,7 +66,8 @@ class PrimitiveMatrix:
     """N x D_f matrix of contour integrals, rows in cut order.
 
     order[i] is the original fluxon index sitting on strand i.  Columns
-    are defined only up to an additive constant (fiducial-point freedom).
+    are defined only up to an additive constant (fiducial-point freedom);
+    the last row, the fiducial point's, is zero.
     """
 
     matrix: np.ndarray
@@ -79,16 +76,9 @@ class PrimitiveMatrix:
     error_estimate: float
 
 
-@dataclass(frozen=True)
-class CouplingMatrix:
-    """Position-independent N x N hermitian matrix G(phi), in cut order."""
-
-    G: np.ndarray
-    fluxes: tuple
-
-
-def coupling_matrix(fluxes) -> CouplingMatrix:
-    """Explicit G for (reduced, subcritical) fluxes listed in cut order.
+def coupling_matrix(fluxes) -> np.ndarray:
+    """Position-independent N x N hermitian matrix G(phi) for (reduced,
+    subcritical) fluxes listed in cut order.
 
     G_aa = -sin(pi phi_a) sin(pi (phi_T - phi_a)) / sin(pi phi_T) and for
     a < b
@@ -113,7 +103,7 @@ def coupling_matrix(fluxes) -> CouplingMatrix:
             G[a, b] = (math.sin(math.pi * phis[a]) * math.sin(math.pi * phis[b]) / s_tot
                        * np.exp(1j * math.pi * (total - run)))
             G[b, a] = np.conj(G[a, b])
-    return CouplingMatrix(G=G, fluxes=tuple(phis))
+    return G
 
 
 # --------------------------------------------------------------------------
@@ -184,59 +174,36 @@ class _Legs:
         return out
 
 
-def _assert_leg_clear(start, end, zetas, im_tol):
-    """A horizontal leg must not touch any cut ray (which would mean it
-    crosses the cut, or runs along it through the fluxon)."""
-    if abs(start.imag - end.imag) > im_tol:
-        return
-    y = start.imag
-    x_hi = max(start.real, end.real)
-    for a, zc in enumerate(zetas):
-        if abs(zc.imag - y) <= im_tol and x_hi >= zc.real - im_tol:
-            raise PathBlocked(
-                f"integration path touches the cut of fluxon {a}; "
-                f"perturb the fiducial point or rotate the configuration")
+def _primitive_raw(zetas, phis, n_cols, x_left, tol):
+    """Row a = arm_N + C(y_a) - C(y_N) - arm_a, every leg integrated once.
 
-
-def _primitive_raw(zetas, phis, n_cols, xi0, xi0_anchor, x_left, tol, im_tol):
-    """Row a = start + C(y_a) - C(y_0) - arm_a, every leg integrated once.
-
-    arm_a runs from zeta_a (its singular end) to the line x = x_left, left
-    of every fluxon; C sums the gaps of that line between consecutive
-    heights of the fluxons and the fiducial point xi0; start runs from xi0
-    to the line and is the anchor's arm when xi0 is a fluxon.
+    zetas are in cut order, so their heights y_a ascend strictly.  arm_a
+    runs from zeta_a (its singular end) to the line x = x_left, left of
+    every fluxon; C sums the gaps of that line between consecutive heights.
+    The fiducial point is the last fluxon, whose row is exactly zero.
     """
     legs = _Legs(zetas, phis)
     for a, z in enumerate(zetas):
         legs.add(z, complex(x_left, z.imag), a)
-    if xi0_anchor is None:
-        _assert_leg_clear(xi0, complex(x_left, xi0.imag), zetas, im_tol)
-        legs.add(xi0, complex(x_left, xi0.imag))
-    heights = np.unique(np.append(zetas.imag, xi0.imag))
+    heights = zetas.imag
     for lo, hi in zip(heights[:-1], heights[1:]):
         legs.add(complex(x_left, lo), complex(x_left, hi))
     vals, errs = legs.integrate(n_cols, tol)
     n = len(zetas)
-    arms, rest = vals[:n], vals[n:]
-    if xi0_anchor is None:
-        start, rest = rest[0], rest[1:]
-    else:
-        start = arms[xi0_anchor]
-    C = np.cumsum(np.vstack([np.zeros(n_cols, dtype=complex), rest]), axis=0)
-    rise = C[np.searchsorted(heights, zetas.imag)] - C[np.searchsorted(heights, xi0.imag)]
-    # the anchor's row is exactly zero: (start + 0) - start
-    return start + rise - arms, float(errs.sum())
+    arms, gaps = vals[:n], vals[n:]
+    C = np.cumsum(np.vstack([np.zeros(n_cols, dtype=complex), gaps]), axis=0)
+    return arms[-1] + (C - C[-1]) - arms, float(errs.sum())
 
 
-def primitive_matrix(vc: ValidatedConfig, gauge="last", tol: float = 1e-10,
+def primitive_matrix(vc: ValidatedConfig, tol: float = 1e-10,
                      columns: int | None = None) -> PrimitiveMatrix:
-    """Contour matrix Psi on the default cut sheet, rows in cut order.
+    """Contour matrix Psi on the default cut sheet, rows in cut order, with
+    the last fluxon in cut order as fiducial point (last row 0).
 
-    gauge is either "last" (fiducial point = strand-N fluxon, last row 0)
-    or a complex fiducial point.  columns is the number of monomials
-    xi^k (default D_f, the free modes; the Gauss-Manin connection needs
-    all of them).  Requires every reduced flux < 1 so the endpoint
-    integrals converge, and an unambiguous cut ordering.
+    columns is the number of monomials xi^k (default D_f, the free modes;
+    the Gauss-Manin connection needs all of them).  Requires every reduced
+    flux < 1 so the endpoint integrals converge, and an unambiguous cut
+    ordering.
     """
     counts = vc.counts
     if counts.D_f < 1 or not counts.free_modes_ok:
@@ -246,18 +213,8 @@ def primitive_matrix(vc: ValidatedConfig, gauge="last", tol: float = 1e-10,
     order = cut_order(vc)
     zetas = vc.zeta[list(order)]
     phis = vc.phi_reduced[list(order)]
-    diam = vc.diameter
-    im_tol = 1e-10 * diam
-    if gauge == "last":
-        xi0, anchor = zetas[-1], len(zetas) - 1
-    else:
-        xi0, anchor = complex(gauge), None
-        hit = np.nonzero(np.abs(zetas - xi0) <= im_tol)[0]
-        if hit.size:
-            anchor = int(hit[0])
-            xi0 = zetas[anchor]
-    x_left = zetas.real.min() - 1.5 * diam
-    mat, err = _primitive_raw(zetas, phis, columns, xi0, anchor, x_left, tol, im_tol)
+    x_left = zetas.real.min() - 1.5 * vc.diameter
+    mat, err = _primitive_raw(zetas, phis, columns, x_left, tol)
     return PrimitiveMatrix(matrix=mat, order=order,
                            fluxes=tuple(phis), error_estimate=err)
 
@@ -304,16 +261,18 @@ def _gauss_manin(zetas, phis) -> np.ndarray:
     return out
 
 
-def _contour_frame(vc: ValidatedConfig, tol: float, columns: int, alpha: float = 0.0):
+def _contour_frame(vc: ValidatedConfig, tol: float, columns: int | None = None,
+                   alpha: float = 0.0):
     """Contour matrix psi, coupling matrix G and the quadrature error.
 
     psi is evaluated on vc rigidly rotated by lambda = e^{i alpha}, which
     must have an unambiguous cut order (AmbiguousOrdering if not), with
     column k scaled by lambda^(-k): by the rigid-rotation law a contour
-    matrix at the unrotated positions.  It keeps `columns` monomials and one
-    row per branch point (phi' != 0) in the rotated cut order, each
-    re-anchored to the last one, so every row is an integral between branch
-    points, as the Gauss-Manin connection needs.  G is in the same row
+    matrix at the unrotated positions.  It keeps `columns` monomials (by
+    default all of them: one fewer than the branch points, phi' != 0) and
+    one row per branch point in the rotated cut order, each re-anchored to
+    the last one, so every row is an integral between branch points, as
+    the Gauss-Manin connection needs.  G is in the same row
     order, and psi_f^* G psi_f over the first D_f columns is the metric.
     metric_factorized and the metric derivatives (transport._metric_jet)
     pass best_rotation_angle(zeta), the transport ODE rotates only on a tie,
@@ -324,11 +283,13 @@ def _contour_frame(vc: ValidatedConfig, tol: float, columns: int, alpha: float =
     if alpha != 0.0:
         vc = replace(vc, config=FluxConfig([z * lam for z in vc.config.positions],
                                            vc.config.fluxes))
+    if columns is None:
+        columns = int(np.count_nonzero(vc.phi_reduced)) - 1
     psi = primitive_matrix(vc, tol=tol, columns=columns)
     phis = np.array(psi.fluxes)
     branch = phis != 0.0
     mat = psi.matrix[branch] * lam ** -np.arange(columns)
-    return mat - mat[-1], coupling_matrix(phis[branch]).G, psi.error_estimate
+    return mat - mat[-1], coupling_matrix(phis[branch]), psi.error_estimate
 
 
 def metric_factorized(vc: ValidatedConfig, tol: float = 1e-8,

@@ -121,7 +121,7 @@ class MonodromyMatrix:
         """Defect of M* G M = G, relative to |G| |M|^2 (the congruence is
         exact in exact arithmetic; the forward error of forming M from a
         word scales with the product of the block norms)."""
-        G = coupling_matrix(self.fluxes).G
+        G = coupling_matrix(self.fluxes)
         raw = float(np.abs(self.M.conj().T @ G @ self.M - G).max())
         scale = float(np.abs(G).max()) * max(1.0, float(np.abs(self.M).max()) ** 2)
         return raw / scale

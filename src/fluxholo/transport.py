@@ -116,10 +116,10 @@ class ControlPath:
             raise ValueError("turns must be a nonzero integer")
         center = complex(center)
         r0 = base[mover] - center
-        if radius is not None and abs(abs(r0) - radius) > 1e-9 * max(abs(r0), 1.0):
-            raise ValueError("circle radius does not pass through the mover's position")
         if abs(r0) == 0.0:
             raise ValueError("mover sits at the circle center")
+        if radius is not None and abs(abs(r0) - radius) > 1e-9 * abs(r0):
+            raise ValueError("circle radius does not pass through the mover's position")
         w = TWO_PI * turns
 
         def pos(s, base=base):
@@ -320,14 +320,19 @@ def _min_distance(positions) -> float:
     return float(separations(positions).min()) if len(positions) > 1 else 1.0
 
 
+def guard_distance(vc: ValidatedConfig, collision_guard: float | None) -> float:
+    """The closest approach of two fluxons that transport and the curvature
+    map accept: collision_guard, or 1e-2 x the diameter when it is None."""
+    return 1e-2 * vc.diameter if collision_guard is None else collision_guard
+
+
 def _metric_jet(vc: ValidatedConfig, tol: float):
     """Free-mode contour matrix psi_f, coupling G, the exact derivatives
     d psi_f / d zeta_a (one per fluxon) and the quadrature error of psi.
     psi keeps every monomial column and is taken in the best-separated
     rotation frame, as in metric_factorized: g, d_a g and the curvature do
     not depend on the row basis."""
-    m = int(np.count_nonzero(vc.phi_reduced)) - 1
-    psi, G, err = _contour_frame(vc, tol, m, best_rotation_angle(vc.zeta))
+    psi, G, err = _contour_frame(vc, tol, alpha=best_rotation_angle(vc.zeta))
     dpsi = psi[None] @ _gauss_manin(vc.zeta, vc.phi_reduced).transpose(0, 2, 1)
     f = vc.counts.D_f
     return psi[:, :f], G, dpsi[:, :, :f], err
@@ -391,18 +396,16 @@ class _TransportProblem:
         # rotated only when the cut order is tied, so that the rows, and
         # with them holonomy(...).metadata["monodromy"], stay in the
         # configuration's cut order
-        m = int(np.count_nonzero(vc.phi_reduced)) - 1
         try:
-            psi, self.G, _ = _contour_frame(vc, quad_tol, m)
+            psi, self.G, _ = _contour_frame(vc, quad_tol)
         except AmbiguousOrdering:
-            psi, self.G, _ = _contour_frame(vc, quad_tol, m, best_rotation_angle(vc.zeta))
+            psi, self.G, _ = _contour_frame(vc, quad_tol,
+                                            alpha=best_rotation_angle(vc.zeta))
         self.scale = float(np.abs(psi).max())
         self.psi0 = psi / self.scale
         self.phis = vc.phi_reduced
         self.dim = vc.counts.D_f
-        if collision_guard is None:
-            collision_guard = 1e-2 * vc.diameter
-        self.guard = collision_guard
+        self.guard = guard_distance(vc, collision_guard)
         self.nfev = 0
 
     def metric(self, psi) -> np.ndarray:

@@ -86,7 +86,7 @@ def test_continued_frame_reproduces_burau_monodromy(three_identical_09, word):
     # M~ Psi~(0), with M~ the quotient monodromy of the word
     vc = three_identical_09
     res = holonomy(vc, word_to_path(vc, word))
-    psi = primitive_matrix(vc, gauge="last", tol=1e-12, columns=2)
+    psi = primitive_matrix(vc, tol=1e-12, columns=2)
     psi_t = psi.matrix[:-1] - psi.matrix[-1]
     expect = reduce_monodromy(word_to_monodromy(word, psi.fluxes)) @ psi_t
     got = res.metadata["monodromy"] @ psi_t

@@ -24,7 +24,7 @@ class TestCouplingMatrix:
         # direct evaluation for N = 2 equal fluxes:
         # G = (tan(pi phi) / 2) [[-1, 1], [1, -1]]
         for phi in (0.3, 0.6, 0.75, 0.9):
-            G = coupling_matrix([phi, phi]).G
+            G = coupling_matrix([phi, phi])
             c = 0.5 * math.tan(math.pi * phi)
             ref = c * np.array([[-1.0, 1.0], [1.0, -1.0]])
             assert np.abs(G - ref).max() < 1e-13 * max(abs(c), 1.0)
@@ -34,13 +34,13 @@ class TestCouplingMatrix:
                 assert ev.max() > 0  # one positive eigenvalue, D_f = 1
 
     def test_toeplitz_for_identical_fluxes(self):
-        G = coupling_matrix([0.9, 0.9, 0.9, 0.9]).G
+        G = coupling_matrix([0.9, 0.9, 0.9, 0.9])
         for k in range(1, 4):
             diag = np.diag(G, k)
             assert np.abs(diag - diag[0]).max() < 1e-14
 
     def test_three_identical_09_signature(self):
-        ev = np.linalg.eigvalsh(coupling_matrix([0.9, 0.9, 0.9]).G)
+        ev = np.linalg.eigvalsh(coupling_matrix([0.9, 0.9, 0.9]))
         assert int((ev > 1e-10).sum()) == 2
 
     def test_threshold_rejected(self):
@@ -50,48 +50,22 @@ class TestCouplingMatrix:
 
 class TestPrimitiveMatrix:
     def test_last_row_vanishes_in_fluxon_gauge(self, three_distinct):
-        psi = primitive_matrix(three_distinct, gauge="last")
+        psi = primitive_matrix(three_distinct)
         assert np.all(psi.matrix[-1] == 0)
 
     def test_column_constant_freedom(self, three_distinct):
         # adding a constant to each column must not move the metric
-        psi = primitive_matrix(three_distinct, gauge="last", tol=1e-12)
-        G = coupling_matrix(psi.fluxes).G
+        psi = primitive_matrix(three_distinct, tol=1e-12)
+        G = coupling_matrix(psi.fluxes)
         g0 = psi.matrix.conj().T @ G @ psi.matrix
         shifted = psi.matrix + (0.7 - 0.3j) * np.ones_like(psi.matrix)
         g1 = shifted.conj().T @ G @ shifted
         assert np.abs(g0 - g1).max() < 1e-10 * np.abs(g0).max()
 
-    def test_gauge_independence_of_metric(self, three_distinct):
-        psi = primitive_matrix(three_distinct, gauge="last", tol=1e-12)
-        G = coupling_matrix(psi.fluxes).G
-        g0 = psi.matrix.conj().T @ G @ psi.matrix
-        psi2 = primitive_matrix(three_distinct, gauge=-0.7 + 0.33j, tol=1e-12)
-        g1 = psi2.matrix.conj().T @ G @ psi2.matrix
-        assert np.abs(g0 - g1).max() < 1e-9 * np.abs(g0).max()
-
-    def test_fiducial_heights_shift_columns_only(self):
-        # the fiducial height may fall below, between or above the fluxon
-        # heights, or on a fluxon, on the line whose gaps the rows share;
-        # any fiducial point moves each column by one constant
-        vc = validate(FluxConfig([0.0, 0.9 + 0.7j, -0.6 + 1.3j, 0.4 + 2.1j, 1.2 + 2.9j],
-                                 [0.3, 0.5, 0.6, 0.4, 0.7]))
-        ref = primitive_matrix(vc, gauge="last", tol=1e-12).matrix
-        for xi0 in (-1.5 - 1.0j, -1.5 + 1.0j, -1.5 + 3.5j, 0.9 + 0.7j):
-            shift = primitive_matrix(vc, gauge=xi0, tol=1e-12).matrix - ref
-            assert np.abs(shift - shift[-1]).max() < 1e-10 * np.abs(ref).max()
-
     def test_ambiguous_ordering_propagates(self):
         vc = validate(FluxConfig([0.0, 1.0, 0.5 + 1.0j], [0.5, 0.6, 0.7]))
         with pytest.raises(AmbiguousOrdering):
             primitive_matrix(vc)
-
-    def test_fiducial_point_on_a_cut_blocked(self, three_distinct):
-        # a fiducial point straight to the right of a fluxon sits on its cut
-        from fluxholo.errors import PathBlocked
-        bad = three_distinct.zeta[1] + 2.0
-        with pytest.raises(PathBlocked):
-            primitive_matrix(three_distinct, gauge=bad)
 
 
 class TestContourWork:

@@ -150,7 +150,7 @@ class TestReduction:
         assert np.abs(lhs - rhs).max() < 1e-13
 
     def test_reduced_coupling_positive_definite(self):
-        G = coupling_matrix([0.9, 0.9, 0.9]).G
+        G = coupling_matrix([0.9, 0.9, 0.9])
         ev = np.linalg.eigvalsh(reduced_coupling(G))
         assert ev.min() > 0
 

@@ -30,12 +30,13 @@ def contour_in_canonical_frame(fluxes, u, tol):
     """primitive_matrix of (0, 1, u) and its error estimate: the contour
     matrix of the configuration rotated by 1e-4, whose cut order is
     unambiguous, mapped back by the exact rescaling of the columns, with
-    rows in fluxon order and the fiducial point on the first fluxon."""
+    rows in fluxon order and re-anchored on the first fluxon."""
     lam = np.exp(1e-4j)
     vc = validate(FluxConfig([0.0, lam, u * lam], fluxes))
-    psi = primitive_matrix(vc, gauge=0.0, tol=tol)
+    psi = primitive_matrix(vc, tol=tol)
     contour = np.empty_like(psi.matrix)
     contour[list(psi.order)] = psi.matrix
+    contour -= contour[0]
     contour *= lam ** (sum(fluxes) - 1.0 - np.arange(contour.shape[1]))
     return contour, psi.error_estimate
 
