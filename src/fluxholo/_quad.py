@@ -6,13 +6,14 @@ line integrals together.
 Everything here is deterministic for given inputs: panels are refined in
 a fixed worst-first order and sums run in fixed order, so repeated runs
 produce identical bits.
+scipy.special loads on first use: only the Gauss-Jacobi rule of the
+brute-force metric calls it, on a cache miss.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 from .errors import QuadratureNotConverged
 
@@ -37,6 +38,8 @@ def gauss_jacobi01(n: int, beta: float):
     """
     key = (n, round(beta, 14))
     if key not in _GJ_CACHE:
+        from scipy.special import roots_jacobi
+
         x, w = roots_jacobi(n, 0.0, beta)
         t = 0.5 * (x + 1.0)
         _GJ_CACHE[key] = (t, w * 0.5 ** (beta + 1.0))
@@ -55,6 +58,11 @@ def integrate_panels(f, tol: float, *, breakpoints=None, legs: int):
     both rules, in one call of f, then bisects the worst panel of each leg
     whose summed discrepancy still exceeds tol * max(1, |its result|), for
     at most 2000 rounds.
+
+    The error estimate of a leg is that summed discrepancy, the sum over
+    its panels of |48-node - 24-node| (largest component): it bounds the
+    error of the 24-node rule, not of the returned 48-node value, which
+    it overstates by 8x to 5e5x against the N = 3 closed form.
 
     Returns (result, error_estimate) of shapes (legs, m) and (legs,).
     Raises QuadratureNotConverged when a leg runs out of rounds.

@@ -301,6 +301,10 @@ def metric_factorized(vc: ValidatedConfig, tol: float = 1e-8,
     ties and near ties of the given configuration cost nothing extra.
     auto_rotate=False only adds a check that the given configuration has an
     unambiguous cut order (AmbiguousOrdering if not).
+
+    error_estimate propagates the contour estimate of _quad.integrate_panels,
+    which bounds the error of its 24-node rule; it overstates the error of
+    the returned g accordingly.
     """
     if not auto_rotate:
         cut_order(vc)

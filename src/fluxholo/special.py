@@ -11,6 +11,9 @@ K here uses the parameter convention, K(m) = int_0^{pi/2}
 (1 - m sin^2 t)^(-1/2) dt; the choice was calibrated against a direct
 two-dimensional quadrature of the metric at u = 1/2 (the modulus
 convention misses by ~20%) and is re-checked in the test suite.
+
+scipy.special loads on first use: the functions that call it import it
+where they call it, so `import fluxholo` does not pay for it.
 """
 
 from __future__ import annotations
@@ -18,10 +21,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import gamma as _gamma
-from scipy.special import hyp2f1 as _hyp2f1
-from scipy.special import loggamma as _loggamma
-from scipy.special import rgamma as _rgamma
 
 from .errors import (
     NotConverged,
@@ -43,7 +42,9 @@ def log_gamma(z) -> complex:
     z = complex(z)
     if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):
         raise PoleAtNonpositiveInteger(f"Gamma pole at z = {z.real:g}")
-    return complex(_loggamma(z))
+    from scipy.special import loggamma
+
+    return complex(loggamma(z))
 
 
 def _is_nonpositive_int(c: complex, tol: float = 1e-9) -> bool:
@@ -81,7 +82,9 @@ def hyp2f1_reg(a, b, c, z) -> complex:
         return poch * z ** (n + 1) * hyp2f1_reg(a + n + 1, b + n + 1, n + 2, z)
     real_params = max(abs(a.imag), abs(b.imag), abs(c.imag)) == 0.0
     if real_params:
-        val = complex(_hyp2f1(a.real, b.real, c.real, z)) * complex(np.exp(-_loggamma(c)))
+        from scipy.special import hyp2f1, loggamma
+
+        val = complex(hyp2f1(a.real, b.real, c.real, z)) * complex(np.exp(-loggamma(c)))
         if z == 0.0:
             return val
         try:
@@ -96,11 +99,13 @@ def hyp2f1_reg(a, b, c, z) -> complex:
 def _hyp2f1_reg_inverted(a: float, b: float, c: float, z: complex) -> complex:
     """2F1~(a, b; c; z) for real parameters by the connection formula to
     1/z (DLMF 15.8.2); not finite when a - b is an integer."""
+    from scipy.special import gamma, hyp2f1, rgamma
+
     w = 1.0 / z
-    return (float(_gamma(b - a)) * float(_rgamma(b)) * float(_rgamma(c - a))
-            * (-z) ** (-a) * complex(_hyp2f1(a, a - c + 1.0, a - b + 1.0, w))
-            + float(_gamma(a - b)) * float(_rgamma(a)) * float(_rgamma(c - b))
-            * (-z) ** (-b) * complex(_hyp2f1(b, b - c + 1.0, b - a + 1.0, w)))
+    return (float(gamma(b - a)) * float(rgamma(b)) * float(rgamma(c - a))
+            * (-z) ** (-a) * complex(hyp2f1(a, a - c + 1.0, a - b + 1.0, w))
+            + float(gamma(a - b)) * float(rgamma(a)) * float(rgamma(c - b))
+            * (-z) ** (-b) * complex(hyp2f1(b, b - c + 1.0, b - a + 1.0, w)))
 
 
 def _hyp2f1_reg_mp(a, b, c, z) -> complex:
@@ -187,13 +192,15 @@ def three_fluxon_primitive_matrix(config_or_fluxes, u, n_free: int | None = None
         raise SingularAtCollision("canonical positions collide for u in {0, 1}")
     if u.imag == 0.0 and u.real > 0.0:
         raise OnCut(f"u = {u.real:g} is real and positive: a canonical path runs along a cut")
+    from scipy.special import gamma
+
     out = np.zeros((3, n_free), dtype=complex)
     phase = np.exp(-1j * np.pi * f2)
     for j in range(n_free):
-        g1 = complex(_gamma(1 + j - f1))
-        out[1, j] = (phase * cut_power(-u, -f3) * g1 * complex(_gamma(1 - f2))
+        g1 = complex(gamma(1 + j - f1))
+        out[1, j] = (phase * cut_power(-u, -f3) * g1 * complex(gamma(1 - f2))
                      * hyp2f1_reg(f3, 1 + j - f1, 2 + j - f1 - f2, 1.0 / u))
         out[2, j] = (phase * u ** (1 + j) * cut_power(u, -f1) * cut_power(-u, -f3)
-                     * g1 * complex(_gamma(1 - f3))
+                     * g1 * complex(gamma(1 - f3))
                      * hyp2f1_reg(f2, 1 + j - f1, 2 + j - f1 - f3, u))
     return out

@@ -35,6 +35,7 @@ from .errors import (
     ClosedPathRequired,
     CollisionGuardTripped,
     IllConditionedMetric,
+    NumericalError,
     ODEStepUnderflow,
     StepTooLarge,
 )
@@ -46,8 +47,9 @@ TWO_PI = 2.0 * np.pi
 
 def solve_ivp(*args, **kwargs):
     """scipy.integrate.solve_ivp, imported on first use: only the transport
-    ODE needs scipy.integrate, which would otherwise add about 24 MB and
-    0.3 s to `import fluxholo`."""
+    ODE needs scipy.integrate, which would otherwise add about 49 MB and
+    0.6-0.8 s (scipy.special included) to `import fluxholo`, on a 2-vCPU
+    VM."""
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
     return scipy_solve_ivp(*args, **kwargs)
@@ -522,13 +524,19 @@ def curvature_abelian(vc: ValidatedConfig, moving: int, h: float | None = None,
         h = 2e-3 * _min_distance(z0)
     if h >= 0.5 * _min_distance(z0):
         raise StepTooLarge(f"curvature step {h:g} comparable to fluxon distances")
+    try:
+        h2 = h ** 2
+    except OverflowError:
+        h2 = math.inf
+    if not 0.0 < h2 < math.inf:
+        raise NumericalError(f"curvature step {h:g} squared leaves the float range")
 
     def logg(dz):
         z = z0.copy()
         z[moving] += dz
         return math.log(metric_fn(z))
 
-    lap = (logg(h) + logg(-h) + logg(1j * h) + logg(-1j * h) - 4.0 * logg(0.0)) / h ** 2
+    lap = (logg(h) + logg(-h) + logg(1j * h) + logg(-1j * h) - 4.0 * logg(0.0)) / h2
     return complex(0.25 * lap)
 
 

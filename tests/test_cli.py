@@ -100,6 +100,19 @@ class TestCurvatureMap:
         rows = out.read_text().strip().splitlines()[1:]
         assert all(r.endswith(",nan") for r in rows)
 
+    @pytest.mark.parametrize("scale, grid", [(1e300, "0:1:2,0:1:2"),
+                                             (1e-200, "0:1e-200:2,0:1e-200:2")])
+    def test_stencil_out_of_float_range_is_numerical(self, tmp_path, capsys, scale, grid):
+        # the default stencil step, 2e-3 of the fluxon distance, squares to
+        # inf at the first scale and to 0 at the second
+        cfg = write_config(tmp_path, [0.5, 0.7], [0.0, scale * (1 + 1j)])
+        out = tmp_path / "map.csv"
+        code = main(["--output", str(out), "curvature-map", cfg,
+                     "--mover", "0", f"--grid={grid}"])
+        assert code == 3
+        assert "squared leaves the float range" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("args", [
         ["--mover", "-1", "--grid", "0.9:1.1:2,0.2:0.4:2"],
         ["--mover", "2", "--grid", "0.9:1.1:0,0.2:0.4:2"],

@@ -1,12 +1,8 @@
 import math
-import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 
-import fluxholo
 from fluxholo import (
     ControlPath,
     FluxConfig,
@@ -279,13 +275,3 @@ class TestCurvature:
         assert r_na.shape == (1, 1)
         assert abs(r_na[0, 0] - r_ab) < 1e-5 * max(1.0, abs(r_ab))
 
-
-def test_import_leaves_scipy_integrate_unloaded():
-    # only the transport ODE needs scipy.integrate; transport.solve_ivp
-    # imports it on first use
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fluxholo.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, fluxholo; print('scipy.integrate' in sys.modules)"],
-        capture_output=True, text=True, check=True, env=env)
-    assert out.stdout.strip() == "False"
