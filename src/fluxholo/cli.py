@@ -53,13 +53,12 @@ class RunManifest:
     config_path: str | None
     quad_tol: float
     ode_tol: float
-    fd_step: float | None
     collision_guard: float | None
     output: str | None
     seed: int
 
     def check(self):
-        for name in ("quad_tol", "ode_tol", "fd_step", "collision_guard"):
+        for name in ("quad_tol", "ode_tol", "collision_guard"):
             value = getattr(self, name)
             if value is not None and not (math.isfinite(value) and value > 0):
                 raise ValidationError(f"--{name.replace('_', '-')} must be positive "
@@ -206,8 +205,7 @@ def cmd_curvature_map(manifest: RunManifest, args) -> int:
             pos = base.copy()
             pos[mover] = u
             moved = validate(FluxConfig(pos, cfg.fluxes))
-            r = tr.curvature_abelian(moved, moving=mover, h=manifest.fd_step,
-                                     quad_tol=manifest.quad_tol)
+            r = tr.curvature_abelian(moved, moving=mover, quad_tol=manifest.quad_tol)
             lines.append(f"{x:.10g},{y:.10g},{r.real:.12g}")
     text = "\n".join(lines) + "\n"
     if manifest.output:
@@ -506,8 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="zero modes of point fluxons: metric, transport, braiding")
     ap.add_argument("--quad-tol", type=float, default=1e-8)
     ap.add_argument("--ode-tol", type=float, default=1e-8)
-    ap.add_argument("--fd-step", type=float, default=None,
-                    help="step of the curvature-map stencil")
     ap.add_argument("--collision-guard", type=float, default=None)
     ap.add_argument("--output", default=None)
     ap.add_argument("--seed", type=int, default=20260811)
@@ -553,7 +549,6 @@ def main(argv=None) -> int:
         config_path=getattr(args, "config", None),
         quad_tol=args.quad_tol,
         ode_tol=args.ode_tol,
-        fd_step=args.fd_step,
         collision_guard=args.collision_guard,
         output=args.output,
         seed=args.seed,

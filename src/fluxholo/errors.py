@@ -84,11 +84,6 @@ class NotConverged(NumericalError):
     pass
 
 
-class StepTooLarge(NumericalError):
-    """The step of the abelian curvature stencil is comparable to the
-    fluxon separations."""
-
-
 class IllConditionedMetric(NumericalError):
     pass
 

@@ -27,7 +27,11 @@ fiducial point xi0 is always the last fluxon in cut order.
 The paths share their legs, so N fluxons cost 2N - 1 line integrals
 (_primitive_raw), refined together on one panel queue (_Legs).
 _contour_frame is the one place that turns a configuration into
-(Psi, G), optionally on a rigidly rotated copy.
+(Psi, G) and the one place that picks the frame: the rigid rotation that
+best separates the fluxons' imaginary parts.  The metric, its derivatives
+and the transport all use that frame.  The single exception is
+holonomy_analytic, whose braid word refers to the configuration's own cut
+order, so it reads primitive_matrix directly.
 """
 
 from __future__ import annotations
@@ -261,24 +265,24 @@ def _gauss_manin(zetas, phis) -> np.ndarray:
     return out
 
 
-def _contour_frame(vc: ValidatedConfig, tol: float, columns: int | None = None,
-                   alpha: float = 0.0):
-    """Contour matrix psi, coupling matrix G and the quadrature error.
+def _contour_frame(vc: ValidatedConfig, tol: float, columns: int | None = None):
+    """Contour matrix psi, coupling matrix G and the quadrature error, in
+    the one frame of the metric, its derivatives and the transport.
 
-    psi is evaluated on vc rigidly rotated by lambda = e^{i alpha}, which
-    must have an unambiguous cut order (AmbiguousOrdering if not), with
-    column k scaled by lambda^(-k): by the rigid-rotation law a contour
-    matrix at the unrotated positions.  It keeps `columns` monomials (by
-    default all of them: one fewer than the branch points, phi' != 0) and
-    one row per branch point in the rotated cut order, each re-anchored to
-    the last one, so every row is an integral between branch points, as
-    the Gauss-Manin connection needs.  G is in the same row
-    order, and psi_f^* G psi_f over the first D_f columns is the metric.
-    metric_factorized and the metric derivatives (transport._metric_jet)
-    pass best_rotation_angle(zeta), the transport ODE rotates only on a tie,
-    and holonomy_analytic passes 0, keeping the cut order its braid word
-    refers to.
+    psi is evaluated on vc rigidly rotated by lambda = e^{i alpha}, with
+    alpha = best_rotation_angle(zeta) the rotation that best separates the
+    imaginary parts, and column k is scaled by lambda^(-k): by the
+    rigid-rotation law a contour matrix at the unrotated positions.  g and
+    the connection g^{-1} psi^* G d psi do not depend on the row basis, so
+    ties and near ties of the given cut order cost nothing extra.  psi
+    keeps `columns` monomials (by default all of them: one fewer than the
+    branch points, phi' != 0) and one row per branch point in the rotated
+    cut order, each re-anchored to the last one, so every row is an
+    integral between branch points, as the Gauss-Manin connection needs.
+    G is in the same row order, and psi_f^* G psi_f over the first D_f
+    columns is the metric.
     """
+    alpha = best_rotation_angle(vc.zeta)
     lam = np.exp(1j * alpha)
     if alpha != 0.0:
         vc = replace(vc, config=FluxConfig([z * lam for z in vc.config.positions],
@@ -296,11 +300,10 @@ def metric_factorized(vc: ValidatedConfig, tol: float = 1e-8,
                       auto_rotate: bool = False) -> Metric:
     """Metric via g = Psi^* G Psi.
 
-    Psi and G come from _contour_frame with alpha = best_rotation_angle(zeta),
-    the rotation that best separates the imaginary parts (the cut order), so
-    ties and near ties of the given configuration cost nothing extra.
-    auto_rotate=False only adds a check that the given configuration has an
-    unambiguous cut order (AmbiguousOrdering if not).
+    Psi and G come from _contour_frame, in the best-separated rotation
+    frame, so ties and near ties of the given configuration cost nothing
+    extra.  auto_rotate=False only adds a check that the given
+    configuration has an unambiguous cut order (AmbiguousOrdering if not).
 
     error_estimate propagates the contour estimate of _quad.integrate_panels,
     which bounds the error of its 24-node rule; it overstates the error of
@@ -308,8 +311,7 @@ def metric_factorized(vc: ValidatedConfig, tol: float = 1e-8,
     """
     if not auto_rotate:
         cut_order(vc)
-    psi, G, psi_err = _contour_frame(vc, tol * 1e-2, vc.counts.D_f,
-                                     best_rotation_angle(vc.zeta))
+    psi, G, psi_err = _contour_frame(vc, tol * 1e-2, vc.counts.D_f)
     g = psi.conj().T @ G @ psi
     g = 0.5 * (g + g.conj().T)
     scale = max(float(np.abs(g).max()), 1e-300)

@@ -34,7 +34,7 @@ from .errors import (
     NotConfined,
     NotMaximalFreeModes,
 )
-from .metric import _contour_frame, coupling_matrix
+from .metric import coupling_matrix, primitive_matrix
 from .transport import ControlPath, HolonomyResult, _json_int
 
 FLUX_EQUALITY_TOL = 1e-12
@@ -205,18 +205,19 @@ def holonomy_analytic(vc: ValidatedConfig, word: BraidWord,
 
     Only valid in the topological regime D_f = N - 1, where the quotient
     contour matrix is square and invertible.  Strand indices in the word
-    refer to the cut order of the configuration.
+    refer to the cut order of the configuration, so Psi is taken in that
+    order, unrotated: the one caller outside the frame of
+    metric._contour_frame.
     """
     n = vc.n_fluxons
     if vc.counts.D_f != n - 1:
         raise NotMaximalFreeModes(
             f"analytic holonomy needs D_f = N - 1, got D_f = {vc.counts.D_f}")
-    order = cut_order(vc)
-    psi, G, _ = _contour_frame(vc, tol, n - 1)
-    psi_t = psi[:n - 1]
-    m_t = reduce_monodromy(word_to_monodromy(word, vc.phi_reduced[list(order)]))
+    psi = primitive_matrix(vc, tol, n - 1)
+    psi_t = psi.matrix[:n - 1]
+    m_t = reduce_monodromy(word_to_monodromy(word, psi.fluxes))
     u = np.linalg.solve(m_t @ psi_t, psi_t)
-    g = psi_t.conj().T @ reduced_coupling(G) @ psi_t
+    g = psi_t.conj().T @ reduced_coupling(coupling_matrix(psi.fluxes)) @ psi_t
     drift = float(np.abs(u.conj().T @ g @ u - g).max() / np.abs(g).max())
     return HolonomyResult(
         u=u,
@@ -224,7 +225,7 @@ def holonomy_analytic(vc: ValidatedConfig, word: BraidWord,
         norm_drift=drift,
         method="analytic",
         permutation=tuple(range(n)),
-        metadata={"order": order},
+        metadata={"order": psi.order},
     )
 
 

@@ -16,8 +16,13 @@ and the Gauss-Manin connection d_a Psi = Psi D_a^T of the contour matrix
 (metric._gauss_manin), d_a g = Psi^* G d_a Psi and the curvature is
 algebraic in Psi and its derivatives.  Transport continues Psi along the
 path with the same connection, so a whole holonomy costs one contour
-quadrature at the start; G stays fixed in the starting cut order because
-continuation changes Psi only by monodromies, which preserve G.
+quadrature at the start.  Psi starts in the frame of metric._contour_frame,
+the rigid rotation that best separates the imaginary parts, since U does
+not depend on the row basis; G stays fixed in that frame's cut order
+because continuation changes Psi only by monodromies, which preserve G.
+The numeric monodromy that holonomy reports is expressed in the rows of
+that frame, which may order the fluxons differently from the
+configuration's own cut order.
 """
 
 from __future__ import annotations
@@ -31,15 +36,13 @@ import numpy as np
 
 from .config import ValidatedConfig, separations
 from .errors import (
-    AmbiguousOrdering,
     ClosedPathRequired,
     CollisionGuardTripped,
     IllConditionedMetric,
     NumericalError,
     ODEStepUnderflow,
-    StepTooLarge,
 )
-from .metric import MetricEvaluator, _contour_frame, _gauss_manin, best_rotation_angle
+from .metric import MetricEvaluator, _contour_frame, _gauss_manin
 from .modes import ModeVector
 
 TWO_PI = 2.0 * np.pi
@@ -331,10 +334,10 @@ def guard_distance(vc: ValidatedConfig, collision_guard: float | None) -> float:
 def _metric_jet(vc: ValidatedConfig, tol: float):
     """Free-mode contour matrix psi_f, coupling G, the exact derivatives
     d psi_f / d zeta_a (one per fluxon) and the quadrature error of psi.
-    psi keeps every monomial column and is taken in the best-separated
-    rotation frame, as in metric_factorized: g, d_a g and the curvature do
-    not depend on the row basis."""
-    psi, G, err = _contour_frame(vc, tol, alpha=best_rotation_angle(vc.zeta))
+    psi keeps every monomial column and is taken in the frame of
+    _contour_frame: g, d_a g and the curvature do not depend on the row
+    basis."""
+    psi, G, err = _contour_frame(vc, tol)
     dpsi = psi[None] @ _gauss_manin(vc.zeta, vc.phi_reduced).transpose(0, 2, 1)
     f = vc.counts.D_f
     return psi[:, :f], G, dpsi[:, :, :f], err
@@ -395,14 +398,7 @@ class _TransportProblem:
         if not np.array_equal(path.start, vc.zeta):
             raise ValueError("path must start at the configuration's positions")
         self.path = path
-        # rotated only when the cut order is tied, so that the rows, and
-        # with them holonomy(...).metadata["monodromy"], stay in the
-        # configuration's cut order
-        try:
-            psi, self.G, _ = _contour_frame(vc, quad_tol)
-        except AmbiguousOrdering:
-            psi, self.G, _ = _contour_frame(vc, quad_tol,
-                                            alpha=best_rotation_angle(vc.zeta))
+        psi, self.G, _ = _contour_frame(vc, quad_tol)
         self.scale = float(np.abs(psi).max())
         self.psi0 = psi / self.scale
         self.phis = vc.phi_reduced
@@ -480,9 +476,12 @@ def holonomy(vc: ValidatedConfig, loop: ControlPath,
 
     metadata["monodromy"] is the numeric monodromy of the loop on the
     quotient by constants, Psi~(1) Psi~(0)^{-1}, with Psi~ the continued
-    contour matrix without its (zero) anchor row, in the cut order of the
-    start; it matches reduce_monodromy(word_to_monodromy(...)) of the
-    braid word the loop realizes."""
+    contour matrix without its (zero) anchor row.  Its rows are those of
+    the transport frame (metric._contour_frame), in that frame's cut order.
+    Where that order is the configuration's own, it matches
+    reduce_monodromy(word_to_monodromy(...)) of the braid word the loop
+    realizes; where the rotation reorders the cuts, it is the same
+    monodromy in another basis, and u is unchanged."""
     if not loop.is_closed(vc.config.fluxes):
         raise ClosedPathRequired("holonomy needs an exactly closed loop "
                                  "(same positions, same fluxes)")
@@ -507,10 +506,11 @@ def holonomy(vc: ValidatedConfig, loop: ControlPath,
 # curvature
 # --------------------------------------------------------------------------
 
-def curvature_abelian(vc: ValidatedConfig, moving: int, h: float | None = None,
-                      quad_tol: float = 1e-11, metric_fn=None) -> complex:
+def curvature_abelian(vc: ValidatedConfig, moving: int, quad_tol: float = 1e-11,
+                      metric_fn=None) -> complex:
     """Adiabatic curvature coefficient d dbar log g in the moving fluxon's
-    coordinate (D_f = 1 only), via the five-point Laplacian.
+    coordinate (D_f = 1 only), via the five-point Laplacian with step
+    2e-3 x the closest fluxon distance.
 
     metric_fn optionally replaces the factorized-metric evaluator by any
     positions -> scalar g callable (e.g. a closed form)."""
@@ -520,10 +520,7 @@ def curvature_abelian(vc: ValidatedConfig, moving: int, h: float | None = None,
         ev = MetricEvaluator(vc.config.fluxes, tol=quad_tol)
         metric_fn = lambda z: float(np.real(ev(z)[0, 0]))
     z0 = vc.zeta
-    if h is None:
-        h = 2e-3 * _min_distance(z0)
-    if h >= 0.5 * _min_distance(z0):
-        raise StepTooLarge(f"curvature step {h:g} comparable to fluxon distances")
+    h = 2e-3 * _min_distance(z0)
     try:
         h2 = h ** 2
     except OverflowError:

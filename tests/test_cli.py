@@ -113,6 +113,13 @@ class TestCurvatureMap:
         assert "squared leaves the float range" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_fd_step_flag_is_gone(self, tmp_path):
+        cfg = write_config(tmp_path, [0.7, 0.8], [0.0, 0.3 + 1.0j])
+        with pytest.raises(SystemExit) as exc:
+            main(["--fd-step", "1e-3", "curvature-map", cfg,
+                  "--mover", "1", "--grid", "1.2:2.0:2,0.8:1.4:2"])
+        assert exc.value.code == 2
+
     @pytest.mark.parametrize("args", [
         ["--mover", "-1", "--grid", "0.9:1.1:2,0.2:0.4:2"],
         ["--mover", "2", "--grid", "0.9:1.1:0,0.2:0.4:2"],

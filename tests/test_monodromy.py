@@ -10,6 +10,7 @@ from fluxholo import (
     confined_phase,
     coupling_matrix,
     cut_factor,
+    cut_order,
     encircle_block,
     exchange_block,
     holonomy,
@@ -27,6 +28,7 @@ from fluxholo.errors import (
     NotConfined,
     NotMaximalFreeModes,
 )
+from fluxholo.metric import best_rotation_angle
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -189,6 +191,21 @@ class TestAnalyticHolonomy:
         nu = cut_factor(0.9)
         ref = np.sort_complex(np.array([1.0, -np.conj(nu)]))
         assert np.abs(np.sort_complex(ana.eigenvalues) - ref).max() < 1e-11
+
+    @pytest.mark.parametrize("strand", [0, 1])
+    def test_numeric_agreement_when_the_frame_reorders_the_cuts(self, strand):
+        # the cut order is (0, 2, 1), but the transport's best-separated
+        # rotation frame orders the cuts (1, 2, 0); the braid word refers to
+        # the former, and u does not depend on the frame
+        vc = validate(FluxConfig([0.715 - 0.649j, -0.933 + 0.726j, 0.459 + 0.083j],
+                                 [0.9, 0.9, 0.9]))
+        alpha = best_rotation_angle(vc.zeta)
+        rotated = validate(FluxConfig(vc.zeta * np.exp(1j * alpha), vc.config.fluxes))
+        assert cut_order(vc) == (0, 2, 1) and cut_order(rotated) == (1, 2, 0)
+        word = BraidWord([Move("encircle", strand)])
+        ana = holonomy_analytic(vc, word)
+        num = holonomy(vc, word_to_path(vc, word))
+        assert np.abs(num.u - ana.u).max() < 1e-4
 
     def test_homotopy_invariance_of_role_swap(self, three_identical_09):
         # "a circles b" and "b circles a" are homotopic loops in the

@@ -39,6 +39,9 @@ def test_removed_names_stay_gone():
     assert not hasattr(fluxholo, "CouplingMatrix")
     assert not hasattr(metric, "CouplingMatrix")
     assert not hasattr(errors, "PathBlocked")
+    # the curvature stencil has one step, 2e-3 x the closest distance, which
+    # can never be too large
+    assert not hasattr(errors, "StepTooLarge")
 
 
 # Prints, as JSON, the scipy modules loaded after each step.  The steps
