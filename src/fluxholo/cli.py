@@ -22,7 +22,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,28 +44,18 @@ EXIT_NUMERICAL = 3
 EXIT_PROPERTIES = 4
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Resolved invocation parameters shared by all commands."""
-
-    command: str
-    config_path: str | None
-    quad_tol: float
-    ode_tol: float
-    collision_guard: float | None
-    output: str | None
-    seed: int
-
-    def check(self):
-        for name in ("quad_tol", "ode_tol", "collision_guard"):
-            value = getattr(self, name)
-            if value is not None and not (math.isfinite(value) and value > 0):
-                raise ValidationError(f"--{name.replace('_', '-')} must be positive "
-                                      f"and finite, got {value!r}")
-        if self.output:
-            parent = os.path.dirname(os.path.abspath(self.output)) or "."
-            if not os.access(parent, os.W_OK):
-                raise ValidationError(f"output directory {parent!r} not writable")
+def _check_args(args):
+    """The global flags every command shares: positive finite tolerances
+    and guard, and a writable directory for --output."""
+    for name in ("quad_tol", "ode_tol", "collision_guard"):
+        value = getattr(args, name)
+        if value is not None and not (math.isfinite(value) and value > 0):
+            raise ValidationError(f"--{name.replace('_', '-')} must be positive "
+                                  f"and finite, got {value!r}")
+    if args.output:
+        parent = os.path.dirname(os.path.abspath(args.output)) or "."
+        if not os.access(parent, os.W_OK):
+            raise ValidationError(f"output directory {parent!r} not writable")
 
 
 def _pair(z) -> list:
@@ -78,20 +67,23 @@ def _matrix(m) -> list:
     return [[_pair(z) for z in row] for row in np.atleast_2d(m)]
 
 
-def _emit(doc: dict, manifest: RunManifest):
+def _write(text: str, output: str | None):
+    """text (ending in a newline) to the --output file, or to stdout."""
+    if output:
+        with open(output, "w") as fh:
+            fh.write(text)
+    else:
+        print(text, end="")
+
+
+def _emit(doc: dict, output: str | None):
     text = json.dumps(doc, indent=2, sort_keys=True)
     json.loads(text)  # round-trip guard
-    if manifest.output:
-        with open(manifest.output, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    _write(text + "\n", output)
 
 
-def _load_config(manifest: RunManifest) -> FluxConfig:
-    if manifest.config_path is None:
-        raise ValidationError("a configuration file is required")
-    with open(manifest.config_path) as fh:
+def _load_config(args) -> FluxConfig:
+    with open(args.config) as fh:
         return FluxConfig.from_dict(json.load(fh))
 
 
@@ -108,8 +100,8 @@ def _load_json_arg(value: str):
 # commands
 # --------------------------------------------------------------------------
 
-def cmd_modes(manifest: RunManifest, args) -> int:
-    cfg = _load_config(manifest)
+def cmd_modes(args) -> int:
+    cfg = _load_config(args)
     validate(cfg, strict=False)  # coincidence check only
     counts = count_modes(cfg.fluxes)
 
@@ -136,14 +128,14 @@ def cmd_modes(manifest: RunManifest, args) -> int:
     if not counts.free_modes_ok:
         doc["warning"] = ("reduced total flux <= 0; free-mode operations "
                           "refuse to run for this configuration")
-    _emit(doc, manifest)
+    _emit(doc, args.output)
     return EXIT_OK
 
 
-def cmd_metric(manifest: RunManifest, args) -> int:
-    cfg = _load_config(manifest)
+def cmd_metric(args) -> int:
+    cfg = _load_config(args)
     vc = validate(cfg)
-    fac = metric_factorized(vc, tol=manifest.quad_tol, auto_rotate=True)
+    fac = metric_factorized(vc, tol=args.quad_tol, auto_rotate=True)
     doc = {
         "command": "metric",
         "D_f": vc.counts.D_f,
@@ -155,7 +147,7 @@ def cmd_metric(manifest: RunManifest, args) -> int:
         },
     }
     if not args.factorized_only:
-        bf = metric_bruteforce(vc, tol=max(manifest.quad_tol, 1e-8))
+        bf = metric_bruteforce(vc, tol=max(args.quad_tol, 1e-8))
         rel = float(np.abs(bf.g - fac.g).max() / np.abs(bf.g).max())
         doc["bruteforce"] = {
             "g": _matrix(bf.g),
@@ -163,7 +155,7 @@ def cmd_metric(manifest: RunManifest, args) -> int:
             "error_estimate": bf.error_estimate,
         }
         doc["relative_discrepancy"] = rel
-    _emit(doc, manifest)
+    _emit(doc, args.output)
     return EXIT_OK
 
 
@@ -181,8 +173,8 @@ def _parse_grid(spec: str):
     return grid
 
 
-def cmd_curvature_map(manifest: RunManifest, args) -> int:
-    cfg = _load_config(manifest)
+def cmd_curvature_map(args) -> int:
+    cfg = _load_config(args)
     vc = validate(cfg)
     if vc.counts.D_f != 1:
         raise ValidationError("curvature-map needs a configuration with one free mode")
@@ -190,7 +182,7 @@ def cmd_curvature_map(manifest: RunManifest, args) -> int:
     if not 0 <= mover < vc.n_fluxons:
         raise ValidationError(f"--mover {mover} out of range for {vc.n_fluxons} fluxons")
     (x0, x1, nx), (y0, y1, ny) = _parse_grid(args.grid)
-    guard = tr.guard_distance(vc, manifest.collision_guard)
+    guard = tr.guard_distance(vc, args.collision_guard)
     others = [z for a, z in enumerate(vc.zeta) if a != mover]
     base = vc.zeta.copy()
     lines = ["x,y,R"]
@@ -205,19 +197,14 @@ def cmd_curvature_map(manifest: RunManifest, args) -> int:
             pos = base.copy()
             pos[mover] = u
             moved = validate(FluxConfig(pos, cfg.fluxes))
-            r = tr.curvature_abelian(moved, moving=mover, quad_tol=manifest.quad_tol)
+            r = tr.curvature_abelian(moved, moving=mover, quad_tol=args.quad_tol)
             lines.append(f"{x:.10g},{y:.10g},{r.real:.12g}")
-    text = "\n".join(lines) + "\n"
-    if manifest.output:
-        with open(manifest.output, "w") as fh:
-            fh.write(text)
-    else:
-        print(text, end="")
+    _write("\n".join(lines) + "\n", args.output)
     return EXIT_OK
 
 
-def cmd_holonomy(manifest: RunManifest, args) -> int:
-    cfg = _load_config(manifest)
+def cmd_holonomy(args) -> int:
+    cfg = _load_config(args)
     vc = validate(cfg)
     doc = {"command": "holonomy"}
     path = None
@@ -232,9 +219,9 @@ def cmd_holonomy(manifest: RunManifest, args) -> int:
         raise ValidationError("holonomy needs --path and/or --word")
 
     if path is not None and not args.analytic_only:
-        res = tr.holonomy(vc, path, ode_tol=manifest.ode_tol,
-                          quad_tol=manifest.quad_tol,
-                          collision_guard=manifest.collision_guard)
+        res = tr.holonomy(vc, path, ode_tol=args.ode_tol,
+                          quad_tol=args.quad_tol,
+                          collision_guard=args.collision_guard)
         doc["numeric"] = {
             "u": _matrix(res.u),
             "eigenvalues": [_pair(v) for v in np.sort_complex(res.eigenvalues)],
@@ -243,7 +230,7 @@ def cmd_holonomy(manifest: RunManifest, args) -> int:
             "n_steps": res.n_steps,
         }
     if word is not None and not args.numeric_only:
-        res_a = mono.holonomy_analytic(vc, word, tol=manifest.quad_tol)
+        res_a = mono.holonomy_analytic(vc, word, tol=args.quad_tol)
         doc["analytic"] = {
             "u": _matrix(res_a.u),
             "eigenvalues": [_pair(v) for v in np.sort_complex(res_a.eigenvalues)],
@@ -254,7 +241,7 @@ def cmd_holonomy(manifest: RunManifest, args) -> int:
         raise ValidationError("the flag combination selects no computation")
     if "numeric" in doc and "analytic" in doc:
         doc["discrepancy"] = float(np.abs(res.u - res_a.u).max())
-    _emit(doc, manifest)
+    _emit(doc, args.output)
     return EXIT_OK
 
 
@@ -474,19 +461,19 @@ def _verify_checks(level: str, seed: int, quad_tol: float):
             for name, residual in worst.items()]
 
 
-def cmd_verify(manifest: RunManifest, args) -> int:
-    checks = _verify_checks(args.level, manifest.seed, manifest.quad_tol)
+def cmd_verify(args) -> int:
+    checks = _verify_checks(args.level, args.seed, args.quad_tol)
     n_fail = sum(not c["passed"] for c in checks)
     doc = {
         "command": "verify",
         "level": args.level,
-        "seed": manifest.seed,
+        "seed": args.seed,
         "checks": checks,
         "n_checks": len(checks),
         "n_failed": n_fail,
         "passed": n_fail == 0,
     }
-    _emit(doc, manifest)
+    _emit(doc, args.output)
     for c in checks:
         status = "pass" if c["passed"] else "FAIL"
         print(f"[{status}] {c['name']}: residual {c['residual']:.3g} "
@@ -544,18 +531,9 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    manifest = RunManifest(
-        command=args.command,
-        config_path=getattr(args, "config", None),
-        quad_tol=args.quad_tol,
-        ode_tol=args.ode_tol,
-        collision_guard=args.collision_guard,
-        output=args.output,
-        seed=args.seed,
-    )
     try:
-        manifest.check()
-        return _COMMANDS[args.command](manifest, args)
+        _check_args(args)
+        return _COMMANDS[args.command](args)
     except (ValidationError, DomainError, ValueError, OSError,
             KeyError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -380,6 +380,7 @@ class _BruteForce:
     """One quadrature session: geometry, refinement state, piece sums."""
 
     ANGULAR_CHUNK = 128
+    MAX_LEVEL = 4
 
     def __init__(self, zetas, phis, n_cols):
         self.zetas = zetas
@@ -519,14 +520,12 @@ class _BruteForce:
 
     # -- assembly ----------------------------------------------------------
 
-    def run(self, tol, max_level=4):
+    def run(self, tol):
         labels = [("disk", a) for a in range(len(self.zetas))] + [("far", None), ("mid", None)]
-        prev = {}
         value = {}
         diff = {lab: np.inf for lab in labels}
         frozen = set()
-        est = None
-        for level in range(max_level + 1):
+        for level in range(self.MAX_LEVEL + 1):
             nr = 24 * 2 ** level
             nt = 64 * 2 ** level
             for lab in labels:

@@ -27,6 +27,7 @@ configuration's own cut order.
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -75,22 +76,31 @@ def _check_fluxon(index: int, base: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class _Segment:
+    """One piece s in [0, 1] -> positions of a control path.
+
+    position(s) is the one place that returns the stored endpoints: an
+    exact copy of start at s = 0 and of end at s = 1, pos(s) in between,
+    so no trigonometric round-off can open a closed loop."""
+
     pos: Callable
     vel: Callable
     start: np.ndarray
     end: np.ndarray
 
-
-def _snap(fn_value, s, endpoint_value):
-    return endpoint_value.copy() if s in (0.0, 1.0) else fn_value
+    def position(self, s: float) -> np.ndarray:
+        if s == 0.0:
+            return self.start.copy()
+        if s == 1.0:
+            return self.end.copy()
+        return self.pos(s)
 
 
 class ControlPath:
     """Piecewise-C^1 path t in [0, 1] -> N fluxon positions.
 
     Segments share the global parameter equally.  Endpoints are stored
-    and returned exactly (no trigonometric round-off at closure), because
-    holonomy is only gauge invariant for exactly closed loops.
+    and returned exactly by _Segment.position, because holonomy is only
+    gauge invariant for exactly closed loops.
     """
 
     def __init__(self, segments: Sequence[_Segment]):
@@ -110,6 +120,24 @@ class ControlPath:
         return np.array([complex(z) for z in base], dtype=complex)
 
     @classmethod
+    def _turn(cls, base, movers, center: complex, angle: float,
+              end: np.ndarray) -> "ControlPath":
+        """Rigid turn z -> center + (z - center) e^{i angle s} of the fluxons
+        in movers, landing on the stored end.  The arm is zero for the
+        others, so whole-array arithmetic keeps them exactly in place
+        without the indexing that would slow every ODE right-hand side."""
+        arm = np.zeros(len(base), dtype=complex)
+        arm[movers] = base[movers] - center
+
+        def pos(s):
+            return base + arm * (cmath.exp(1j * angle * s) - 1.0)
+
+        def vel(s):
+            return arm * (1j * angle * cmath.exp(1j * angle * s))
+
+        return cls([_Segment(pos, vel, base.copy(), end)])
+
+    @classmethod
     def circle(cls, base, mover: int, center: complex, turns: int = 1,
                radius: float | None = None) -> "ControlPath":
         """mover travels `turns` full counter-clockwise circles (negative
@@ -120,24 +148,12 @@ class ControlPath:
         if turns == 0 or turns != int(turns):
             raise ValueError("turns must be a nonzero integer")
         center = complex(center)
-        r0 = base[mover] - center
-        if abs(r0) == 0.0:
+        r0 = abs(base[mover] - center)
+        if r0 == 0.0:
             raise ValueError("mover sits at the circle center")
-        if radius is not None and abs(abs(r0) - radius) > 1e-9 * abs(r0):
+        if radius is not None and abs(r0 - radius) > 1e-9 * r0:
             raise ValueError("circle radius does not pass through the mover's position")
-        w = TWO_PI * turns
-
-        def pos(s, base=base):
-            z = base.copy()
-            z[mover] = center + r0 * np.exp(1j * w * s)
-            return _snap(z, s, base)
-
-        def vel(s):
-            v = np.zeros(len(base), dtype=complex)
-            v[mover] = 1j * w * r0 * np.exp(1j * w * s)
-            return v
-
-        return cls([_Segment(pos, vel, base.copy(), base.copy())])
+        return cls._turn(base, [mover], center, TWO_PI * turns, base.copy())
 
     @classmethod
     def segment(cls, base, mover: int, to: complex) -> "ControlPath":
@@ -145,17 +161,13 @@ class ControlPath:
         _check_fluxon(mover, base)
         end = base.copy()
         end[mover] = complex(to)
-        d = end[mover] - base[mover]
+        step = end - base
 
         def pos(s):
-            z = base.copy()
-            z[mover] = base[mover] + d * s
-            return _snap(z, s, end if s == 1.0 else base)
+            return base + step * s
 
         def vel(s):
-            v = np.zeros(len(base), dtype=complex)
-            v[mover] = d
-            return v
+            return step
 
         return cls([_Segment(pos, vel, base.copy(), end)])
 
@@ -171,27 +183,10 @@ class ControlPath:
             raise ValueError(f"an exchange needs two distinct fluxons, got ({i}, {j})")
         if power == 0 or power != int(power):
             raise ValueError("power must be a nonzero integer")
-        c = 0.5 * (base[i] + base[j])
         end = base.copy()
         if power % 2:
             end[i], end[j] = base[j], base[i]
-        w = np.pi * power
-
-        def pos(s):
-            z = base.copy()
-            rot = np.exp(1j * w * s)
-            z[i] = c + (base[i] - c) * rot
-            z[j] = c + (base[j] - c) * rot
-            return _snap(z, s, end if s == 1.0 else base)
-
-        def vel(s):
-            v = np.zeros(len(base), dtype=complex)
-            rot = 1j * w * np.exp(1j * w * s)
-            v[i] = (base[i] - c) * rot
-            v[j] = (base[j] - c) * rot
-            return v
-
-        return cls([_Segment(pos, vel, base.copy(), end)])
+        return cls._turn(base, [i, j], 0.5 * (base[i] + base[j]), np.pi * power, end)
 
     @classmethod
     def rotation(cls, base, turns: int = 1, center: complex = 0.0) -> "ControlPath":
@@ -199,17 +194,7 @@ class ControlPath:
         base = cls._as_positions(base)
         if turns == 0 or turns != int(turns):
             raise ValueError("turns must be a nonzero integer")
-        center = complex(center)
-        w = TWO_PI * turns
-
-        def pos(s):
-            z = center + (base - center) * np.exp(1j * w * s)
-            return _snap(z, s, base)
-
-        def vel(s):
-            return 1j * w * (base - center) * np.exp(1j * w * s)
-
-        return cls([_Segment(pos, vel, base.copy(), base.copy())])
+        return cls._turn(base, slice(None), complex(center), TWO_PI * turns, base.copy())
 
     @classmethod
     def parametric(cls, pos_fn, vel_fn, start, end) -> "ControlPath":
@@ -219,8 +204,7 @@ class ControlPath:
         end = cls._as_positions(end)
 
         def pos(s):
-            return _snap(np.asarray(pos_fn(s), dtype=complex), s,
-                         end if s == 1.0 else start)
+            return np.asarray(pos_fn(s), dtype=complex)
 
         def vel(s):
             return np.asarray(vel_fn(s), dtype=complex)
@@ -238,13 +222,15 @@ class ControlPath:
           {"type": "segment", "mover": a, "to": [x, y]}
           {"type": "exchange", "pair": [a, b], "power": k}
         Each move starts from the previous move's final positions.  Raises
-        ValueError for moves it cannot parse (a missing field, a point that
-        is not [x, y], a pair that is not [a, b], an index, power or turn
-        count that is not an integer, an unknown type).
+        ValueError for moves it cannot parse (an empty list, a missing
+        field, a point that is not [x, y], a pair that is not [a, b], an
+        index, power or turn count that is not an integer, an unknown type).
         """
         if not isinstance(moves, list):
             raise ValueError("a path needs a list of moves")
-        path = None
+        if not moves:
+            raise ValueError("a path needs at least one move")
+        segments = []
         current = cls._as_positions(base)
         for mv in moves:
             try:
@@ -265,9 +251,9 @@ class ControlPath:
                     raise ValueError(f"unknown path move type {kind!r}")
             except (KeyError, TypeError) as exc:
                 raise ValueError(f"malformed path move {mv!r}") from exc
-            path = piece if path is None else path.then(piece)
-            current = path.end
-        return path
+            segments += piece.segments
+            current = piece.end
+        return cls(segments)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -310,7 +296,7 @@ class ControlPath:
 
     def position(self, t: float) -> np.ndarray:
         i, s = self._locate(t)
-        return self.segments[i].pos(s)
+        return self.segments[i].position(s)
 
     def velocity(self, t: float) -> np.ndarray:
         i, s = self._locate(t)

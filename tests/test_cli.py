@@ -181,6 +181,19 @@ class TestHolonomy:
         code, _ = run(["holonomy", cfg, "--path", json.dumps(path)], tmp_path)
         assert code == 2
 
+    @pytest.mark.parametrize("word", [None, {"moves": [{"encircle": [0, 1]}]}])
+    def test_empty_path_rejected(self, tmp_path, capsys, word):
+        # an empty move list is an error, also next to a word whose own
+        # path would otherwise run in its place
+        cfg = write_config(tmp_path, [0.9, 0.9, 0.9],
+                           [0.0, 0.3 + 1.0j, -0.2 + 2.2j])
+        args = ["holonomy", cfg, "--path", "[]"]
+        if word is not None:
+            args += ["--word", json.dumps(word)]
+        code, doc = run(args, tmp_path)
+        assert code == 2 and doc is None
+        assert "at least one move" in capsys.readouterr().err
+
 
 class TestVerify:
     def test_quick_level_deterministic(self, tmp_path):

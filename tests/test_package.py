@@ -4,7 +4,7 @@ import subprocess
 import sys
 
 import fluxholo
-from fluxholo import errors, metric
+from fluxholo import cli, errors, metric, transport
 from fluxholo.cli import main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(fluxholo.__file__)))
@@ -42,6 +42,10 @@ def test_removed_names_stay_gone():
     # the curvature stencil has one step, 2e-3 x the closest distance, which
     # can never be too large
     assert not hasattr(errors, "StepTooLarge")
+    # the commands read the parsed arguments, and control-path segments
+    # return their stored endpoints themselves
+    assert not hasattr(cli, "RunManifest")
+    assert not hasattr(transport, "_snap")
 
 
 # Prints, as JSON, the scipy modules loaded after each step.  The steps

@@ -27,6 +27,37 @@ from fluxholo.errors import (
 from conftest import assert_within_tolerance
 
 
+BASE = np.array([0.0, 0.3 + 1.0j, -0.2 + 2.2j])
+
+
+def _arc():
+    """Fluxon 0 a quarter turn clockwise about 0.5j, to -0.5 + 0.5j; the
+    formula misses that stored end in the last bit, and the path returns
+    the stored end."""
+    mover = np.array([1.0, 0.0, 0.0])
+    end = BASE.copy()
+    end[0] = -0.5 + 0.5j
+    return ControlPath.parametric(
+        lambda s: BASE + mover * (0.5j - 0.5j * np.exp(-0.5j * np.pi * s)),
+        lambda s: mover * (-0.25 * np.pi * np.exp(-0.5j * np.pi * s)), BASE, end)
+
+
+def _segment_then_circle():
+    first = ControlPath.segment(BASE, 2, 1.0 + 2.0j)
+    return first.then(ControlPath.circle(first.end, 0, 0.15 + 0.5j))
+
+
+#: One path from each ControlPath constructor, and a two-segment path.
+PATHS = {
+    "circle": lambda: ControlPath.circle(BASE, 0, 0.15 + 0.5j),
+    "exchange": lambda: ControlPath.exchange(BASE, 1, 2),
+    "rotation": lambda: ControlPath.rotation(BASE, center=0.1 + 0.3j),
+    "segment": lambda: ControlPath.segment(BASE, 2, 1.0 + 2.0j),
+    "parametric": _arc,
+    "then": _segment_then_circle,
+}
+
+
 class TestControlPath:
     def test_circle_closes_exactly(self, two_fluxon):
         loop = ControlPath.circle(two_fluxon, mover=0, center=two_fluxon.zeta[1])
@@ -46,12 +77,25 @@ class TestControlPath:
         path = ControlPath.segment(base, 0, -1.0)
         assert not path.is_closed()
 
-    def test_velocity_consistent_with_positions(self, two_fluxon):
-        loop = ControlPath.circle(two_fluxon, mover=0, center=two_fluxon.zeta[1])
+    @pytest.mark.parametrize("name", list(PATHS))
+    def test_velocity_consistent_with_positions(self, name):
+        path = PATHS[name]()
         h = 1e-7
         for t in (0.13, 0.41, 0.87):
-            fd = (loop.position(t + h) - loop.position(t - h)) / (2 * h)
-            assert np.abs(fd - loop.velocity(t)).max() < 1e-6
+            fd = (path.position(t + h) - path.position(t - h)) / (2 * h)
+            assert np.abs(fd - path.velocity(t)).max() < 1e-6
+        # the stored endpoints come back exactly, as fresh copies
+        assert np.array_equal(path.position(0.0), path.start)
+        assert np.array_equal(path.position(1.0), path.end)
+        assert path.position(0.0) is not path.segments[0].start
+        if len(path.segments) == 2:
+            first, second = path.segments
+            assert np.array_equal(path.position(0.5), first.end)
+            # each segment spans half of t, so d/dt is twice d/ds
+            assert np.array_equal(path.velocity(0.5), 2 * second.vel(0.0))
+            h = 1e-8
+            fd = (path.position(0.5 + h) - path.position(0.5)) / h
+            assert np.abs(fd - path.velocity(0.5)).max() < 1e-5
 
     def test_from_json_round_trip(self, two_fluxon):
         moves = [{"type": "circle", "mover": 0,
@@ -59,6 +103,10 @@ class TestControlPath:
                   "turns": 1}]
         loop = ControlPath.from_json(moves, two_fluxon.zeta)
         assert loop.is_closed(two_fluxon.config.fluxes)
+
+    def test_from_json_needs_a_move(self, two_fluxon):
+        with pytest.raises(ValueError, match="at least one move"):
+            ControlPath.from_json([], two_fluxon.zeta)
 
     def test_from_json_radius_must_match_start(self, two_fluxon):
         center = two_fluxon.zeta[1]
