@@ -38,7 +38,6 @@ from .special import (
     ELLIPTIC_CONVENTION,
     elliptic_k,
     hyp2f1_reg,
-    log_gamma,
     metric_half_fluxes,
     three_fluxon_primitive_matrix,
 )
@@ -63,7 +62,7 @@ __all__ = [
     "coupling_matrix", "curvature_abelian", "curvature_nonabelian",
     "cut_factor", "cut_order", "density", "elliptic_k", "encircle_block",
     "exchange_block", "holonomy", "holonomy_analytic", "hyp2f1_reg",
-    "log_gamma", "metric_bruteforce", "metric_derivative",
+    "metric_bruteforce", "metric_derivative",
     "metric_factorized", "metric_half_fluxes", "mode_value",
     "parallel_transport", "primitive_matrix", "reduce_monodromy",
     "reduced_coupling", "rigid_rotation_phase",

@@ -6,8 +6,9 @@ line integrals together.
 Everything here is deterministic for given inputs: panels are refined in
 a fixed worst-first order and sums run in fixed order, so repeated runs
 produce identical bits.
-scipy.special loads on first use: only the Gauss-Jacobi rule of the
-brute-force metric calls it, on a cache miss.
+The Gauss-Jacobi rule is built in numpy by Golub and Welsch (Math. Comp.
+23, 1969).  Its moments hold to round-off for every beta > -1, also as
+beta -> -1, the radial weight r^(1 - 2 phi') of an edge flux phi' -> 1.
 """
 
 from __future__ import annotations
@@ -34,15 +35,24 @@ def gauss_jacobi01(n: int, beta: float):
     """Nodes t and weights w with sum w_i f(t_i) ~= int_0^1 t^beta f(t) dt.
 
     beta > -1.  The t^beta factor is absorbed into the weights, so f only
-    has to supply the smooth part.
+    has to supply the smooth part.  Golub-Welsch: the nodes are the
+    eigenvalues of the symmetric Jacobi matrix of (1 + x)^beta mapped to
+    [0, 1] (mapping the matrix, not the nodes, spares the small nodes a
+    cancellation); the weights are the squared first eigenvector
+    components divided by beta + 1, the mass of t^beta.
     """
     key = (n, round(beta, 14))
     if key not in _GJ_CACHE:
-        from scipy.special import roots_jacobi
-
-        x, w = roots_jacobi(n, 0.0, beta)
-        t = 0.5 * (x + 1.0)
-        _GJ_CACHE[key] = (t, w * 0.5 ** (beta + 1.0))
+        k = np.arange(1.0, n)
+        s = 2.0 * k + beta
+        diag = np.concatenate([[(beta + 1.0) / (beta + 2.0)],
+                               0.5 + 0.5 * beta ** 2 / (s * (s + 2.0))])
+        # squared off-diagonal; k = 1 has its factor 1 + beta cancelled
+        off2 = k ** 2 * (k + beta) ** 2 / (s ** 2 * (s + 1.0) * (s - 1.0))
+        off2[:1] = (beta + 1.0) / ((beta + 2.0) ** 2 * (beta + 3.0))
+        off = np.diag(np.sqrt(off2), 1)
+        t, v = np.linalg.eigh(np.diag(diag) + off + off.T)
+        _GJ_CACHE[key] = (t, v[0] ** 2 / (beta + 1.0))
     return _GJ_CACHE[key]
 
 

@@ -11,7 +11,10 @@ that absorbs the r^(1 - 2 phi') power, (ii) a far field mapped by
 v = R0 / r onto [0, 1] with the power-law tail absorbed the same way,
 and (iii) the smooth remainder on panelled polar grids.  Every piece
 then has a smooth integrand on a simple domain, so refinement converges
-fast and the cross-validation below is meaningful.
+fast and the cross-validation below is meaningful.  The pieces are
+integrated at unit diameter and scaled back exactly, by
+g_jk(lam zeta) = lam^(j + k + 2 - 2 Phi'_T) g_jk(zeta) for real lam > 0,
+so no scale of the configuration can overflow a grid weight.
 
 The factorized route evaluates the holomorphic contour matrix
 
@@ -43,7 +46,7 @@ import numpy as np
 
 from ._quad import gauss_jacobi01, gauss_legendre, integrate_panels, trapezoid_angles
 from .config import FluxConfig, ValidatedConfig, cut_order, separations, validate
-from .errors import NoFreeModes, QuadratureNotConverged, ThresholdSingularity
+from .errors import NoFreeModes, NumericalError, QuadratureNotConverged, ThresholdSingularity
 from .modes import log_psi0
 
 TWO_PI = 2.0 * np.pi
@@ -559,13 +562,25 @@ def metric_bruteforce(vc: ValidatedConfig, tol: float = 1e-6) -> Metric:
     """Metric by direct two-dimensional quadrature (the expensive oracle).
 
     Entries with j <= k are integrated on shared grids and mirrored, so
-    the result is hermitian by construction.
+    the result is hermitian by construction.  The grids are laid out at
+    unit diameter; entry (j, k) and the error estimate are scaled back by
+    the diameter's power (the estimate by the largest of them), and an
+    entry that leaves the float range raises NumericalError.
     """
     counts = vc.counts
     if counts.D_f < 1 or not counts.free_modes_ok:
         raise NoFreeModes(f"configuration has D_f = {counts.D_f} free modes")
-    session = _BruteForce(vc.zeta, vc.phi_reduced, counts.D_f)
+    lam = vc.diameter
+    session = _BruteForce(vc.zeta / lam, vc.phi_reduced, counts.D_f)
     flat, err = session.run(tol)
+    power = np.array([j + k + 2.0 for j, k in session.jk]) - 2.0 * session.total_flux
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = lam ** power
+        flat = flat * scale
+        err = err * float(scale.max())
+    if not (np.isfinite(flat).all() and np.isfinite(err)):
+        raise NumericalError(
+            f"brute-force metric leaves the float range at diameter {lam:.3g}")
     g = np.zeros((counts.D_f, counts.D_f), dtype=complex)
     for i, (j, k) in enumerate(session.jk):
         g[j, k] = flat[i]

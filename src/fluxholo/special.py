@@ -12,8 +12,8 @@ K here uses the parameter convention, K(m) = int_0^{pi/2}
 two-dimensional quadrature of the metric at u = 1/2 (the modulus
 convention misses by ~20%) and is re-checked in the test suite.
 
-scipy.special loads on first use: the functions that call it import it
-where they call it, so `import fluxholo` does not pay for it.
+The closed form takes Gamma at its real arguments from math.gamma, and
+hyp2f1_reg evaluates by mpmath, imported on first use.
 """
 
 from __future__ import annotations
@@ -37,16 +37,6 @@ from .modes import cut_power
 ELLIPTIC_CONVENTION = "parameter-m"
 
 
-def log_gamma(z) -> complex:
-    """Principal branch of log Gamma(z)."""
-    z = complex(z)
-    if z.imag == 0.0 and z.real <= 0.0 and z.real == round(z.real):
-        raise PoleAtNonpositiveInteger(f"Gamma pole at z = {z.real:g}")
-    from scipy.special import loggamma
-
-    return complex(loggamma(z))
-
-
 def _is_nonpositive_int(c: complex, tol: float = 1e-9) -> bool:
     return abs(c.imag) < tol and c.real < 0.5 and abs(c.real - round(c.real)) < tol
 
@@ -55,17 +45,12 @@ def hyp2f1_reg(a, b, c, z) -> complex:
     """Regularized Gauss hypergeometric 2F1(a, b; c; z) / Gamma(c).
 
     Analytic in z off the cut [1, inf) on the principal sheet; remains
-    finite for c a nonpositive integer.  On the cut itself, real z > 1, the
-    two sides differ (scipy and mpmath return conjugate values there for
-    real parameters), so it raises OnCut unless a or b is a nonpositive
-    integer and the series is a polynomial.  Real parameters ride on scipy's
-    complex-z implementation, cross-checked against the connection formula
-    to 1/z.  scipy is silently wrong by up to 5e-2 for |z| near 1 when
-    c = 2b, as in 2F1(1/2, 1/2; 1; z), which the three-fluxon closed form
-    reaches for equal fluxes.  The 1/z formula leaves that family; the
-    Pfaff transformation z -> z/(z - 1) keeps it and swaps e^(+-i pi/3), so
-    it would miss the error there.  Complex parameters, disagreements and
-    rescue cases fall back to mpmath at elevated precision.
+    finite for c a nonpositive integer, by the recursion to c = n + 2.  On
+    the cut itself, real z > 1, the two sides differ, so it raises OnCut
+    unless a or b is a nonpositive integer and the series is a polynomial.
+    Every other call evaluates mpmath.hyp2f1 / mpmath.gamma at 30 digits
+    (a few milliseconds a call; nothing in the library's metric or
+    transport calls it).
     """
     a, b, c, z = complex(a), complex(b), complex(c), complex(z)
     if z.imag == 0.0 and z.real > 1.0 and not any(
@@ -80,32 +65,7 @@ def hyp2f1_reg(a, b, c, z) -> complex:
             poch *= (a + i) * (b + i)
         poch /= math.factorial(n + 1)
         return poch * z ** (n + 1) * hyp2f1_reg(a + n + 1, b + n + 1, n + 2, z)
-    real_params = max(abs(a.imag), abs(b.imag), abs(c.imag)) == 0.0
-    if real_params:
-        from scipy.special import hyp2f1, loggamma
-
-        val = complex(hyp2f1(a.real, b.real, c.real, z)) * complex(np.exp(-loggamma(c)))
-        if z == 0.0:
-            return val
-        try:
-            alt = _hyp2f1_reg_inverted(a.real, b.real, c.real, z)
-        except OverflowError:  # a power of 1/z beyond the float range
-            alt = complex("nan")
-        if abs(val - alt) <= 1e-12 * abs(val):
-            return val
     return _hyp2f1_reg_mp(a, b, c, z)
-
-
-def _hyp2f1_reg_inverted(a: float, b: float, c: float, z: complex) -> complex:
-    """2F1~(a, b; c; z) for real parameters by the connection formula to
-    1/z (DLMF 15.8.2); not finite when a - b is an integer."""
-    from scipy.special import gamma, hyp2f1, rgamma
-
-    w = 1.0 / z
-    return (float(gamma(b - a)) * float(rgamma(b)) * float(rgamma(c - a))
-            * (-z) ** (-a) * complex(hyp2f1(a, a - c + 1.0, a - b + 1.0, w))
-            + float(gamma(a - b)) * float(rgamma(a)) * float(rgamma(c - b))
-            * (-z) ** (-b) * complex(hyp2f1(b, b - c + 1.0, b - a + 1.0, w)))
 
 
 def _hyp2f1_reg_mp(a, b, c, z) -> complex:
@@ -176,7 +136,8 @@ def three_fluxon_primitive_matrix(config_or_fluxes, u, n_free: int | None = None
 
     with the u powers taken on the cut sheet.  Valid for D_f in {1, 2};
     u must avoid the real segments (0, 1) and (1, inf), where a canonical
-    path runs along a cut (OnCut).
+    path runs along a cut (OnCut).  A flux that puts a Gamma argument on
+    a nonpositive integer raises PoleAtNonpositiveInteger.
     """
     fluxes = _fluxes_of(config_or_fluxes)
     if len(fluxes) != 3:
@@ -192,15 +153,18 @@ def three_fluxon_primitive_matrix(config_or_fluxes, u, n_free: int | None = None
         raise SingularAtCollision("canonical positions collide for u in {0, 1}")
     if u.imag == 0.0 and u.real > 0.0:
         raise OnCut(f"u = {u.real:g} is real and positive: a canonical path runs along a cut")
-    from scipy.special import gamma
-
+    args = [1.0 + j - f1 for j in range(n_free)] + [1.0 - f2, 1.0 - f3]
+    poles = [x for x in args if x <= 0.0 and x == round(x)]
+    if poles:
+        raise PoleAtNonpositiveInteger(
+            f"Gamma pole at {poles[0]:g}: an integer flux makes the closed form singular")
     out = np.zeros((3, n_free), dtype=complex)
     phase = np.exp(-1j * np.pi * f2)
     for j in range(n_free):
-        g1 = complex(gamma(1 + j - f1))
-        out[1, j] = (phase * cut_power(-u, -f3) * g1 * complex(gamma(1 - f2))
+        g1 = math.gamma(1 + j - f1)
+        out[1, j] = (phase * cut_power(-u, -f3) * g1 * math.gamma(1 - f2)
                      * hyp2f1_reg(f3, 1 + j - f1, 2 + j - f1 - f2, 1.0 / u))
         out[2, j] = (phase * u ** (1 + j) * cut_power(u, -f1) * cut_power(-u, -f3)
-                     * g1 * complex(gamma(1 - f3))
+                     * g1 * math.gamma(1 - f3)
                      * hyp2f1_reg(f2, 1 + j - f1, 2 + j - f1 - f3, u))
     return out

@@ -151,6 +151,56 @@ class TestBruteForceWork:
             ref = metric_half_fluxes(u)
             assert abs(bf.g[0, 0] - ref) <= bf.error_estimate + 1e-13 * ref
 
+    @pytest.mark.parametrize("fluxes", [[0.999, 0.4, 0.3], [0.99, 0.7, 0.6],
+                                        [0.9, 0.9, 0.9], [0.95, 0.4, 0.3]])
+    def test_edge_flux_converges_within_its_estimate(self, fluxes):
+        # near phi' = 1 the radial Jacobi weight r^(1 - 2 phi') nears 1 / r;
+        # a rule whose moments missed there by 1e-6 stalled at relative
+        # error 1e-9 on the first two and, on the last two, missed by more
+        # than the reported estimate
+        vc = validate(FluxConfig([0.0, 0.3 + 1.0j, -0.2 + 2.2j], fluxes))
+        ref = metric_factorized(vc, tol=1e-12).g
+        bf = metric_bruteforce(vc, tol=1e-10)
+        assert np.abs(bf.g - ref).max() <= bf.error_estimate
+
+
+def two_fluxon_metric(fluxes, delta):
+    """Closed form of g_00 for two fluxons a distance |delta| apart,
+    pi gam(1 - phi1) gam(1 - phi2) gam(phi1 + phi2 - 1) |delta|^(2 - 2 phi_T)
+    with gam(x) = Gamma(x) / Gamma(1 - x) (the Dotsenko-Fateev integral)."""
+    def gam(x):
+        return math.gamma(x) / math.gamma(1.0 - x)
+
+    f1, f2 = fluxes
+    return (math.pi * gam(1.0 - f1) * gam(1.0 - f2) * gam(f1 + f2 - 1.0)
+            * abs(delta) ** (2.0 - 2.0 * (f1 + f2)))
+
+
+FACTORIZED_OUT_OF_RANGE = pytest.mark.xfail(
+    strict=True, reason="ROADMAP item 4, extreme scales: the factorized metric at diameter 1e+-300")
+
+
+class TestScaleLadder:
+    # [0, s (1 + 1j)] with fluxes [0.5, 0.7]: g_00 scales as s^-0.4
+    @pytest.mark.parametrize("s", [1e-300, 1e-150, 1.0, 1e150, 1e300])
+    def test_bruteforce_follows_the_scaling_law(self, s):
+        # the grids are laid out at unit diameter; on grids at the
+        # configuration's own scale, 1e150 gave g 31% low without a
+        # warning and 1e-150 and 1e300 raised after overflow warnings
+        vc = validate(FluxConfig([0.0, s * (1 + 1j)], [0.5, 0.7]))
+        bf = metric_bruteforce(vc, tol=1e-8)
+        assert abs(bf.g[0, 0] - two_fluxon_metric([0.5, 0.7], s * (1 + 1j))) <= bf.error_estimate
+
+    @pytest.mark.parametrize("s", [pytest.param(1e-300, marks=FACTORIZED_OUT_OF_RANGE),
+                                   1e-150, 1.0, 1e150,
+                                   pytest.param(1e300, marks=FACTORIZED_OUT_OF_RANGE)])
+    def test_factorized_follows_the_scaling_law(self, s):
+        # 1e-300 raises after overflow warnings; 1e300 returns g 22% low
+        # (1.93e-119 against 2.485e-119) without a warning
+        vc = validate(FluxConfig([0.0, s * (1 + 1j)], [0.5, 0.7]))
+        m = metric_factorized(vc)
+        assert abs(m.g[0, 0] - two_fluxon_metric([0.5, 0.7], s * (1 + 1j))) <= m.error_estimate
+
 
 class TestFactorizedMetric:
     def test_hermitian_positive(self, three_identical_09):

@@ -4,7 +4,7 @@ import subprocess
 import sys
 
 import fluxholo
-from fluxholo import cli, errors, metric, transport
+from fluxholo import cli, errors, metric, special, transport
 from fluxholo.cli import main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(fluxholo.__file__)))
@@ -46,6 +46,11 @@ def test_removed_names_stay_gone():
     # return their stored endpoints themselves
     assert not hasattr(cli, "RunManifest")
     assert not hasattr(transport, "_snap")
+    # hyp2f1_reg evaluates by mpmath alone, and the closed forms take Gamma
+    # from math
+    assert not hasattr(fluxholo, "log_gamma")
+    assert not hasattr(special, "log_gamma")
+    assert not hasattr(special, "_hyp2f1_reg_inverted")
 
 
 # Prints, as JSON, the scipy modules loaded after each step.  The steps
@@ -60,7 +65,8 @@ def loaded():
 
 steps = {"import": loaded()}
 from fluxholo import (BraidWord, ControlPath, FluxConfig, holonomy, holonomy_analytic,
-                      metric_bruteforce, metric_factorized, validate)
+                      hyp2f1_reg, metric_bruteforce, metric_factorized,
+                      three_fluxon_primitive_matrix, validate)
 from fluxholo.cli import main
 
 pair, triple, out = sys.argv[1:]
@@ -73,6 +79,7 @@ holonomy_analytic(three, BraidWord.from_json(json.loads(word)))
 steps["holonomy_analytic"] = loaded()
 for name, argv in [("modes", ["modes", pair]),
                    ("metric --factorized-only", ["metric", "--factorized-only", pair]),
+                   ("metric", ["metric", pair]),
                    ("curvature-map", ["curvature-map", pair, "--mover", "1",
                                       "--grid", "1.2:2.0:2,0.8:1.4:2"]),
                    ("holonomy --analytic-only", ["holonomy", triple, "--word", word,
@@ -82,6 +89,10 @@ for name, argv in [("modes", ["modes", pair]),
     steps[name] = loaded()
 metric_bruteforce(two, tol=1e-6)
 steps["metric_bruteforce"] = loaded()
+hyp2f1_reg(0.5, 0.5, 1.0, 0.3 + 0.4j)
+steps["hyp2f1_reg"] = loaded()
+three_fluxon_primitive_matrix([0.4, 0.5, 0.6], 0.3 + 0.2j)
+steps["three_fluxon_primitive_matrix"] = loaded()
 holonomy(two, ControlPath.circle(two, mover=0, center=two.zeta[1]), ode_tol=1e-6)
 steps["holonomy"] = loaded()
 print(json.dumps(steps))
@@ -89,22 +100,17 @@ print(json.dumps(steps))
 
 
 def test_scipy_loads_only_where_it_is_called(tmp_path):
+    # only the transport ODE needs scipy (scipy.integrate); the brute-force
+    # metric and the closed forms run on numpy, math and mpmath
     pair, triple = write_configs(tmp_path)
     steps = json.loads(run_python("-c", SCIPY_PROBE, pair, triple, str(tmp_path / "out")))
-    scipy_free = ["import", "metric_factorized", "holonomy_analytic", "modes",
-                  "metric --factorized-only", "curvature-map", "holonomy --analytic-only",
-                  "verify --level quick"]
-    assert {step: steps[step] for step in scipy_free} == {step: [] for step in scipy_free}
-    bruteforce, numeric = steps["metric_bruteforce"], steps["holonomy"]
-    assert "scipy.special" in bruteforce and "scipy.integrate" not in bruteforce
+    numeric = steps.pop("holonomy")
+    assert steps == {step: [] for step in steps}
     assert "scipy.integrate" in numeric
 
 
 def test_fresh_process_prints_the_same_metric(tmp_path, capsys):
-    # the fresh process loads scipy.special halfway, for the brute-force
-    # metric; here it is loaded before the run
-    import scipy.special  # noqa: F401
-
+    # nothing in the run loads scipy, so both processes run the same code
     pair, _ = write_configs(tmp_path)
     fresh = run_python("-m", "fluxholo.cli", "metric", pair)
     assert main(["metric", pair]) == 0

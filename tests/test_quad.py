@@ -1,6 +1,7 @@
 import numpy as np
+import pytest
 
-from fluxholo._quad import integrate_panels
+from fluxholo._quad import gauss_jacobi01, integrate_panels
 
 EPS = 1e-2
 
@@ -33,3 +34,15 @@ def test_batched_legs_match_each_leg_alone():
         ref = exact(c)
         assert np.abs(together[leg] - alone[0]).max() < 1e-13 * np.abs(ref).max()
         assert np.abs(together[leg] - ref).max() <= err[leg] + 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("beta", [-0.998, -0.99, -0.9, -0.6, 0.0, 0.37, 2.5])
+def test_gauss_jacobi_moments(beta):
+    # int_0^1 t^(beta + p) dt = 1 / (beta + p + 1), at the brute-force rule
+    # sizes; beta -> -1 is the radial weight of an edge flux, where the
+    # rule of scipy.special.roots_jacobi misses by up to 1.4e-6
+    for n in (24, 48, 96, 192, 384):
+        t, w = gauss_jacobi01(n, beta)
+        for p in (0, 1, 3, 17):
+            exact = 1.0 / (beta + p + 1.0)
+            assert abs(w @ t ** p - exact) <= 1e-13 * exact, (n, p)
