@@ -12,7 +12,6 @@ from .config import (
 )
 from .metric import (
     Metric,
-    MetricEvaluator,
     PrimitiveMatrix,
     coupling_matrix,
     metric_bruteforce,
@@ -56,7 +55,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BranchSheet", "BraidWord", "ControlPath", "FluxConfig", "HolonomyResult",
-    "Metric", "MetricEvaluator", "ModeCounts", "ModeVector", "MonodromyMatrix",
+    "Metric", "ModeCounts", "ModeVector", "MonodromyMatrix",
     "Move", "PrimitiveMatrix", "ValidatedConfig", "ELLIPTIC_CONVENTION",
     "confined_phase", "connection", "continue_along_path", "count_modes",
     "coupling_matrix", "curvature_abelian", "curvature_nonabelian",

@@ -60,14 +60,20 @@ def integrate_panels(f, tol: float, *, breakpoints=None, legs: int):
     """Adaptive panel integration of vector-valued line integrals, all legs
     at once.
 
-    Leg l is the integral of f over t in [l, l + 1], l < legs.  f(t) takes
-    a 1-D node array and returns an array of shape (len(t), m); every node
-    lies in a half-open [l, l + 1), so f can tell the legs apart.  Panels
-    start at the integers and the breakpoints; each is estimated with 24-
-    and 48-node Gauss rules.  A round evaluates the new panels of every leg,
-    both rules, in one call of f, then bisects the worst panel of each leg
-    whose summed discrepancy still exceeds tol * max(1, |its result|), for
-    at most 2000 rounds.
+    Leg l is the integral of f over its local parameter s in [0, 1],
+    l < legs.  f(ts) takes an (n, 2) float array of rows (l, s), one per
+    node, and returns an array of shape (n, m).  Each node reaches f as its
+    leg index and its leg-local s, so every leg sees the same nodes
+    whatever its index: the stacked parameter t = l + s would round s to
+    the spacing of the floats near l (about 1e-12 at l = 5000).
+
+    Panels start at the leg ends and at the breakpoints, a flat list of
+    floats on the stacked axis t = l + s (a breakpoint t splits leg
+    floor(t) at s = t - floor(t), exactly when s is a multiple of 2^-32 and
+    l < 2^21).  Each panel is estimated with 24- and 48-node Gauss rules.
+    A round evaluates the new panels of every leg, both rules, in one call
+    of f, then bisects the worst panel of each leg whose summed discrepancy
+    still exceeds tol * max(1, |its result|), for at most 2000 rounds.
 
     The error estimate of a leg is that summed discrepancy, the sum over
     its panels of |48-node - 24-node| (largest component): it bounds the
@@ -80,21 +86,23 @@ def integrate_panels(f, tol: float, *, breakpoints=None, legs: int):
     x = np.concatenate([gauss_legendre(n)[0] for n in _RULES])
     coarse_w, fine_w = (gauss_legendre(n)[1] for n in _RULES)
 
-    def panel_values(lo, hi):
-        """Fine value and |fine - coarse| of each panel [lo, hi]."""
+    def panel_values(leg, lo, hi):
+        """Fine value and |fine - coarse| of each panel [lo, hi] of its leg."""
         width = (hi - lo)[:, None]
-        t = np.minimum(lo[:, None] + width * x, np.nextafter(hi, -np.inf)[:, None])
-        vals = f(t.ravel()).reshape(len(lo), len(x), -1)
+        ts = np.empty((len(lo), len(x), 2))
+        ts[:, :, 0] = leg[:, None]
+        ts[:, :, 1] = lo[:, None] + width * x
+        vals = f(ts.reshape(-1, 2)).reshape(len(lo), len(x), -1)
         coarse = width * np.einsum("pnm,n->pm", vals[:, :_RULES[0]], coarse_w)
         fine = width * np.einsum("pnm,n->pm", vals[:, _RULES[0]:], fine_w)
         return fine, np.abs(fine - coarse).max(axis=1)
 
-    # panels in t order, hence grouped by leg
+    # panels in t order, hence grouped by leg; then leg-local ends
     pts = np.array(sorted({*map(float, range(legs + 1)),
                            *(float(b) for b in breakpoints or () if 0.0 < b < legs)}))
-    lo, hi = pts[:-1], pts[1:]
-    leg = lo.astype(np.intp)
-    fine, err = panel_values(lo, hi)
+    leg = pts[:-1].astype(np.intp)
+    lo, hi = pts[:-1] - leg, pts[1:] - leg
+    fine, err = panel_values(leg, lo, hi)
     for _ in range(2000):
         starts = np.searchsorted(leg, np.arange(legs))
         total = np.add.reduceat(fine, starts, axis=0)
@@ -106,7 +114,8 @@ def integrate_panels(f, tol: float, *, breakpoints=None, legs: int):
         ends = np.append(starts[1:], len(lo))
         worst = np.array([starts[i] + int(np.argmax(err[starts[i]:ends[i]])) for i in bad])
         mid = 0.5 * (lo[worst] + hi[worst])
-        f_new, e_new = panel_values(np.concatenate([lo[worst], mid]),
+        f_new, e_new = panel_values(np.concatenate([leg[worst], leg[worst]]),
+                                    np.concatenate([lo[worst], mid]),
                                     np.concatenate([mid, hi[worst]]))
         right = worst + 1
         lo = np.insert(lo, right, mid)

@@ -244,16 +244,23 @@ def cut_order(vc: ValidatedConfig) -> tuple:
     rays collide and are rejected; the caller is expected to perturb (for
     the metric a rigid rotation is exact, see the scaling law).
     """
-    z = vc.zeta
-    if len(z) == 1:
-        return (0,)
-    im = z.imag
-    order = tuple(int(i) for i in np.argsort(im, kind="stable"))
-    tol = IM_TIE_TOL * vc.diameter
-    for prev, nxt in zip(order[:-1], order[1:]):
-        if abs(im[nxt] - im[prev]) <= tol:
-            raise AmbiguousOrdering(
-                f"fluxons {prev} and {nxt} share Im zeta = {im[prev]:.6g}; "
-                f"cut rays would overlap"
-            )
+    order = cut_orders(vc.zeta[None], np.array([vc.diameter]))[0]
+    return tuple(int(i) for i in order)
+
+
+def cut_orders(zetas, diameters) -> np.ndarray:
+    """cut_order of each row of zetas (B, N), whose diameters are given:
+    an intp array (B, N).  Raises AmbiguousOrdering on the first row with a
+    tie."""
+    im = zetas.imag
+    order = np.argsort(im, axis=1, kind="stable")
+    gaps = np.diff(np.take_along_axis(im, order, axis=1), axis=1)
+    ties = np.argwhere(gaps <= IM_TIE_TOL * diameters[:, None])
+    if len(ties):
+        b, i = ties[0]
+        prev, nxt = int(order[b, i]), int(order[b, i + 1])
+        raise AmbiguousOrdering(
+            f"fluxons {prev} and {nxt} share Im zeta = {im[b, prev]:.6g}; "
+            f"cut rays would overlap"
+        )
     return order

@@ -29,23 +29,25 @@ fiducial point xi0 is always the last fluxon in cut order.
 
 The paths share their legs, so N fluxons cost 2N - 1 line integrals
 (_primitive_raw), refined together on one panel queue (_Legs).
-_contour_frame is the one place that turns a configuration into
+_contour_frames is the one place that turns configurations into
 (Psi, G) and the one place that picks the frame: the rigid rotation that
-best separates the fluxons' imaginary parts.  The metric, its derivatives
-and the transport all use that frame.  The single exception is
-holonomy_analytic, whose braid word refers to the configuration's own cut
-order, so it reads primitive_matrix directly.
+best separates the fluxons' imaginary parts.  It takes a batch of
+configurations with the same fluxes, whose legs all share the queue; one
+configuration is a batch of one (_contour_frame).  The metric, its
+derivatives, the curvature stencil and the transport all use that frame.
+The single exception is holonomy_analytic, whose braid word refers to the
+configuration's own cut order, so it reads primitive_matrix directly.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._quad import gauss_jacobi01, gauss_legendre, integrate_panels, trapezoid_angles
-from .config import FluxConfig, ValidatedConfig, cut_order, separations, validate
+from .config import FluxConfig, ValidatedConfig, cut_order, cut_orders, separations, validate
 from .errors import NoFreeModes, NumericalError, QuadratureNotConverged, ThresholdSingularity
 from .modes import log_psi0
 
@@ -118,88 +120,102 @@ def coupling_matrix(fluxes) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 class _Legs:
-    """Table of straight legs of xi^k psi_0(xi) d xi, integrated together.
+    """Table of straight legs of xi^k psi_0(xi) d xi for a batch of
+    configurations with the same fluxes, integrated together.
 
-    Leg l runs from start_l to start_l + d_l and is stacked on t in
-    [l, l + 1) with local parameter s = t - l.  An arm (sing = index of the
-    fluxon it starts on) is parameterized as xi = zeta_a + d s^p with
-    p = m / (1 - phi'_a): the start fluxon's factor times the Jacobian,
-    (d s^p)^(-phi'_a) d p s^(p-1) = p d^(1 - phi'_a) s^(m-1), is smooth, so
-    that fluxon leaves the sum (its offset is 1 and does not move).  m = 2
-    for phi'_a < 1/2 grades the arm further, since with p < 2 the factors
-    smooth in xi would have a singular second derivative in s at the start.
-    Offsets start - zeta_b are precomputed so that xi - zeta_b suffers no
-    cancellation near the start.
+    zetas (B, N) are the batch's positions and phis (N,) the reduced
+    fluxes, in one fluxon order.  Configuration b has K legs: leg (b, l)
+    runs from start[b, l] to end[b, l], and sing[b, l] is the index of the
+    fluxon an arm starts on (-1 for a plain leg).  An arm is parameterized
+    as xi = zeta_a + d s^p with p = m / (1 - phi'_a): the start fluxon's
+    factor times the Jacobian, (d s^p)^(-phi'_a) d p s^(p-1)
+    = p d^(1 - phi'_a) s^(m-1), is smooth, so that fluxon leaves the sum
+    (its xi - zeta_a is replaced by exactly 1).  m = 2 for phi'_a < 1/2
+    grades the arm further, since with p < 2 the factors smooth in xi
+    would have a singular second derivative in s at the start.  Offsets
+    start - zeta_b are precomputed so that xi - zeta_b suffers no
+    cancellation near the start.  Every leg is evaluated at its own local
+    s, so a configuration's legs give the same bits wherever they sit in
+    the batch.
     """
 
-    def __init__(self, zetas, phis):
+    def __init__(self, zetas, phis, start, end, sing):
+        self.shape = start.shape
         self.zetas = zetas
         self.phis = phis
-        self.rows = []
-
-    def add(self, start, end, sing=None):
-        start = complex(start)
-        d = complex(end) - start
-        offsets = start - self.zetas
-        move = np.ones(len(self.zetas))
-        p, m, factor = 1.0, 1, d
-        if sing is not None:
-            m = 2 if self.phis[sing] < 0.5 else 1
-            p = m / (1.0 - self.phis[sing])
-            factor = p * d * np.exp(log_psi0(d, self.phis[[sing]]))
-            offsets[sing], move[sing] = 1.0, 0.0
-        self.rows.append((start, d, p, m - 1, factor, offsets, move))
+        d = end - start
+        arm = sing >= 0
+        ph = phis[np.maximum(sing, 0)]
+        graded = arm & (ph < 0.5)
+        p = np.where(arm, np.where(graded, 2.0, 1.0) / (1.0 - ph), 1.0)
+        arm_factor = p * d * np.exp(log_psi0(d[..., None], ph[..., None]))
+        self.start, self.d, self.p = start.ravel(), d.ravel(), p.ravel()
+        self.graded = graded.ravel()
+        self.factor = np.where(arm, arm_factor, d).ravel()
+        self.offsets = (start[..., None] - zetas[:, None, :]).reshape(-1, len(phis))
+        self.sing = sing.ravel()
 
     def integrate(self, n_cols, tol):
-        """Every leg's integral, shape (legs, n_cols), and error estimate."""
-        start, d, p, jac, factor, offsets, move = map(np.array, zip(*self.rows))
-        last = len(self.rows) - 1
+        """Every leg's integral, shape (B, K, n_cols), and error estimate,
+        shape (B, K)."""
+        start, d, p, graded, factor = self.start, self.d, self.p, self.graded, self.factor
+        offsets, sing, phis = self.offsets, self.sing, self.phis
 
-        def values(t):
-            leg = np.minimum(t.astype(np.intp), last)
-            s = t - leg
-            step = d[leg] * s ** p[leg]
-            w = offsets[leg] + step[:, None] * move[leg]
-            base = np.exp(log_psi0(w, self.phis)) * factor[leg] * s ** jac[leg]
-            xi = start[leg] + step
+        def values(ts):
+            leg = ts[:, 0].astype(np.intp)
+            s = ts[:, 1]
+            step = d.take(leg) * s ** p.take(leg)
+            w = offsets.take(leg, axis=0)
+            w += step[:, None]
+            # an arm's start fluxon leaves the sum: its w is exactly 1
+            own = sing.take(leg)
+            on_arm = np.flatnonzero(own >= 0)
+            w.reshape(-1)[on_arm * len(phis) + own[on_arm]] = 1.0
+            base = (np.exp(log_psi0(w, phis)) * factor.take(leg)
+                    * np.where(graded.take(leg), s, 1.0))
+            xi = start.take(leg) + step
             powers = np.cumprod(np.column_stack([np.ones_like(xi)] + [xi] * (n_cols - 1)),
                                 axis=1)
             return powers * base[:, None]
 
-        return integrate_panels(values, tol, breakpoints=self._breakpoints(),
-                                legs=len(self.rows))
+        vals, errs = integrate_panels(values, tol, breakpoints=self._breakpoints(),
+                                      legs=len(start))
+        return vals.reshape(*self.shape, n_cols), errs.reshape(self.shape)
 
     def _breakpoints(self):
-        """Values of t where a leg passes a fluxon's real part (candidate
-        spots for integrand spikes)."""
-        out = []
-        for leg, (start, d, p, *_) in enumerate(self.rows):
-            if abs(d.real) < 1e-300:
-                continue
-            s = (self.zetas.real - start.real) / d.real
-            out += (leg + s[(s > 1e-12) & (s < 1.0 - 1e-12)] ** (1.0 / p)).tolist()
-        return out
+        """Values of t = leg + s where a leg passes a fluxon's real part
+        (candidate spots for integrand spikes).  s is rounded to a multiple
+        of 2^-32, so that t - leg gives it back exactly and a leg's panels
+        do not depend on its place in the batch."""
+        legs = np.flatnonzero(np.abs(self.d.real) >= 1e-300)
+        zetas = np.repeat(self.zetas, self.shape[1], axis=0)[legs]
+        s = (zetas.real - self.start.real[legs, None]) / self.d.real[legs, None]
+        leg, fluxon = np.nonzero((s > 1e-12) & (s < 1.0 - 1e-12))
+        s = s[leg, fluxon] ** (1.0 / self.p[legs[leg]])
+        return (legs[leg] + np.round(s * 2.0 ** 32) * 2.0 ** -32).tolist()
 
 
-def _primitive_raw(zetas, phis, n_cols, x_left, tol):
-    """Row a = arm_N + C(y_a) - C(y_N) - arm_a, every leg integrated once.
+def _primitive_raw(zetas, phis, order, n_cols, x_left, tol):
+    """Contour matrices of a batch, rows in cut order, and their errors.
 
-    zetas are in cut order, so their heights y_a ascend strictly.  arm_a
-    runs from zeta_a (its singular end) to the line x = x_left, left of
-    every fluxon; C sums the gaps of that line between consecutive heights.
-    The fiducial point is the last fluxon, whose row is exactly zero.
+    zetas (B, N) and phis (N,) are in one fluxon order; order (B, N) is
+    each configuration's cut order, along which the heights y_a ascend
+    strictly, and x_left (B,) a line left of all its fluxons.  Row a is
+    arm_N + C(y_a) - C(y_N) - arm_a: arm_a runs from zeta_a (its singular
+    end) to the line x = x_left, and C sums the gaps of that line between
+    consecutive heights.  The fiducial point is the last fluxon, whose row
+    is exactly zero.  Every leg is integrated once.
     """
-    legs = _Legs(zetas, phis)
-    for a, z in enumerate(zetas):
-        legs.add(z, complex(x_left, z.imag), a)
-    heights = zetas.imag
-    for lo, hi in zip(heights[:-1], heights[1:]):
-        legs.add(complex(x_left, lo), complex(x_left, hi))
-    vals, errs = legs.integrate(n_cols, tol)
-    n = len(zetas)
-    arms, gaps = vals[:n], vals[n:]
-    C = np.cumsum(np.vstack([np.zeros(n_cols, dtype=complex), gaps]), axis=0)
-    return arms[-1] + (C - C[-1]) - arms, float(errs.sum())
+    n = zetas.shape[1]
+    tips = np.take_along_axis(zetas, order, axis=1)
+    feet = x_left[:, None] + 1j * tips.imag
+    start = np.concatenate([tips, feet[:, :-1]], axis=1)
+    end = np.concatenate([feet, feet[:, 1:]], axis=1)
+    sing = np.concatenate([order, np.full((len(order), n - 1), -1)], axis=1)
+    vals, errs = _Legs(zetas, phis, start, end, sing).integrate(n_cols, tol)
+    arms, gaps = vals[:, :n], vals[:, n:]
+    C = np.cumsum(np.concatenate([np.zeros_like(gaps[:, :1]), gaps], axis=1), axis=1)
+    return arms[:, -1:] + (C - C[:, -1:]) - arms, errs.sum(axis=1)
 
 
 def primitive_matrix(vc: ValidatedConfig, tol: float = 1e-10,
@@ -218,12 +234,11 @@ def primitive_matrix(vc: ValidatedConfig, tol: float = 1e-10,
     if columns is None:
         columns = counts.D_f
     order = cut_order(vc)
-    zetas = vc.zeta[list(order)]
-    phis = vc.phi_reduced[list(order)]
-    x_left = zetas.real.min() - 1.5 * vc.diameter
-    mat, err = _primitive_raw(zetas, phis, columns, x_left, tol)
-    return PrimitiveMatrix(matrix=mat, order=order,
-                           fluxes=tuple(phis), error_estimate=err)
+    zetas, phis = vc.zeta, vc.phi_reduced
+    x_left = np.array([zetas.real.min() - 1.5 * vc.diameter])
+    mat, err = _primitive_raw(zetas[None], phis, np.array([order]), columns, x_left, tol)
+    return PrimitiveMatrix(matrix=mat[0], order=order,
+                           fluxes=tuple(phis[list(order)]), error_estimate=float(err[0]))
 
 
 def _gauss_manin(zetas, phis) -> np.ndarray:
@@ -268,42 +283,86 @@ def _gauss_manin(zetas, phis) -> np.ndarray:
     return out
 
 
-def _contour_frame(vc: ValidatedConfig, tol: float, columns: int | None = None):
-    """Contour matrix psi, coupling matrix G and the quadrature error, in
-    the one frame of the metric, its derivatives and the transport.
+def _contour_frames(vcs, tol: float, columns: int | None = None):
+    """Contour matrices psi (B, n, columns), coupling matrices G (B, n, n)
+    and quadrature errors (B,) of a batch of configurations with the same
+    fluxes, in the one frame of the metric, its derivatives and the
+    transport; n is the number of branch points (phi' != 0).
 
-    psi is evaluated on vc rigidly rotated by lambda = e^{i alpha}, with
-    alpha = best_rotation_angle(zeta) the rotation that best separates the
-    imaginary parts, and column k is scaled by lambda^(-k): by the
+    Configuration b is evaluated rigidly rotated by lambda = e^{i alpha},
+    with alpha the rotation that best separates its imaginary parts
+    (best_rotation_angle), and column k is scaled by lambda^(-k): by the
     rigid-rotation law a contour matrix at the unrotated positions.  g and
     the connection g^{-1} psi^* G d psi do not depend on the row basis, so
     ties and near ties of the given cut order cost nothing extra.  psi
     keeps `columns` monomials (by default all of them: one fewer than the
-    branch points, phi' != 0) and one row per branch point in the rotated
-    cut order, each re-anchored to the last one, so every row is an
-    integral between branch points, as the Gauss-Manin connection needs.
-    G is in the same row order, and psi_f^* G psi_f over the first D_f
-    columns is the metric.
+    branch points) and one row per branch point in the rotated cut order,
+    each re-anchored to the last one, so every row is an integral between
+    branch points, as the Gauss-Manin connection needs.  G is in the same
+    row order, and psi_f^* G psi_f over the first D_f columns is the
+    metric.
+
+    The rotation, cut order, legs and breakpoints are array operations
+    over the batch, and all legs of all configurations share one panel
+    queue; each leg is integrated at its own local parameter, so a row
+    does not depend on the rest of the batch, bit for bit.
     """
-    alpha = best_rotation_angle(vc.zeta)
-    lam = np.exp(1j * alpha)
-    if alpha != 0.0:
-        vc = replace(vc, config=FluxConfig([z * lam for z in vc.config.positions],
-                                           vc.config.fluxes))
-    if columns is None:
-        columns = int(np.count_nonzero(vc.phi_reduced)) - 1
-    psi = primitive_matrix(vc, tol=tol, columns=columns)
-    phis = np.array(psi.fluxes)
+    fluxes = vcs[0].config.fluxes
+    if any(vc.config.fluxes != fluxes for vc in vcs):
+        raise ValueError("a batch of contour frames needs one flux assignment")
+    counts = vcs[0].counts
+    if counts.D_f < 1 or not counts.free_modes_ok:
+        raise NoFreeModes(f"configuration has D_f = {counts.D_f} free modes")
+    phis = vcs[0].phi_reduced
     branch = phis != 0.0
-    mat = psi.matrix[branch] * lam ** -np.arange(columns)
-    return mat - mat[-1], coupling_matrix(phis[branch]), psi.error_estimate
+    if columns is None:
+        columns = int(np.count_nonzero(branch)) - 1
+    zetas = np.array([vc.zeta for vc in vcs])
+    lam = np.exp(1j * _rotation_angles(zetas))
+    rotated = zetas * lam[:, None]
+    diameters = np.abs(rotated[:, :, None] - rotated[:, None, :]).max(axis=(1, 2))
+    order = cut_orders(rotated, diameters)
+    x_left = rotated.real.min(axis=1) - 1.5 * diameters
+    rows, err = _primitive_raw(rotated, phis, order, columns, x_left, tol)
+    keep = branch[order]
+    shape = (len(vcs), int(np.count_nonzero(branch)))
+    mat = rows[keep].reshape(*shape, columns) * lam[:, None, None] ** -np.arange(columns)
+    cuts = [tuple(cut) for cut in phis[order][keep].reshape(shape).tolist()]
+    couplings = {cut: coupling_matrix(cut) for cut in set(cuts)}  # one per cut order
+    G = np.array([couplings[cut] for cut in cuts])
+    return mat - mat[:, -1:], G, err
+
+
+def _contour_frame(vc: ValidatedConfig, tol: float, columns: int | None = None):
+    """_contour_frames of vc as a batch of one: psi, G and the quadrature
+    error of one configuration."""
+    psi, G, err = _contour_frames([vc], tol, columns)
+    return psi[0], G[0], float(err[0])
+
+
+def _factorized_metrics(vcs, tol: float):
+    """g = Psi^* G Psi and its error estimate for a batch of configurations
+    with the same fluxes: arrays (B, D_f, D_f) and (B,).  Psi and G come
+    from _contour_frames at tol * 1e-2.  Raises QuadratureNotConverged if
+    any g is not positive definite."""
+    psi, G, psi_err = _contour_frames(vcs, tol * 1e-2, vcs[0].counts.D_f)
+    g = psi.conj().transpose(0, 2, 1) @ G @ psi
+    g = 0.5 * (g + g.conj().transpose(0, 2, 1))
+    err = 2.0 * np.abs(G).max(axis=(1, 2)) * np.abs(psi).max(axis=(1, 2)) * psi_err
+    lost = np.flatnonzero(np.linalg.eigvalsh(g).min(axis=1) <= 0.0)
+    if lost.size:
+        b = lost[0]
+        scale = max(float(np.abs(g[b]).max()), 1e-300)
+        raise QuadratureNotConverged(
+            "factorized metric lost positive definiteness", attained=float(err[b]) / scale)
+    return g, err
 
 
 def metric_factorized(vc: ValidatedConfig, tol: float = 1e-8,
                       auto_rotate: bool = False) -> Metric:
     """Metric via g = Psi^* G Psi.
 
-    Psi and G come from _contour_frame, in the best-separated rotation
+    Psi and G come from _contour_frames, in the best-separated rotation
     frame, so ties and near ties of the given configuration cost nothing
     extra.  auto_rotate=False only adds a check that the given
     configuration has an unambiguous cut order (AmbiguousOrdering if not).
@@ -314,43 +373,45 @@ def metric_factorized(vc: ValidatedConfig, tol: float = 1e-8,
     """
     if not auto_rotate:
         cut_order(vc)
-    psi, G, psi_err = _contour_frame(vc, tol * 1e-2, vc.counts.D_f)
-    g = psi.conj().T @ G @ psi
-    g = 0.5 * (g + g.conj().T)
-    scale = max(float(np.abs(g).max()), 1e-300)
-    err = 2.0 * float(np.abs(G).max()) * float(np.abs(psi).max()) * psi_err
-    if np.linalg.eigvalsh(g).min() <= 0.0:
-        raise QuadratureNotConverged(
-            "factorized metric lost positive definiteness", attained=err / scale)
-    return Metric(g=g, method="factorized", error_estimate=err)
+    g, err = _factorized_metrics([vc], tol)
+    return Metric(g=g[0], method="factorized", error_estimate=float(err[0]))
 
 
 _ROTATION_ANGLES = np.pi * (np.arange(32) / 32.0)
 _ROTATIONS = np.exp(1j * _ROTATION_ANGLES)
 
 
+def _rotation_angles(zetas) -> np.ndarray:
+    """best_rotation_angle of each row of zetas (B, N)."""
+    if zetas.shape[1] == 1:
+        return np.zeros(len(zetas))
+    im = np.sort((zetas[:, None, :] * _ROTATIONS[:, None]).imag, axis=2)
+    picks = []
+    for gaps in np.diff(im, axis=2).min(axis=2).tolist():
+        best, pick = -1.0, 0
+        for k, gap in enumerate(gaps):
+            if gap > best * (1.0 + 1e-12):
+                best, pick = gap, k
+        picks.append(pick)
+    return _ROTATION_ANGLES[picks]
+
+
 def best_rotation_angle(zetas) -> float:
     """Deterministic rigid-rotation angle separating the imaginary parts
-    as much as possible: the first of the angles k pi / 32, k = 0..31, whose
-    smallest gap no later angle beats by more than 1e-12 relative."""
-    zetas = np.asarray(zetas, dtype=complex)
-    if len(zetas) == 1:
-        return 0.0
-    im = np.sort((zetas[None, :] * _ROTATIONS[:, None]).imag, axis=1)
-    best, best_a = -1.0, 0.0
-    for k, gap in enumerate(np.diff(im, axis=1).min(axis=1).tolist()):
-        if gap > best * (1.0 + 1e-12):
-            best, best_a = gap, float(_ROTATION_ANGLES[k])
-    return best_a
+    as much as possible: the angle k pi / 32, k = 0..31, at which a scan in
+    increasing k last finds a smallest gap more than 1e-12 relative above
+    the best one so far."""
+    return float(_rotation_angles(np.asarray(zetas, dtype=complex)[None])[0])
 
 
 class MetricEvaluator:
     """Positions -> metric map for one flux assignment.
 
-    Used by the abelian curvature stencil and the curvature map, which
-    evaluate the metric at many nearby configurations; moving fluxons
-    routinely sweep through aligned imaginary parts, which the rotated
-    frame of metric_factorized absorbs (auto_rotate=True).
+    Validates the positions and returns metric_factorized(...,
+    auto_rotate=True).g.  The library no longer uses it (the curvature
+    stencil evaluates its five metrics as one batch); it stays in this
+    module only because the benchmark's tracer and self-tests
+    (perfbench/spans.py, perfbench/test_perfbench.py) name it.
     """
 
     def __init__(self, fluxes, tol: float = 1e-10):
@@ -524,9 +585,14 @@ class _BruteForce:
     # -- assembly ----------------------------------------------------------
 
     def run(self, tol):
+        """Piece sums refined level by level until the level differences,
+        summed over the pieces, fall below tol x the largest entry.
+
+        Returns the entries and, per entry, the sum over the pieces of its
+        last level difference."""
         labels = [("disk", a) for a in range(len(self.zetas))] + [("far", None), ("mid", None)]
         value = {}
-        diff = {lab: np.inf for lab in labels}
+        diff = {lab: np.full(len(self.jk), np.inf) for lab in labels}
         frozen = set()
         for level in range(self.MAX_LEVEL + 1):
             nr = 24 * 2 ** level
@@ -542,17 +608,17 @@ class _BruteForce:
                 else:
                     cur = self.middle_piece(nr, 2 * nt * self.nt_boost)
                 if lab in value:
-                    diff[lab] = float(np.abs(cur - value[lab]).max())
+                    diff[lab] = np.abs(cur - value[lab])
                 value[lab] = cur
             est = sum(value.values())
             scale = max(float(np.abs(est).max()), 1e-300)
             budget = tol * scale / (2.0 * len(labels))
             for lab in labels:
-                if diff[lab] < 0.2 * budget:
+                if diff[lab].max() < 0.2 * budget:
                     frozen.add(lab)
-            total_err = float(np.fmin(np.sum([diff[lab] for lab in labels]), np.inf))
+            total_err = float(np.fmin(np.sum([diff[lab].max() for lab in labels]), np.inf))
             if level >= 1 and total_err <= tol * scale:
-                return est, total_err
+                return est, sum(diff.values())
         raise QuadratureNotConverged(
             f"plane quadrature stalled at relative error {total_err / scale:.3g} "
             f"(target {tol:g})", attained=total_err / scale)
@@ -563,9 +629,10 @@ def metric_bruteforce(vc: ValidatedConfig, tol: float = 1e-6) -> Metric:
 
     Entries with j <= k are integrated on shared grids and mirrored, so
     the result is hermitian by construction.  The grids are laid out at
-    unit diameter; entry (j, k) and the error estimate are scaled back by
-    the diameter's power (the estimate by the largest of them), and an
-    entry that leaves the float range raises NumericalError.
+    unit diameter; entry (j, k) and its error, the sum over the pieces of
+    its last level difference, are scaled back by the diameter's power
+    lam^(j + k + 2 - 2 Phi'_T), and error_estimate is the largest scaled
+    error.  An entry that leaves the float range raises NumericalError.
     """
     counts = vc.counts
     if counts.D_f < 1 or not counts.free_modes_ok:
@@ -577,7 +644,7 @@ def metric_bruteforce(vc: ValidatedConfig, tol: float = 1e-6) -> Metric:
     with np.errstate(over="ignore", invalid="ignore"):
         scale = lam ** power
         flat = flat * scale
-        err = err * float(scale.max())
+        err = float((err * scale).max())
     if not (np.isfinite(flat).all() and np.isfinite(err)):
         raise NumericalError(
             f"brute-force metric leaves the float range at diameter {lam:.3g}")

@@ -37,8 +37,22 @@ def cut_angle(w):
 
 def log_psi0(w, phis):
     """log psi_0 = -sum_b phi'_b (log|w_b| + i cut_angle(w_b)) on the
-    default sheet, summed over the last axis of w = xi - zeta_b."""
-    return -(phis * (np.log(np.abs(w)) + 1j * cut_angle(w))).sum(axis=-1)
+    default sheet, summed over the last axis of w = xi - zeta_b.  The sum
+    runs one fluxon at a time on real arrays: for a handful of fluxons that
+    is several times faster than a reduction over the short last axis."""
+    w = np.asarray(w)
+    phis = np.asarray(phis, dtype=float)
+    mod = np.log(np.abs(w))
+    arg = cut_angle(w)
+    re = mod[..., 0] * phis[..., 0]
+    im = arg[..., 0] * phis[..., 0]
+    for b in range(1, w.shape[-1]):
+        re += mod[..., b] * phis[..., b]
+        im += arg[..., b] * phis[..., b]
+    out = np.empty(np.shape(re), dtype=complex)
+    out.real = -re
+    out.imag = -im
+    return out
 
 
 def cut_power(w, p):

@@ -35,7 +35,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import ValidatedConfig, separations
+from .config import FluxConfig, ValidatedConfig, separations, validate
 from .errors import (
     ClosedPathRequired,
     CollisionGuardTripped,
@@ -43,7 +43,7 @@ from .errors import (
     NumericalError,
     ODEStepUnderflow,
 )
-from .metric import MetricEvaluator, _contour_frame, _gauss_manin
+from .metric import _contour_frame, _factorized_metrics, _gauss_manin
 from .modes import ModeVector
 
 TWO_PI = 2.0 * np.pi
@@ -498,13 +498,14 @@ def curvature_abelian(vc: ValidatedConfig, moving: int, quad_tol: float = 1e-11,
     coordinate (D_f = 1 only), via the five-point Laplacian with step
     2e-3 x the closest fluxon distance.
 
-    metric_fn optionally replaces the factorized-metric evaluator by any
-    positions -> scalar g callable (e.g. a closed form)."""
+    By default the five stencil configurations are validated one by one
+    and their factorized metrics (at quad_tol) evaluated as one batch
+    (metric._factorized_metrics): one panel queue and one integrand call
+    per round for all five.  metric_fn optionally replaces that by any
+    positions -> scalar g callable (e.g. a closed form), called once per
+    stencil point."""
     if vc.counts.D_f != 1:
         raise ValueError("abelian curvature requires exactly one free mode")
-    if metric_fn is None:
-        ev = MetricEvaluator(vc.config.fluxes, tol=quad_tol)
-        metric_fn = lambda z: float(np.real(ev(z)[0, 0]))
     z0 = vc.zeta
     h = 2e-3 * _min_distance(z0)
     try:
@@ -514,12 +515,18 @@ def curvature_abelian(vc: ValidatedConfig, moving: int, quad_tol: float = 1e-11,
     if not 0.0 < h2 < math.inf:
         raise NumericalError(f"curvature step {h:g} squared leaves the float range")
 
-    def logg(dz):
+    stencil = []
+    for dz in (h, -h, 1j * h, -1j * h, 0.0):
         z = z0.copy()
         z[moving] += dz
-        return math.log(metric_fn(z))
-
-    lap = (logg(h) + logg(-h) + logg(1j * h) + logg(-1j * h) - 4.0 * logg(0.0)) / h2
+        stencil.append(z)
+    if metric_fn is None:
+        vcs = [validate(FluxConfig(z, vc.config.fluxes)) for z in stencil]
+        g = _factorized_metrics(vcs, quad_tol)[0][:, 0, 0].real.tolist()
+    else:
+        g = [metric_fn(z) for z in stencil]
+    right, left, up, down, centre = (math.log(v) for v in g)
+    lap = (right + left + up + down - 4.0 * centre) / h2
     return complex(0.25 * lap)
 
 

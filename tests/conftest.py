@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fluxholo import FluxConfig, validate
+from fluxholo import FluxConfig, metric_factorized, validate
 from fluxholo.cli import TOLERANCES
 
 SEED = 20260811
@@ -35,3 +35,12 @@ def assert_within_tolerance(residuals):
     tolerance `fluxholo verify` applies to it."""
     for name, residual in residuals.items():
         assert residual <= TOLERANCES[name], f"{name}: residual {residual:.3g}"
+
+
+def factorized_metric(fluxes, tol: float = 1e-10):
+    """positions -> factorized metric g for one flux assignment, each
+    configuration validated and evaluated in its best-separated frame."""
+    def g(positions):
+        vc = validate(FluxConfig(positions, fluxes))
+        return metric_factorized(vc, tol=tol, auto_rotate=True).g
+    return g

@@ -15,7 +15,6 @@ from fluxholo import (
     BraidWord,
     ControlPath,
     FluxConfig,
-    MetricEvaluator,
     Move,
     confined_phase,
     count_modes,
@@ -39,7 +38,7 @@ from fluxholo.cli import (
     check_monodromy,
     worst_residuals,
 )
-from conftest import SEED, assert_within_tolerance
+from conftest import SEED, assert_within_tolerance, factorized_metric
 
 ODE_TOL = 1e-8
 DRIFTS = []  # (label, drift) pairs collected from criteria 7-10
@@ -278,7 +277,7 @@ def test_criterion_10_path_dependence_and_curvature_flux():
 
 def test_criterion_11_curvature_map():
     fluxes = [0.5, 0.5, 0.5]
-    ev = MetricEvaluator(fluxes, tol=1e-11)
+    ev = factorized_metric(fluxes, tol=1e-11)
 
     def metric_at(positions):
         return float(np.real(ev(positions)[0, 0]))

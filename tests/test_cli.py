@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from fluxholo import FluxConfig, curvature_abelian, validate
 from fluxholo.cli import main
 
 
@@ -89,6 +90,25 @@ class TestCurvatureMap:
         assert lines[0] == "x,y,R"
         vals = [float(l.split(",")[2]) for l in lines[1:]]
         assert all(abs(v) < 1e-6 for v in vals if not math.isnan(v))
+
+    def test_rows_equal_curvature_abelian(self, tmp_path):
+        # each cell's stencil metrics run as one batch; a cell's value is
+        # the library's curvature_abelian at the CLI's quad_tol, to the
+        # printed digit
+        fluxes, base = [0.5, 0.5, 0.5], [0.0, 1.0, 0.4 + 0.5j]
+        cfg = write_config(tmp_path, fluxes, base)
+        out = tmp_path / "map.csv"
+        code = main(["--output", str(out), "curvature-map", cfg,
+                     "--mover", "2", "--grid", "0.2:0.8:3,0.3:0.9:2"])
+        assert code == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        cells = [complex(0.2 + (0.8 - 0.2) * ix / 2, 0.3 + (0.9 - 0.3) * iy / 1)
+                 for iy in range(2) for ix in range(3)]
+        assert len(rows) == len(cells)
+        for row, u in zip(rows, cells):
+            vc = validate(FluxConfig([0.0, 1.0, u], fluxes))
+            r = curvature_abelian(vc, moving=2, quad_tol=1e-8).real
+            assert row == f"{u.real:.10g},{u.imag:.10g},{r:.12g}"
 
     def test_guarded_cells_are_nan(self, tmp_path):
         cfg = write_config(tmp_path, [0.5, 0.5, 0.5], [0.0, 1.0, 0.4 + 0.5j])

@@ -9,7 +9,6 @@ from fluxholo import (
     BraidWord,
     ControlPath,
     FluxConfig,
-    MetricEvaluator,
     Move,
     holonomy,
     metric_derivative,
@@ -19,6 +18,8 @@ from fluxholo import (
     word_to_monodromy,
     word_to_path,
 )
+
+from conftest import factorized_metric
 
 POSITIONS = [0.0, 1.1 + 0.4j, 0.3 + 1.5j, -0.8 + 0.9j, 1.4 + 1.9j]
 
@@ -67,7 +68,7 @@ FLUXES = [
 ], ids=[*(f"fluxes{i}" for i in range(len(FLUXES))), "near_tie"])
 def test_exact_derivative_matches_finite_differences(positions, fluxes):
     vc = validate(FluxConfig(positions, fluxes))
-    ev = MetricEvaluator(fluxes, tol=1e-13)
+    ev = factorized_metric(fluxes, tol=1e-13)
     z = vc.zeta
     h = 1e-3 * min(abs(p - q) for i, p in enumerate(z) for q in z[i + 1:])
     exact = [metric_derivative(vc, a, tol=1e-13)[0] for a in range(len(fluxes))]

@@ -5,7 +5,6 @@ import pytest
 
 from fluxholo import (
     FluxConfig,
-    MetricEvaluator,
     coupling_matrix,
     metric_bruteforce,
     metric_factorized,
@@ -16,7 +15,7 @@ from fluxholo import (
 from fluxholo import metric as metric_module
 from fluxholo.errors import AmbiguousOrdering, NoFreeModes, ThresholdSingularity
 from fluxholo.cli import check_metric_laws, check_metric_oracle, worst_residuals
-from conftest import assert_within_tolerance
+from conftest import assert_within_tolerance, factorized_metric
 
 
 class TestCouplingMatrix:
@@ -95,6 +94,59 @@ class TestContourWork:
         assert max(calls) <= 16, calls
 
 
+class TestBatchedFrames:
+    # fluxes [0.4, 0.5, 0.6, 0.7]: D_f = 2, every fluxon a branch point
+    FLUXES = [0.4, 0.5, 0.6, 0.7]
+    POSITIONS = [
+        [0.0, 1.1 + 0.4j, 0.3 + 1.5j, -0.8 + 0.9j],
+        [0.0, 1.0, 0.5 + 1.0j, -0.5 + 1.0j],          # two exact ties
+        [0.0, 0.6 + 1.5e-8j, -0.4 + 1.1j, 0.7 + 0.8j],  # a near tie
+        [0.0, 1e-3 * (1 + 1j), 0.9 - 0.3j, 0.2 + 1.2j],  # a tight pair refines
+    ]
+
+    def test_contour_frame_is_its_row_in_any_batch(self):
+        vcs = [validate(FluxConfig(pos, self.FLUXES)) for pos in self.POSITIONS]
+        alone = [metric_module._contour_frame(vc, 1e-12) for vc in vcs]
+        for batch in (vcs, vcs[::-1], vcs + vcs):
+            psi, G, err = metric_module._contour_frames(batch, 1e-12)
+            for b, vc in enumerate(batch):
+                one = alone[vcs.index(vc)]
+                assert np.array_equal(psi[b], one[0])
+                assert np.array_equal(G[b], one[1])
+                assert err[b] == one[2]
+
+    def test_batch_needs_one_flux_assignment(self):
+        vcs = [validate(FluxConfig(self.POSITIONS[0], f))
+               for f in (self.FLUXES, [0.4, 0.5, 0.6, 0.8])]
+        with pytest.raises(ValueError):
+            metric_module._contour_frames(vcs, 1e-10)
+
+    def test_integrand_and_breakpoints_keep_the_tracer_contract(self, monkeypatch):
+        # a benchmark tracer wraps integrate_panels with a one-argument
+        # integrand, counts nodes as len() of its argument and reads the
+        # breakpoints as flat floats on the stacked axis t = leg + s
+        integrate = metric_module.integrate_panels
+        seen = {}
+
+        def recording(f, tol, *, breakpoints, legs):
+            seen.update(breakpoints=breakpoints, legs=legs, shapes=[])
+
+            def integrand(ts):
+                seen["shapes"].append((len(ts), ts.shape))
+                return f(ts)
+            return integrate(integrand, tol, breakpoints=breakpoints, legs=legs)
+
+        monkeypatch.setattr(metric_module, "integrate_panels", recording)
+        vc = validate(FluxConfig(self.POSITIONS[0], self.FLUXES))
+        metric_factorized(vc, tol=1e-10)
+        assert seen["legs"] == 7
+        assert isinstance(seen["breakpoints"], list) and seen["breakpoints"]
+        for b in seen["breakpoints"]:
+            assert type(b) is float and 0.0 < b < seen["legs"]
+            assert (b - math.floor(b)) * 2.0 ** 32 == round((b - math.floor(b)) * 2.0 ** 32)
+        assert all(shape == (n, 2) for n, shape in seen["shapes"])
+
+
 # the unjittered N = 3, 4 and 6 configurations of the cli-session benchmark
 BRUTE_FORCE_BASE = [
     ([0.0, 0.9 + 0.7j, 0.2 + 1.9j], [0.4, 0.5, 0.6]),
@@ -162,6 +214,16 @@ class TestBruteForceWork:
         ref = metric_factorized(vc, tol=1e-12).g
         bf = metric_bruteforce(vc, tol=1e-10)
         assert np.abs(bf.g - ref).max() <= bf.error_estimate
+
+    def test_error_estimate_scales_entry_by_entry(self):
+        # each entry's level differences are scaled back to diameter 2.7 by
+        # its own power of it; the summed maximum times the largest power
+        # reported 2.6e-7, above tol x max|g| = 1.8e-7, on a converged run
+        pos, fluxes = BRUTE_FORCE_BASE[2]
+        vc = validate(FluxConfig(pos, fluxes))
+        bf = metric_bruteforce(vc, tol=1e-8)
+        ref = metric_factorized(vc, tol=1e-12).g
+        assert np.abs(bf.g - ref).max() <= bf.error_estimate <= 1e-8 * np.abs(bf.g).max()
 
 
 def two_fluxon_metric(fluxes, delta):
@@ -324,7 +386,7 @@ class TestOracleEquivalence:
 class TestMetricEvaluator:
     def test_continuity_through_ambiguous_alignment(self):
         # sweeping a fluxon through an equal-Im alignment must stay smooth
-        ev = MetricEvaluator([0.7, 0.8], tol=1e-11)
+        ev = factorized_metric([0.7, 0.8], tol=1e-11)
         base = np.array([0.0, 1.0 + 0.0j])
         vals = []
         for dy in (-2e-3, -1e-3, 0.0, 1e-3, 2e-3):

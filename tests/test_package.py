@@ -51,6 +51,9 @@ def test_removed_names_stay_gone():
     assert not hasattr(fluxholo, "log_gamma")
     assert not hasattr(special, "log_gamma")
     assert not hasattr(special, "_hyp2f1_reg_inverted")
+    # the curvature stencil evaluates its five metrics as one batch, and
+    # tests/conftest.py keeps a positions -> metric helper
+    assert not hasattr(fluxholo, "MetricEvaluator")
 
 
 # Prints, as JSON, the scipy modules loaded after each step.  The steps

@@ -7,11 +7,11 @@ EPS = 1e-2
 
 
 def peaks(centers):
-    """Leg l = floor(t) carries 1 / ((s - c_l)^2 + EPS^2) and s times it,
-    s = t - l."""
-    def f(t):
-        leg = t.astype(int)
-        s = t - leg
+    """Leg l carries 1 / ((s - c_l)^2 + EPS^2) and s times it, at the
+    leg-local s of each node row (l, s)."""
+    def f(ts):
+        leg = ts[:, 0].astype(int)
+        s = ts[:, 1]
         v = 1.0 / ((s - centers[leg]) ** 2 + EPS ** 2)
         return np.column_stack([v, s * v]).astype(complex)
     return f
@@ -25,7 +25,7 @@ def exact(c):
 
 def test_batched_legs_match_each_leg_alone():
     # legs share rounds but not panels: each converges to what it gets
-    # alone, up to the rounding of its nodes' offset l, within its estimate
+    # alone, within its estimate
     centers = np.array([0.3, 0.71, 0.5, 0.02, 0.9])
     together, err = integrate_panels(peaks(centers), 1e-11, breakpoints=[2.5], legs=5)
     for leg, c in enumerate(centers):
@@ -34,6 +34,38 @@ def test_batched_legs_match_each_leg_alone():
         ref = exact(c)
         assert np.abs(together[leg] - alone[0]).max() < 1e-13 * np.abs(ref).max()
         assert np.abs(together[leg] - ref).max() <= err[leg] + 1e-14 * np.abs(ref).max()
+
+
+def test_identical_legs_agree_wherever_they_sit():
+    # every leg gets its nodes as (l, s), so leg 5524 sees the nodes of leg
+    # 0; on the stacked t = l + s it deviated by 7.4e-14 relative
+    legs = 5525
+    together, _ = integrate_panels(peaks(np.full(legs, 0.3)), 1e-12, legs=legs)
+    scale = np.abs(together[0]).max()
+    assert np.abs(together - together[0]).max() <= 2e-15 * scale
+
+
+def test_integrand_and_breakpoint_contract():
+    # f takes one array whose len() is the node count (rows (l, s)), and
+    # breakpoints are flat floats on the stacked axis t = l + s: benchmark
+    # tracers count nodes and initial panels from exactly these
+    seen = []
+
+    def f(ts):
+        seen.append(ts)
+        return np.ones((len(ts), 1), dtype=complex)
+
+    val, _ = integrate_panels(f, 1e-10, breakpoints=[0.5, 1.25], legs=2)
+    assert np.allclose(val, 1.0)
+    (ts,) = seen
+    assert ts.shape == (len(ts), 2) and len(ts) == 4 * 72
+    leg, s = ts[:, 0], ts[:, 1]
+    assert set(leg) == {0.0, 1.0}
+    assert ((0.0 < s) & (s < 1.0)).all()
+    # the initial panels of leg 0 meet at s = 0.5, those of leg 1 at 0.25
+    for lg, cut in ((0, 0.5), (1, 0.25)):
+        mine = s[leg == lg]
+        assert (mine < cut).sum() == (mine > cut).sum() == 72
 
 
 @pytest.mark.parametrize("beta", [-0.998, -0.99, -0.9, -0.6, 0.0, 0.37, 2.5])

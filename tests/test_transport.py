@@ -6,7 +6,6 @@ import pytest
 from fluxholo import (
     ControlPath,
     FluxConfig,
-    MetricEvaluator,
     ModeVector,
     connection,
     curvature_abelian,
@@ -24,7 +23,7 @@ from fluxholo.errors import (
     ClosedPathRequired,
     CollisionGuardTripped,
 )
-from conftest import assert_within_tolerance
+from conftest import assert_within_tolerance, factorized_metric
 
 
 BASE = np.array([0.0, 0.3 + 1.0j, -0.2 + 2.2j])
@@ -149,7 +148,7 @@ class TestMetricDerivative:
         for a in range(3):
             d, _ = metric_derivative(three_distinct, a)
             total = total + d + d.conj().T
-        ev = MetricEvaluator(three_distinct.config.fluxes, tol=1e-11)
+        ev = factorized_metric(three_distinct.config.fluxes, tol=1e-11)
         h = 1e-5
         fd = (ev(three_distinct.zeta + h) - ev(three_distinct.zeta - h)) / (2 * h)
         assert np.abs(total - fd).max() < 1e-6 * max(1.0, np.abs(fd).max())
