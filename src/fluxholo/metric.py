@@ -41,6 +41,7 @@ configuration's own cut order, so it reads primitive_matrix directly.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -248,7 +249,9 @@ def _gauss_manin(zetas, phis) -> np.ndarray:
     - 1, such that d Psi / d zeta_a = Psi D[a]^T for every contour matrix
     Psi whose rows are integrals between branch points and whose columns
     are the monomials xi^k Phi d xi, k < m.  zetas and phis (reduced) may be
-    in any order; D[a] refers to the same index a.
+    in any order; D[a] refers to the same index a.  zetas of shape (B, N),
+    a batch of configurations with the same fluxes, give D of shape
+    (B, N, m, m), each row equal to the single call bit for bit.
 
     The rows are twisted cycles, so d_a of an integral is the integral of
     the cohomology class of d_a(xi^k Phi) = phi'_a xi^k Phi / (xi - zeta_a),
@@ -265,22 +268,46 @@ def _gauss_manin(zetas, phis) -> np.ndarray:
     and its D is zero.
     """
     zetas = np.asarray(zetas, dtype=complex)
-    phis = np.asarray(phis, dtype=float)
-    branch = np.nonzero(phis != 0.0)[0]
-    z, p = zetas[branch], phis[branch]
-    m = len(branch) - 1
-    k = np.arange(m + 1)
-    powers = z[None, :] ** k[:, None]             # powers[q, c] = zeta_c^q
-    S = powers @ p
-    A = np.empty((m, m + 1), dtype=complex)
+    branch, p, lag, lower = _gauss_manin_layout(tuple(np.asarray(phis, dtype=float).tolist()))
+    m = len(p) - 1
+    batch = zetas.reshape(-1, zetas.shape[-1])
+    z = batch[:, branch]
+    powers = z[:, None, :] ** np.arange(m + 1)[:, None]   # powers[b, q, c] = zeta_c^q
+    terms = powers * p
+    # the sums run in a fixed order, term by term: numpy's reductions may
+    # group terms differently for different batch sizes, and a batch row
+    # must equal the single call bit for bit
+    S = terms[:, :, 0]
+    for c in range(1, m + 1):
+        S = S + terms[:, :, c]
+    den = np.arange(1.0, m + 1.0) - S[:, :1].real
+    rows = np.empty((len(batch), m + 1, m + 1), dtype=complex)
+    rows[:, m] = p                                # the rows [A; phi'^T]
     for i in range(m):
-        A[i] = (p * powers[i + 1] + S[i:0:-1] @ A[:i]) / (i + 1.0 - S[0].real)
-    B = np.linalg.inv(np.vstack([A, p]))[:, :m]   # omega_c = sum_k B[c, k] xi^k Phi
-    lag = k[:m, None] - 1 - k[None, :m]
-    tri = np.where(lag >= 0, z[:, None, None] ** np.maximum(lag, 0), 0.0)
-    out = np.zeros((len(zetas), m, m), dtype=complex)
-    out[branch] = p[:, None, None] * (tri + powers[:m].T[:, :, None] * B[:, None, :])
-    return out
+        acc = terms[:, i + 1]
+        for j in range(i):
+            acc = acc + S[:, i - j, None] * rows[:, j]
+        rows[:, i] = acc / den[:, i, None]
+    B = np.linalg.inv(rows)[:, :, :m]            # omega_c = sum_k B[c, k] xi^k Phi
+    tri = np.where(lower, powers[:, lag].transpose(0, 3, 1, 2), 0.0)
+    d = p[:, None, None] * (tri + powers[:, :m].transpose(0, 2, 1)[..., None] * B[:, :, None, :])
+    if len(branch) < zetas.shape[-1]:
+        out = np.zeros((*batch.shape, m, m), dtype=complex)
+        out[:, branch] = d
+        d = out
+    return d.reshape(*zetas.shape, m, m)
+
+
+@functools.lru_cache(maxsize=64)
+def _gauss_manin_layout(phis: tuple):
+    """What _gauss_manin needs of the fluxes alone: the branch points, their
+    phi', and the exponents k - 1 - j of its lower-triangular term with
+    their mask."""
+    phis = np.array(phis)
+    branch = np.nonzero(phis != 0.0)[0]
+    k = np.arange(len(branch) - 1)
+    lag = k[:, None] - 1 - k[None, :]
+    return branch, phis[branch], np.maximum(lag, 0), lag >= 0
 
 
 def _contour_frames(vcs, tol: float, columns: int | None = None):

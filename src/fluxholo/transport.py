@@ -23,11 +23,20 @@ because continuation changes Psi only by monodromies, which preserve G.
 The numeric monodromy that holonomy reports is expressed in the rows of
 that frame, which may order the fluxons differently from the
 configuration's own cut order.
+
+The transport ODE is linear, dPsi/dt = Psi A(t)^T, and an in-house
+adaptive stepper integrates it: a 6th-order Magnus step on the three
+Gauss-Legendre nodes of each step (_magnus), exponentiated by a [6/6]
+Pade approximant with scaling and squaring (_expm).  All node positions
+of a step go to _gauss_manin as one batch.  When D_f = N - 1 the
+connection is flat and U(t) = Psi~(t)^{-1} Psi~(0), so only Psi is
+integrated; otherwise U advances on the same nodes.  ode_tol bounds the
+error estimate of each step at ode_tol / 10 (see _TransportProblem.solve).
+The package needs no ODE library.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -47,16 +56,6 @@ from .metric import _contour_frame, _factorized_metrics, _gauss_manin
 from .modes import ModeVector
 
 TWO_PI = 2.0 * np.pi
-
-
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, imported on first use: only the transport
-    ODE needs scipy.integrate, which would otherwise add about 49 MB and
-    0.6-0.8 s (scipy.special included) to `import fluxholo`, on a 2-vCPU
-    VM."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-
-    return scipy_solve_ivp(*args, **kwargs)
 
 
 # --------------------------------------------------------------------------
@@ -86,6 +85,7 @@ class _Segment:
     vel: Callable
     start: np.ndarray
     end: np.ndarray
+    vectorized: bool = False
 
     def position(self, s: float) -> np.ndarray:
         if s == 0.0:
@@ -93,6 +93,13 @@ class _Segment:
         if s == 1.0:
             return self.end.copy()
         return self.pos(s)
+
+    def states(self, s: np.ndarray):
+        """Positions and velocities at an array of parameters, one row
+        each: one call of pos and vel where they take arrays."""
+        if self.vectorized:
+            return self.pos(s), self.vel(s)
+        return np.array([self.position(x) for x in s]), np.array([self.vel(x) for x in s])
 
 
 class ControlPath:
@@ -125,17 +132,17 @@ class ControlPath:
         """Rigid turn z -> center + (z - center) e^{i angle s} of the fluxons
         in movers, landing on the stored end.  The arm is zero for the
         others, so whole-array arithmetic keeps them exactly in place
-        without the indexing that would slow every ODE right-hand side."""
+        without the indexing that would slow every ODE step."""
         arm = np.zeros(len(base), dtype=complex)
         arm[movers] = base[movers] - center
 
         def pos(s):
-            return base + arm * (cmath.exp(1j * angle * s) - 1.0)
+            return base + arm * (np.exp(1j * angle * s)[..., None] - 1.0)
 
         def vel(s):
-            return arm * (1j * angle * cmath.exp(1j * angle * s))
+            return arm * (1j * angle * np.exp(1j * angle * s)[..., None])
 
-        return cls([_Segment(pos, vel, base.copy(), end)])
+        return cls([_Segment(pos, vel, base.copy(), end, vectorized=True)])
 
     @classmethod
     def circle(cls, base, mover: int, center: complex, turns: int = 1,
@@ -164,12 +171,12 @@ class ControlPath:
         step = end - base
 
         def pos(s):
-            return base + step * s
+            return base + step * np.asarray(s)[..., None]
 
         def vel(s):
-            return step
+            return np.broadcast_to(step, np.shape(s) + step.shape)
 
-        return cls([_Segment(pos, vel, base.copy(), end)])
+        return cls([_Segment(pos, vel, base.copy(), end, vectorized=True)])
 
     @classmethod
     def exchange(cls, base, i: int, j: int, power: int = 1) -> "ControlPath":
@@ -351,6 +358,114 @@ def connection(vc: ValidatedConfig, tol: float = 1e-10) -> list:
 
 
 # --------------------------------------------------------------------------
+# the transport ODE: a 6th-order Magnus stepper
+# --------------------------------------------------------------------------
+
+_R15 = math.sqrt(15.0)
+_GAUSS = (1, 3, 5)
+#: The nodes of a step on [0, 1]: its start and end, the three
+#: Gauss-Legendre nodes (at _GAUSS) and 1/3, 2/3 between them.
+_NODES = np.array([0.0, 0.5 - _R15 / 10.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.5 + _R15 / 10.0, 1.0])
+
+
+def _integrated_lagrange(nodes, at) -> np.ndarray:
+    """w[i, j] = integral from 0 to at[i] of the Lagrange polynomial of
+    nodes[j]; at = nodes gives a collocation method's Butcher matrix."""
+    k = np.arange(len(nodes))
+    moments = np.asarray(at, dtype=float)[:, None] ** (k + 1) / (k + 1)
+    return np.linalg.solve(np.vander(nodes, increasing=True).T, moments.T).T
+
+
+#: Integrals of the Lagrange polynomials of the Gauss nodes from 0 to each
+#: node: the 3-stage Gauss collocation polynomial, whose rows at the Gauss
+#: nodes are its Butcher matrix and whose last row holds the Gauss weights.
+_COLLOCATION = _integrated_lagrange(_NODES[list(_GAUSS)], _NODES)
+#: Against A at the nodes: the Gauss rule minus the rule on the other six
+#: nodes (all but the middle one), which is exact for quintics.  On t^6 it
+#: is 1.3 times the error of the Gauss rule.
+_QUADRATURE_CHECK = np.zeros(len(_NODES))
+_QUADRATURE_CHECK[list(_GAUSS)] = _COLLOCATION[-1]
+_QUADRATURE_CHECK[[0, 1, 2, 4, 5, 6]] -= _integrated_lagrange(
+    _NODES[[0, 1, 2, 4, 5, 6]], [1.0])[0]
+#: The rows a1, a2, a3 of _magnus (divided by h), the univariate
+#: moments of A at the Gauss nodes, and _QUADRATURE_CHECK: weights on A at
+#: the nodes.
+_MOMENTS = np.zeros((4, len(_NODES)))
+_MOMENTS[0, 3] = 1.0
+_MOMENTS[1, [1, 5]] = -_R15 / 3.0, _R15 / 3.0
+_MOMENTS[2, [1, 3, 5]] = 10.0 / 3.0, -20.0 / 3.0, 10.0 / 3.0
+_MOMENTS[3] = _QUADRATURE_CHECK
+#: Coefficients of the [6/6] Pade approximant of exp on I, x^2, x^4, x^6:
+#: the even part (row 0) and the odd part divided by x (row 1).
+_PADE6 = np.array([[1.0, 5.0 / 44.0, 1.0 / 792.0, 1.0 / 665280.0],
+                   [1.0 / 2.0, 1.0 / 66.0, 1.0 / 15840.0, 0.0]])
+#: A step never claims less than the rounding of the Gauss-Manin matrices
+#: it rests on, about 32 eps relative on the encircle loop.
+_ROUNDOFF = 64.0 * float(np.finfo(float).eps)
+#: Steps shorter than this (of a segment) count the quadrature check per
+#: step, longer ones per unit of parameter.
+_UNIT_STEP = 1.0 / 256.0
+#: Smallest step, as a fraction of a path segment's parameter.
+_MIN_STEP = 1e-10
+#: Share of ode_tol that one step may spend.
+_LOCAL_SHARE = 0.1
+
+
+def _magnus(a, h: float):
+    """Omega_6 and the error estimate for Y' = A(t) Y over one step of
+    length h, from A at the step's seven nodes (shape (7, m, m)).
+
+    Omega_6 is the 6th-order Magnus formula on the three Gauss nodes of
+    Blanes, Casas, Oteo and Ros, Phys. Rep. 470 (2009) 151, sec. 5.4 (after
+    Iserles and Norsett, Phil. Trans. R. Soc. A 357 (1999) 983):
+      Omega_6 = a1 + a3/12 + [-20 a1 - a3 + c1, a2 + c2] / 240,
+      c1 = [a1, a2],  c2 = -[a1, 2 a3 + c1] / 60.
+    Omega_4 = a1 + a3/12 - c1/12 is its 4th-order companion on the same
+    integral of A, and their difference, O(h^5), is the commutator part of
+    the error estimate.  The Gauss rule's own error in that integral, the
+    whole error of a commuting A (two fluxons, or the trace of A), is
+    invisible to every rule on the Gauss nodes alone: any rule on them
+    that is exact for cubics is the Gauss rule.  _QUADRATURE_CHECK
+    measures it on the other nodes, 1.3 times the true error on t^6.
+    Being that sharp, the errors it estimates add up over the steps of a
+    segment, so it enters per unit of parameter (not multiplied by h), down
+    to steps of _UNIT_STEP; below, it enters per step, so that rounding in
+    the node matrices, which does not shrink with h, cannot stall the
+    stepper."""
+    m = a.shape[-1]
+    a1, a2, a3, quadrature = (_MOMENTS @ a.reshape(len(a), -1)).reshape(4, m, m)
+    a1, a2, a3 = h * a1, h * a2, h * a3
+    c1 = a1 @ a2 - a2 @ a1
+    b = 2.0 * a3 + c1
+    c2 = (b @ a1 - a1 @ b) / 60.0
+    x, y = c1 - a3 - 20.0 * a1, a2 + c2
+    tail = (x @ y - y @ x) / 240.0 + c1 / 12.0
+    return a1 + (a3 - c1) / 12.0 + tail, tail + quadrature * (h / max(h, _UNIT_STEP))
+
+
+def _expm(a):
+    """exp(a) of a small square matrix: the [6/6] Pade approximant of
+    a / 2^s, with the 1-norm of a / 2^s at most 1/2, squared s times.  There
+    the approximant is exact to about 2e-17 relative (Higham, SIAM J. Matrix
+    Anal. Appl. 26 (2005) 1179)."""
+    norm = float(np.abs(a).sum(axis=0).max())
+    s = max(0, math.ceil(math.log2(2.0 * norm))) if norm > 0.5 else 0
+    x = a / 2.0 ** s
+    x2 = x @ x
+    x4 = x2 @ x2
+    even, odd = np.tensordot(_PADE6, np.stack([np.eye(len(a)), x2, x4, x4 @ x2]), 1)
+    odd = x @ odd
+    r = np.linalg.solve(even - odd, even + odd)
+    for _ in range(s):
+        r = r @ r
+    return r
+
+
+def _relative(x, scale) -> float:
+    return float(np.abs(x).max()) / max(1.0, float(np.abs(scale).max()))
+
+
+# --------------------------------------------------------------------------
 # parallel transport and holonomy
 # --------------------------------------------------------------------------
 
@@ -374,10 +489,19 @@ class HolonomyResult:
 
 class _TransportProblem:
     """The contour matrix Psi continued along the path by the Gauss-Manin
-    connection, dPsi/dt = sum_a v_a Psi D_a^T, together with the transport
-    matrix U of the coefficients, dU/dt = -g^{-1} Psi_f^* G (dPsi_f/dt) U
-    with g = Psi_f^* G Psi_f.  Psi is stored divided by its largest entry
-    at the start, which leaves U unchanged."""
+    connection, dPsi/dt = Psi A(t)^T with A = sum_a v_a D_a, and the
+    transport matrix U of the coefficients, dU/dt = K U with
+    K = -g^{-1} Psi_f^* G (dPsi_f/dt) and g = Psi_f^* G Psi_f.  Psi is
+    stored divided by its largest entry at the start, which leaves U
+    unchanged.
+
+    When every monomial column is free (D_f = N - 1 for fractional
+    fluxes) the connection is flat, U(t) = Psi~(t)^{-1} Psi~(0) with Psi~
+    the contour matrix without its zero anchor row, and only Psi is
+    integrated.  Otherwise U advances on the same nodes.
+
+    nfev counts the Gauss-Manin evaluations: six per attempted step (seven
+    for the first step of a segment); n_steps counts the accepted steps."""
 
     def __init__(self, vc: ValidatedConfig, path: ControlPath,
                  quad_tol: float, collision_guard: float | None):
@@ -389,38 +513,105 @@ class _TransportProblem:
         self.psi0 = psi / self.scale
         self.phis = vc.phi_reduced
         self.dim = vc.counts.D_f
+        self.flat = self.dim == psi.shape[1]
         self.guard = guard_distance(vc, collision_guard)
+        self.diagonal = np.diag(np.full(vc.n_fluxons, np.inf))
         self.nfev = 0
+        self.n_steps = 0
 
     def metric(self, psi) -> np.ndarray:
         f = psi[:, :self.dim] * self.scale
         return f.conj().T @ self.G @ f
 
-    def rhs(self, t, y):
-        self.nfev += 1
-        z = self.path.position(t)
-        if _min_distance(z) < self.guard:
+    def generators(self, index: int, s: float, h: float, start) -> np.ndarray:
+        """A at the seven nodes of [s, s + h] on segment index.  start is A
+        at s when a step already ended or began there, else None.  The
+        positions of a step go to _gauss_manin as one batch, and the
+        collision guard is checked at each of them."""
+        nodes = s + h * (_NODES if start is None else _NODES[1:])
+        z, v = self.path.segments[index].states(nodes)
+        gaps = np.abs(z[:, :, None] - z[:, None, :]) + self.diagonal
+        close = gaps.min(axis=(1, 2)) < self.guard
+        if close.any():
+            t = (index + nodes[np.argmax(close)]) / len(self.path.segments)
             raise CollisionGuardTripped(
                 f"fluxons within {self.guard:g} of each other at t = {t:.4f}")
-        v = self.path.velocity(t)
-        n = self.psi0.size
-        psi = y[:n].reshape(self.psi0.shape)
-        U = y[n:].reshape(self.dim, self.dim)
-        dpsi = psi @ np.einsum("a,akj->jk", v, _gauss_manin(z, self.phis))
-        left = psi[:, :self.dim].conj().T @ self.G
-        dU = -np.linalg.solve(left @ psi[:, :self.dim], left @ dpsi[:, :self.dim] @ U)
-        return np.concatenate([dpsi.ravel(), dU.ravel()])
+        self.nfev += len(nodes)
+        a = np.einsum("ia,iakj->ikj", v, _gauss_manin(z, self.phis))
+        return a if start is None else np.concatenate([start[None], a])
 
-    def solve(self, ode_tol):
-        """(Psi(1), U(1), solution) for U(0) = identity."""
-        y0 = np.concatenate([self.psi0.ravel(), np.eye(self.dim, dtype=complex).ravel()])
-        sol = solve_ivp(self.rhs, (0.0, 1.0), y0, method="DOP853",
-                        rtol=ode_tol, atol=ode_tol)
-        if sol.status != 0 or not sol.success:
-            raise ODEStepUnderflow(f"transport integrator failed: {sol.message}")
-        y1 = sol.y[:, -1]
-        n = self.psi0.size
-        return y1[:n].reshape(self.psi0.shape), y1[n:].reshape(self.dim, self.dim), sol
+    def coefficient_generators(self, a, psi, h: float) -> np.ndarray:
+        """K at the nodes of a step from psi at its start, with Psi there
+        from the step's 3-stage Gauss collocation polynomial: one linear
+        solve for the stages Y_i = psi + h sum_j c_ij Y_j A_j^T.  Its value
+        at the end of the step is of 6th order."""
+        m = a.shape[-1]
+        at = a[list(_GAUSS)].transpose(0, 2, 1)
+        butcher = _COLLOCATION[list(_GAUSS)]
+        blocks = h * butcher.T[:, :, None, None] * at[:, None]  # (j, i): h c_ij A_j^T
+        lhs = np.eye(3 * m) - blocks.transpose(0, 2, 1, 3).reshape(3 * m, 3 * m)
+        stages = np.linalg.solve(lhs.T, np.tile(psi, 3).T).T
+        slopes = stages.reshape(len(psi), 3, m).transpose(1, 0, 2) @ at
+        values = psi + h * np.einsum("ij,jkl->ikl", _COLLOCATION, slopes)
+        f = values[:, :, :self.dim]
+        left = f.conj().transpose(0, 2, 1) @ self.G
+        return -np.linalg.solve(left @ f, left @ (values @ a.transpose(0, 2, 1))[:, :, :self.dim])
+
+    def solve(self, ode_tol: float):
+        """(Psi(1), U(1)) for U(0) = identity.
+
+        Each segment of the path is integrated on its own parameter, so no
+        step straddles a joint, where the velocity jumps.  A step is
+        accepted when ||Psi E^T|| relative to max(1, ||Psi||), with E the
+        estimate of _magnus (and the same for U), is at most ode_tol / 10;
+        the next step is scaled by 0.9 (bound / error)^(1/5), between 0.2x
+        and 4x.  The estimate never reads below _ROUNDOFF, so a bound
+        below it (ode_tol below about 1.4e-13) shrinks the step until it
+        falls below 1e-10 of a segment, which raises ODEStepUnderflow."""
+        bound = _LOCAL_SHARE * ode_tol
+        psi = self.psi0
+        u = None if self.flat else np.eye(self.dim, dtype=complex)
+        h = 0.125
+        for index in range(len(self.path.segments)):
+            s, start = 0.0, None
+            while s < 1.0:
+                last = h >= 1.0 - s
+                step = 1.0 - s if last else h
+                a = self.generators(index, s, step, start)
+                omega, diff = _magnus(a, step)
+                err = _relative(psi @ diff.T, psi)
+                if u is not None:
+                    k = self.coefficient_generators(a, psi, step)
+                    omega_u, diff_u = _magnus(k, step)
+                    err = max(err, _relative(diff_u @ u, u))
+                err = max(err, _ROUNDOFF)
+                if err <= bound:
+                    psi = psi @ _expm(omega).T
+                    if u is not None:
+                        u = _expm(omega_u) @ u
+                    s, start = (1.0 if last else s + step), a[-1]
+                    self.n_steps += 1
+                    h = step * min(4.0, 0.9 * (bound / err) ** 0.2)
+                else:
+                    start = a[0]
+                    h = step * max(0.2, 0.9 * (bound / err) ** 0.2)
+                    if h < _MIN_STEP:
+                        t = (index + s) / len(self.path.segments)
+                        raise ODEStepUnderflow(
+                            f"transport step {h:.3g} below {_MIN_STEP:g} of a segment "
+                            f"at t = {t:.4f}: ode_tol {ode_tol:g} is out of reach")
+        if u is None:
+            u = np.linalg.solve(psi[:-1], self.psi0[:-1])
+        return psi, u
+
+
+def _transport(vc: ValidatedConfig, path: ControlPath, ode_tol: float,
+               quad_tol: float, collision_guard: float | None):
+    if not (math.isfinite(ode_tol) and ode_tol > 0.0):
+        raise ValueError(f"ode_tol must be positive and finite, got {ode_tol!r}")
+    prob = _TransportProblem(vc, path, quad_tol, collision_guard)
+    psi1, u = prob.solve(ode_tol)
+    return prob, psi1, u
 
 
 def parallel_transport(vc: ValidatedConfig, path: ControlPath, p0,
@@ -430,16 +621,15 @@ def parallel_transport(vc: ValidatedConfig, path: ControlPath, p0,
 
     Returns (p_final, info); info reports the relative drift of the
     conserved zero-mode norm p^* g p (g at the end from the continued
-    contour matrix), the accepted step count and the number of ODE
-    right-hand-side evaluations.
+    contour matrix), the accepted step count and the number of
+    Gauss-Manin evaluations.
     """
     coeffs = np.asarray(p0.coefficients if isinstance(p0, ModeVector) else p0,
                         dtype=complex)
     dim = vc.counts.D_f
     if coeffs.shape != (dim,):
         raise ValueError(f"coefficient vector must have length D_f = {dim}")
-    prob = _TransportProblem(vc, path, quad_tol, collision_guard)
-    psi1, u, sol = prob.solve(ode_tol)
+    prob, psi1, u = _transport(vc, path, ode_tol, quad_tol, collision_guard)
     p1 = u @ coeffs
     n0 = float(np.real(coeffs.conj() @ prob.metric(prob.psi0) @ coeffs))
     n1 = float(np.real(p1.conj() @ prob.metric(psi1) @ p1))
@@ -447,7 +637,7 @@ def parallel_transport(vc: ValidatedConfig, path: ControlPath, p0,
         "norm_start": n0,
         "norm_end": n1,
         "norm_drift": abs(n1 - n0) / abs(n0),
-        "n_steps": len(sol.t) - 1,
+        "n_steps": prob.n_steps,
         "nfev": prob.nfev,
     }
     return p1, info
@@ -471,8 +661,7 @@ def holonomy(vc: ValidatedConfig, loop: ControlPath,
     if not loop.is_closed(vc.config.fluxes):
         raise ClosedPathRequired("holonomy needs an exactly closed loop "
                                  "(same positions, same fluxes)")
-    prob = _TransportProblem(vc, loop, quad_tol, collision_guard)
-    psi1, u, sol = prob.solve(ode_tol)
+    prob, psi1, u = _transport(vc, loop, ode_tol, quad_tol, collision_guard)
     g0 = prob.metric(prob.psi0)
     drift = float(np.abs(u.conj().T @ g0 @ u - g0).max() / np.abs(g0).max())
     monodromy = np.linalg.solve(prob.psi0[:-1].T, psi1[:-1].T).T
@@ -481,7 +670,7 @@ def holonomy(vc: ValidatedConfig, loop: ControlPath,
         eigenvalues=np.linalg.eigvals(u),
         norm_drift=drift,
         method="ode",
-        n_steps=len(sol.t) - 1,
+        n_steps=prob.n_steps,
         nfev=prob.nfev,
         permutation=loop.closure_permutation(),
         metadata={"ode_tol": ode_tol, "quad_tol": quad_tol, "monodromy": monodromy},

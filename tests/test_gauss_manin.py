@@ -106,3 +106,23 @@ def test_ambiguous_start_matches_perturbed_start():
         loop = ControlPath.circle(vc, mover=0, center=vc.zeta[1])
         results.append(holonomy(vc, loop).u)
     assert np.abs(results[0] - results[1]).max() < 1e-6
+
+
+@pytest.mark.parametrize("phis", [[0.4, 0.5, 0.6],
+                                  [0.45, 0.55, 0.35, 0.6, 0.3],
+                                  [0.0, 0.45, 0.55, 0.35, 0.6]])
+def test_batch_rows_equal_single_calls(phis):
+    # the transport evaluates the nodes of a step as one batch; each row
+    # must be the single call, bit for bit, whatever the batch size (a
+    # fluxon with phi' = 0 is no branch point and gets D = 0)
+    from fluxholo.metric import _gauss_manin
+
+    rng = np.random.default_rng(7)
+    base = np.array(POSITIONS[:len(phis)])
+    batch = base + 0.05 * (rng.normal(size=(7, len(base))) + 1j * rng.normal(size=(7, len(base))))
+    whole = _gauss_manin(batch, phis)
+    assert whole.shape == (7, *_gauss_manin(batch[0], phis).shape)
+    for b in range(len(batch)):
+        assert np.array_equal(whole[b], _gauss_manin(batch[b], phis))
+        assert np.array_equal(whole[b], _gauss_manin(batch[b:b + 2], phis)[0])
+    assert not whole[:, np.asarray(phis) == 0.0].any()

@@ -1,9 +1,13 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from fluxholo import (
+    BraidWord,
     ControlPath,
     FluxConfig,
     ModeVector,
@@ -17,12 +21,16 @@ from fluxholo import (
     parallel_transport,
     primitive_matrix,
     validate,
+    word_to_path,
 )
 from fluxholo.cli import check_flat_curvature
 from fluxholo.errors import (
     ClosedPathRequired,
     CollisionGuardTripped,
+    ODEStepUnderflow,
 )
+from fluxholo.metric import _contour_frame, _gauss_manin
+from fluxholo.transport import _expm
 from conftest import assert_within_tolerance, factorized_metric
 
 
@@ -326,3 +334,149 @@ class TestCurvature:
         assert r_na.shape == (1, 1)
         assert abs(r_na[0, 0] - r_ab) < 1e-5 * max(1.0, abs(r_ab))
 
+
+
+# -- the stepper against scipy's DOP853 -----------------------------------------
+
+def dop853_transport(vc, path, quad_tol=1e-10):
+    """U(1) by the independent route: the full (Psi, U) system,
+    dPsi/dt = Psi A^T and dU/dt = -g^{-1} Psi_f^* G (dPsi_f/dt) U, with
+    scipy's DOP853 at rtol = atol = 1e-12, from the same contour frame."""
+    psi, G, _ = _contour_frame(vc, quad_tol)
+    psi0 = psi / np.abs(psi).max()
+    f, n = vc.counts.D_f, psi0.size
+
+    def rhs(t, y):
+        p = y[:n].reshape(psi0.shape)
+        dp = p @ np.einsum("a,akj->jk", path.velocity(t),
+                           _gauss_manin(path.position(t), vc.phi_reduced))
+        left = p[:, :f].conj().T @ G
+        du = -np.linalg.solve(left @ p[:, :f], left @ dp[:, :f] @ y[n:].reshape(f, f))
+        return np.concatenate([dp.ravel(), du.ravel()])
+
+    y0 = np.concatenate([psi0.ravel(), np.eye(f, dtype=complex).ravel()])
+    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=1e-12, atol=1e-12)
+    assert sol.success
+    return sol.y[n:, -1].reshape(f, f)
+
+
+def _word_loop(positions, fluxes, move):
+    vc = validate(FluxConfig(positions, fluxes))
+    return vc, word_to_path(vc, BraidWord.from_json({"moves": [move]}))
+
+
+def _rotation_loop():
+    vc = validate(FluxConfig([0.0, 0.3 + 1.0j], [0.7, 0.8]))
+    return vc, ControlPath.rotation(vc, center=0.15 + 0.5j)
+
+
+def _half_flux_circle(r):
+    vc = validate(FluxConfig([0.0, 1.0, 1.0 + 1j * r], [0.5, 0.5, 0.5]))
+    return vc, ControlPath.circle(vc, mover=2, center=1.0)
+
+
+def _ellipse_loop():
+    """Criterion 7's eccentric ellipse of fluxon 0 around fluxon 1, not
+    centred on it: two fluxons, so the generator commutes with itself."""
+    vc = validate(FluxConfig([0.0, 0.3 + 1.0j], [0.7, 0.8]))
+    ec = vc.zeta[1] + (-0.15 + 0.25j)
+    w = vc.zeta[0] - ec
+    eb = abs(w.imag) * 1.35
+    ea = abs(w.real) / math.sqrt(1.0 - (w.imag / eb) ** 2)
+    th0 = math.atan2(w.imag / eb, w.real / ea)
+
+    def pos(s):
+        z = vc.zeta.copy()
+        th = th0 + 2 * math.pi * s
+        z[0] = ec + ea * math.cos(th) + 1j * eb * math.sin(th)
+        return z
+
+    def vel(s):
+        v = np.zeros(2, dtype=complex)
+        th = th0 + 2 * math.pi * s
+        v[0] = 2 * math.pi * (-ea * math.sin(th) + 1j * eb * math.cos(th))
+        return v
+
+    return vc, ControlPath.parametric(pos, vel, vc.zeta, vc.zeta)
+
+
+def _two_free_modes_circle():
+    vc = validate(FluxConfig([0.0, 1.0 + 0.2j, 0.4 + 1.1j, -0.7 + 0.8j], [0.6] * 4))
+    assert vc.counts.D_f == 2 < vc.n_fluxons - 1
+    return vc, ControlPath.circle(vc, mover=2, center=vc.zeta[2] - 0.25j)
+
+
+TRIPLE = ([0.0, 0.3 + 1.0j, -0.2 + 2.2j], [0.9, 0.9, 0.9])
+ORACLE_LOOPS = {
+    # topological (D_f = N - 1): only Psi is integrated
+    "encircle": lambda: _word_loop(*TRIPLE, {"encircle": [0, 1]}),
+    "exchange": lambda: _word_loop(*TRIPLE, {"exchange": 1}),
+    "rotation": _rotation_loop,
+    "c7-ellipse": _ellipse_loop,
+    # non-topological: U advances with Psi
+    "c10-r0.25": lambda: _half_flux_circle(0.25),
+    "c10-r0.45": lambda: _half_flux_circle(0.45),
+    "n4-two-free-modes": _two_free_modes_circle,
+}
+_ORACLE = {}
+
+
+@pytest.mark.parametrize("ode_tol", [1e-6, 1e-8, 1e-10])
+@pytest.mark.parametrize("name", list(ORACLE_LOOPS))
+def test_stepper_matches_dop853(name, ode_tol):
+    # the transported coefficients agree with the oracle to ode_tol; the
+    # oracle's own error, at 1e-12, is far below the smallest bound
+    vc, loop = ORACLE_LOOPS[name]()
+    if name not in _ORACLE:
+        _ORACLE[name] = dop853_transport(vc, loop)
+    res = holonomy(vc, loop, ode_tol=ode_tol)
+    assert np.abs(res.u - _ORACLE[name]).max() <= ode_tol
+
+
+@pytest.mark.parametrize("scale", [1e-3, 0.3, 1.0, 7.0, 30.0])
+def test_expm_matches_scipy(scale):
+    # the Pade approximant holds to rounding at 1-norm 1/2; the squarings
+    # and the reference itself lose accuracy in proportion to the norm
+    rng = np.random.default_rng(11)
+    for m in (1, 2, 4):
+        a = scale * (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+        ref = expm(a)
+        norm = np.abs(a).sum(axis=0).max()
+        assert np.abs(_expm(a) - ref).max() <= 1e-14 * max(1.0, norm) * np.abs(ref).max()
+
+
+class TestStepper:
+    @pytest.mark.parametrize("ode_tol", [0.0, -1e-8, math.nan, math.inf])
+    def test_tolerance_must_be_positive_and_finite(self, two_fluxon, ode_tol):
+        loop = ControlPath.circle(two_fluxon, mover=0, center=two_fluxon.zeta[1])
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="ode_tol"):
+            holonomy(two_fluxon, loop, ode_tol=ode_tol)
+        with pytest.raises(ValueError, match="ode_tol"):
+            parallel_transport(two_fluxon, loop, [1.0], ode_tol=ode_tol)
+        assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("name", ["encircle", "c7-ellipse", "c10-r0.25"])
+    def test_tolerance_below_roundoff_underflows(self, name):
+        # the estimate never reads below the rounding of the Gauss-Manin
+        # matrices, so the step shrinks to its floor and the stepper gives
+        # up at once
+        vc, loop = ORACLE_LOOPS[name]()
+        t0 = time.perf_counter()
+        with pytest.raises(ODEStepUnderflow):
+            holonomy(vc, loop, ode_tol=1e-18)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_counters_repeat_exactly(self, three_identical_09):
+        # the benchmark digest hashes nfev and n_steps; nfev counts the
+        # Gauss-Manin node evaluations, at least three per accepted step
+        loop = word_to_path(three_identical_09,
+                            BraidWord.from_json({"moves": [{"encircle": [0, 1]}]}))
+        first, second = (holonomy(three_identical_09, loop) for _ in range(2))
+        assert (first.nfev, first.n_steps) == (second.nfev, second.n_steps)
+        assert np.array_equal(first.u, second.u)
+        assert first.n_steps > 0 and first.nfev >= 3 * first.n_steps
+        infos = [parallel_transport(three_identical_09, loop, [1.0, 0.5])[1]
+                 for _ in range(2)]
+        assert infos[0]["nfev"] == infos[1]["nfev"] >= 3 * infos[0]["n_steps"] > 0
+        assert infos[0]["n_steps"] == infos[1]["n_steps"]
