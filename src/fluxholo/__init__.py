@@ -24,7 +24,6 @@ from .monodromy import (
     MonodromyMatrix,
     Move,
     confined_phase,
-    encircle_block,
     exchange_block,
     holonomy_analytic,
     reduce_monodromy,
@@ -59,8 +58,8 @@ __all__ = [
     "Move", "PrimitiveMatrix", "ValidatedConfig", "ELLIPTIC_CONVENTION",
     "confined_phase", "connection", "continue_along_path", "count_modes",
     "coupling_matrix", "curvature_abelian", "curvature_nonabelian",
-    "cut_factor", "cut_order", "density", "elliptic_k", "encircle_block",
-    "exchange_block", "holonomy", "holonomy_analytic", "hyp2f1_reg",
+    "cut_factor", "cut_order", "density", "elliptic_k", "exchange_block",
+    "holonomy", "holonomy_analytic", "hyp2f1_reg",
     "metric_bruteforce", "metric_derivative",
     "metric_factorized", "metric_half_fluxes", "mode_value",
     "parallel_transport", "primitive_matrix", "reduce_monodromy",

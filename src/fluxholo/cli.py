@@ -260,7 +260,7 @@ TOLERANCES = {
     "coupling_signature": 0,
     "monodromy_pseudo_unitarity": 1e-12,
     "burau_yang_baxter": 1e-14,
-    "burau_exchange_squared": 1e-14,
+    "burau_exchange_squared_spectrum": 1e-14,
     "burau_permutation_limit": 1e-14,
     "metric_gauge_independence": 1e-9,
     "metric_scaling_law": 1e-8,
@@ -323,10 +323,9 @@ def check_coupling(rng):
 
 
 def check_monodromy(rng):
-    """G = M^* G M and M 1 = 1 for the Burau monodromy of a random word."""
+    """M^* G(start) M = G(end) and M 1 = 1 for a random colored word."""
     n = int(rng.integers(2, 6))
-    identical = bool(rng.integers(0, 2))
-    if identical:
+    if rng.integers(0, 2):
         fluxes = np.full(n, float(rng.uniform(1 - 1 / n + 0.02, 0.98)))
     else:
         fluxes = _clear_fluxes(rng, n, 0.1, 0.9)
@@ -334,7 +333,7 @@ def check_monodromy(rng):
     for _ in range(int(rng.integers(1, 9))):
         s = int(rng.integers(0, n - 1))
         p = int(rng.choice([-1, 1]))
-        kind = "exchange" if identical and rng.integers(0, 2) else "encircle"
+        kind = "exchange" if rng.integers(0, 2) else "encircle"
         moves.append(mono.Move(kind, s, p))
     M = mono.word_to_monodromy(mono.BraidWord(moves), fluxes)
     return {"monodromy_pseudo_unitarity":
@@ -342,17 +341,16 @@ def check_monodromy(rng):
 
 
 def check_burau():
-    """Braid relation, exchange squared = encirclement, permutation limit."""
-    nu = cut_factor(0.83)
-    b1 = np.eye(3, dtype=complex)
-    b1[:2, :2] = mono.exchange_block(nu)
-    b2 = np.eye(3, dtype=complex)
-    b2[1:, 1:] = mono.exchange_block(nu)
+    """Colored braid relation, spectrum {1, nu_a nu_b} of sigma^2, permutation limit."""
+    def monodromy(*strands):
+        word = mono.BraidWord([mono.Move("exchange", i) for i in strands])
+        return mono.word_to_monodromy(word, [0.6, 0.7, 0.83]).M
+
+    ev = np.sort_complex(np.linalg.eigvals(monodromy(0, 0)[:2, :2]))
+    expect = np.sort_complex(np.array([1.0, cut_factor(0.6) * cut_factor(0.7)]))
     return {
-        "burau_yang_baxter": np.abs(b1 @ b2 @ b1 - b2 @ b1 @ b2).max(),
-        "burau_exchange_squared":
-            np.abs(np.linalg.matrix_power(mono.exchange_block(nu), 2)
-                   - mono.encircle_block(nu, nu)).max(),
+        "burau_yang_baxter": np.abs(monodromy(0, 1, 0) - monodromy(1, 0, 1)).max(),
+        "burau_exchange_squared_spectrum": np.abs(ev - expect).max(),
         "burau_permutation_limit":
             np.abs(mono.exchange_block(1.0) - np.array([[0, 1], [1, 0]])).max(),
     }

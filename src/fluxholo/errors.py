@@ -47,15 +47,11 @@ class NoFreeModes(ValidationError):
 
 
 class ClosedPathRequired(ValidationError):
-    """Holonomy was requested for a path that is not closed."""
+    """Holonomy was requested for a path or braid word that does not close."""
 
 
 class NonAdjacentEncircle(ValidationError):
-    """Encircling moves are only defined for adjacent strands."""
-
-
-class ExchangeOnDistinctFluxes(ValidationError):
-    """Exchange moves require all fluxes equal."""
+    """A braid move needs strands i and i + 1 of the N strands, 0 <= i < N - 1."""
 
 
 class NotConfined(ValidationError):

@@ -1,16 +1,12 @@
 """Braid-word algebra and analytic holonomy.
 
-Carrying fluxon a once counter-clockwise around its cut-order neighbor
-b = a + 1 rearranges the contour matrix rows by the 2 x 2 block
-
-    [[1 - nu_a + nu_a nu_b,  nu_a (1 - nu_b)],
-     [1 - nu_a,              nu_a           ]],    nu = e^{-2 pi i phi},
-
-with determinant nu_a nu_b and eigenvalues {1, nu_a nu_b}.  For identical
-fluxes the exchange of two neighbors is the Burau generator
-[[1 - nu, nu], [1, 0]].  Words in these moves compose into N x N
-monodromy matrices M that fix the all-ones vector and preserve the
-coupling matrix, G = M^* G M.
+The one braid primitive is the colored half-twist sigma_i: it swaps the
+fluxons on cut-order strands i and i + 1 counter-clockwise and rearranges
+their contour matrix rows by the Burau block [[1 - nu, nu], [1, 0]] of
+nu = e^{-2 pi i phi} on strand i + 1 (sigma_i^{-1}: the inverse block of
+strand i).  An encirclement is sigma_i^2, with eigenvalues {1, nu_a nu_b}.
+Words compose into monodromy matrices M with M 1 = 1 and
+M^* G(start flux order) M = G(end flux order).
 
 Because M fixes 1_N it acts on the quotient of C^N by constants, where
 the contour matrix becomes square and invertible whenever the free-mode
@@ -29,7 +25,7 @@ import numpy as np
 
 from .config import ValidatedConfig, count_modes, cut_factor, cut_order
 from .errors import (
-    ExchangeOnDistinctFluxes,
+    ClosedPathRequired,
     NonAdjacentEncircle,
     NotConfined,
     NotMaximalFreeModes,
@@ -37,17 +33,13 @@ from .errors import (
 from .metric import coupling_matrix, primitive_matrix
 from .transport import ControlPath, HolonomyResult, _json_int
 
-FLUX_EQUALITY_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class Move:
     """One braid move on strand positions (0-based, cut order).
 
-    kind "encircle": the fluxon on strand `strand` loops `power` times
-    counter-clockwise around the one on strand `strand` + 1.
-    kind "exchange": the two are swapped, counter-clockwise half-turn for
-    power = +1 (requires identical fluxes).
+    kind "exchange" is sigma_strand^power, `power` counter-clockwise half-turns
+    of strands `strand` and `strand` + 1; kind "encircle" is sigma_strand^(2 power).
     """
 
     kind: str
@@ -118,23 +110,18 @@ class MonodromyMatrix:
         return float(np.abs(self.M @ ones - ones).max())
 
     def pseudo_unitarity_residual(self) -> float:
-        """Defect of M* G M = G, relative to |G| |M|^2 (the congruence is
-        exact in exact arithmetic; the forward error of forming M from a
-        word scales with the product of the block norms)."""
+        """Defect of M* G(start) M = G(end), relative to |G| |M|^2 (the
+        congruence is exact in exact arithmetic; the forward error of
+        forming M from a word scales with the product of the block norms)."""
         G = coupling_matrix(self.fluxes)
-        raw = float(np.abs(self.M.conj().T @ G @ self.M - G).max())
+        G_end = coupling_matrix(_carry(self.word, self.fluxes))
+        raw = float(np.abs(self.M.conj().T @ G @ self.M - G_end).max())
         scale = float(np.abs(G).max()) * max(1.0, float(np.abs(self.M).max()) ** 2)
         return raw / scale
 
 
-def encircle_block(nu_a: complex, nu_b: complex) -> np.ndarray:
-    """Two-strand block for one counter-clockwise encirclement."""
-    return np.array([[1.0 - nu_a + nu_a * nu_b, nu_a * (1.0 - nu_b)],
-                     [1.0 - nu_a, nu_a]], dtype=complex)
-
-
 def exchange_block(nu: complex) -> np.ndarray:
-    """Burau generator for exchanging two identical fluxons."""
+    """Colored Burau block of sigma_i, nu the cut factor of strand i + 1."""
     return np.array([[1.0 - nu, nu], [1.0, 0.0]], dtype=complex)
 
 
@@ -144,8 +131,28 @@ def _embed(block: np.ndarray, strand: int, n: int) -> np.ndarray:
     return M
 
 
+def _half_twists(word: BraidWord, n: int):
+    """(i, +1 or -1) for each half-twist sigma_i^(+-1) of the word, in order."""
+    for mv in word.moves:
+        i = mv.strand
+        if not 0 <= i < n - 1:
+            raise NonAdjacentEncircle(
+                f"strand {i} has no neighbor {i + 1} (N = {n})")
+        twists = 2 * mv.power if mv.kind == "encircle" else mv.power
+        for _ in range(abs(twists)):
+            yield i, 1 if twists > 0 else -1
+
+
+def _carry(word: BraidWord, labels) -> list:
+    """Per-strand labels carried through the word: entry s ends on strand s."""
+    out = list(labels)
+    for i, _ in _half_twists(word, len(out)):
+        out[i], out[i + 1] = out[i + 1], out[i]
+    return out
+
+
 def word_to_monodromy(word: BraidWord, fluxes) -> MonodromyMatrix:
-    """Product of embedded blocks, first move leftmost.
+    """Product of embedded colored half-twist blocks, first leftmost.
 
     Analytic continuation along a concatenated path drags the branch
     through the earlier moves first, and each earlier monodromy matrix
@@ -154,31 +161,19 @@ def word_to_monodromy(word: BraidWord, fluxes) -> MonodromyMatrix:
     The transport ODE fixes this orientation: criterion-9-style numeric
     holonomies of multi-move paths match only with this ordering.
 
-    fluxes are listed in strand (cut) order.  Exchanges permute the
-    strand-to-fluxon assignment for the remaining moves; encirclements
-    return every fluxon to its strand.
+    fluxes are listed in strand (cut) order; each half-twist swaps the
+    fluxes of its two strands for the rest of the word.
     """
     assign = [float(f) for f in fluxes]
     n = len(assign)
     M = np.eye(n, dtype=complex)
-    for mv in word.moves:
-        i = mv.strand
-        if not 0 <= i < n - 1:
-            raise NonAdjacentEncircle(
-                f"strand {i} has no neighbor {i + 1} (N = {n})")
-        if mv.kind == "encircle":
-            blk = encircle_block(cut_factor(assign[i]), cut_factor(assign[i + 1]))
+    for i, sign in _half_twists(word, n):
+        if sign > 0:
+            blk = exchange_block(cut_factor(assign[i + 1]))
         else:
-            spread = max(assign) - min(assign)
-            if spread > FLUX_EQUALITY_TOL:
-                raise ExchangeOnDistinctFluxes(
-                    f"fluxes differ by {spread:.3g}; exchange undefined")
-            blk = exchange_block(cut_factor(assign[i]))
-            if mv.power % 2:
-                assign[i], assign[i + 1] = assign[i + 1], assign[i]
-        if mv.power != 1:
-            blk = np.linalg.matrix_power(blk, mv.power)
+            blk = np.linalg.inv(exchange_block(cut_factor(assign[i])))
         M = M @ _embed(blk, i, n)
+        assign[i], assign[i + 1] = assign[i + 1], assign[i]
     return MonodromyMatrix(M=M, word=word, fluxes=tuple(float(f) for f in fluxes))
 
 
@@ -207,12 +202,20 @@ def holonomy_analytic(vc: ValidatedConfig, word: BraidWord,
     contour matrix is square and invertible.  Strand indices in the word
     refer to the cut order of the configuration, so Psi is taken in that
     order, unrotated: the one caller outside the frame of
-    metric._contour_frame.
+    metric._contour_frame.  As ControlPath.is_closed and closure_permutation,
+    the word must carry each fluxon onto one of exactly equal flux.
     """
     n = vc.n_fluxons
     if vc.counts.D_f != n - 1:
         raise NotMaximalFreeModes(
             f"analytic holonomy needs D_f = N - 1, got D_f = {vc.counts.D_f}")
+    order = cut_order(vc)
+    perm = np.empty(n, dtype=int)
+    perm[_carry(word, order)] = order
+    fluxes = np.asarray(vc.config.fluxes)
+    if np.any(fluxes[perm] != fluxes):
+        raise ClosedPathRequired("the braid word carries a fluxon onto one "
+                                 "of different flux")
     psi = primitive_matrix(vc, tol, n - 1)
     psi_t = psi.matrix[:n - 1]
     m_t = reduce_monodromy(word_to_monodromy(word, psi.fluxes))
@@ -224,7 +227,7 @@ def holonomy_analytic(vc: ValidatedConfig, word: BraidWord,
         eigenvalues=np.linalg.eigvals(u),
         norm_drift=drift,
         method="analytic",
-        permutation=tuple(range(n)),
+        permutation=tuple(perm.tolist()),
         metadata={"order": psi.order},
     )
 

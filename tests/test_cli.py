@@ -173,6 +173,19 @@ class TestHolonomy:
         assert doc["discrepancy"] < 1e-3
         assert doc["analytic"]["norm_drift"] < 1e-9
 
+    def test_colored_word_runs_both_routes(self, tmp_path):
+        # sigma_0 sigma_1^2 sigma_0^-1 on three distinct fluxes closes; a lone
+        # exchange of the 0.6 and 0.7 fluxons does not
+        cfg = write_config(tmp_path, [0.6, 0.7, 0.8], [0.0, 0.3 + 1.0j, -0.2 + 2.2j])
+        word = json.dumps({"moves": [{"exchange": 0}, {"encircle": [1, 2]},
+                                     {"exchange": 0, "power": -1}]})
+        code, doc = run(["--ode-tol", "1e-8", "holonomy", cfg, "--word", word], tmp_path)
+        assert code == 0
+        assert doc["discrepancy"] <= 10 * 1e-8
+        code, doc = run(["holonomy", cfg, "--word", '{"moves": [{"exchange": 0}]}'],
+                        tmp_path, out_name="refused.json")
+        assert code == 2 and doc is None
+
     def test_open_path_rejected(self, tmp_path):
         cfg = write_config(tmp_path, [0.7, 0.8], [0.0, 0.3 + 1.0j])
         path = json.dumps([{"type": "segment", "mover": 0, "to": [-2.0, 0.0]}])
@@ -223,6 +236,12 @@ class TestVerify:
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         doc = json.loads((tmp_path / "a.json").read_text())
         assert doc["passed"] and doc["n_failed"] == 0
+
+    def test_full_level_deterministic(self, tmp_path):
+        code1 = main(["--output", str(tmp_path / "a.json"), "verify", "--level", "full"])
+        code2 = main(["--output", str(tmp_path / "b.json"), "verify", "--level", "full"])
+        assert code1 == 0 and code2 == 0
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_bad_tolerance_rejected(self, tmp_path):
         code = main(["--quad-tol", "-1", "verify", "--level", "quick"])

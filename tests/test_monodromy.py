@@ -11,7 +11,6 @@ from fluxholo import (
     coupling_matrix,
     cut_factor,
     cut_order,
-    encircle_block,
     exchange_block,
     holonomy,
     holonomy_analytic,
@@ -23,7 +22,7 @@ from fluxholo import (
     word_to_path,
 )
 from fluxholo.errors import (
-    ExchangeOnDistinctFluxes,
+    ClosedPathRequired,
     NonAdjacentEncircle,
     NotConfined,
     NotMaximalFreeModes,
@@ -33,40 +32,62 @@ from fluxholo.metric import best_rotation_angle
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
+def encircle_formula(nu_a, nu_b):
+    """The paper's 2 x 2 block for one counter-clockwise encirclement of
+    the fluxon on strand 1 by the one on strand 0: the oracle of sigma_0^2."""
+    return np.array([[1.0 - nu_a + nu_a * nu_b, nu_a * (1.0 - nu_b)],
+                     [1.0 - nu_a, nu_a]], dtype=complex)
+
+
+def monodromy(moves, fluxes):
+    """M of the word of (kind, strand, power) triples."""
+    return word_to_monodromy(BraidWord([Move(*m) for m in moves]), fluxes).M
+
+
+def encircle_matrix(phi_a, phi_b):
+    return monodromy([("encircle", 0, 1)], [phi_a, phi_b])
+
+
 class TestBlocks:
     def test_trivial_fluxes_give_identity(self):
-        assert np.abs(encircle_block(1.0, 1.0) - np.eye(2)).max() < 1e-15
+        assert np.abs(encircle_matrix(0.0, 0.0) - np.eye(2)).max() < 1e-15
 
     def test_eigenvalues_and_determinant(self, rng):
         for _ in range(20):
             pa, pb = rng.uniform(0, 1, 2)
             na, nb = cut_factor(pa), cut_factor(pb)
-            M = encircle_block(na, nb)
+            M = encircle_matrix(pa, pb)
             assert abs(np.linalg.det(M) - na * nb) < 1e-14
             ev = np.sort_complex(np.linalg.eigvals(M))
             ref = np.sort_complex(np.array([1.0, na * nb]))
             assert np.abs(ev - ref).max() < 1e-12
 
     def test_quarter_flux_eigenvalues(self):
-        ev = np.linalg.eigvals(encircle_block(1j, 1j))
+        ev = np.linalg.eigvals(encircle_matrix(0.75, 0.75))
         assert np.abs(np.sort_complex(ev) - np.array([-1.0, 1.0])).max() < 1e-14
 
     def test_swap_symmetry(self, rng):
         # M(nu_b, nu_a) = sx M(conj nu_a, conj nu_b)^(-1) sx
         for _ in range(10):
-            na, nb = cut_factor(rng.uniform(0, 1)), cut_factor(rng.uniform(0, 1))
-            lhs = encircle_block(nb, na)
-            rhs = SX @ np.linalg.inv(encircle_block(np.conj(na), np.conj(nb))) @ SX
+            pa, pb = rng.uniform(0, 1, 2)
+            lhs = encircle_matrix(pb, pa)
+            rhs = SX @ np.linalg.inv(encircle_matrix(-pa, -pb)) @ SX
             assert np.abs(lhs - rhs).max() < 1e-13
 
     def test_exchange_permutation_limit(self):
         assert np.abs(exchange_block(1.0) - SX).max() < 1e-15
 
     def test_exchange_squared_is_encirclement(self, rng):
-        for _ in range(10):
-            nu = cut_factor(rng.uniform(0, 1))
-            lhs = exchange_block(nu) @ exchange_block(nu)
-            assert np.abs(lhs - encircle_block(nu, nu)).max() < 1e-14
+        # sigma_b sigma_a, colored by the strand each half-twist lands on,
+        # is the paper's encirclement block, also embedded among 4 strands
+        for power in (-2, -1, 1, 2):
+            phis = rng.uniform(0, 1, 4)
+            ref = np.linalg.matrix_power(
+                encircle_formula(cut_factor(phis[1]), cut_factor(phis[2])), power)
+            twists = monodromy([("exchange", 1, int(np.sign(power)))] * 2 * abs(power), phis)
+            for M in (twists, monodromy([("encircle", 1, power)], phis)):
+                assert np.abs(M[1:3, 1:3] - ref).max() < 1e-14
+                assert np.array_equal(M[[0, 3]][:, [0, 3]], np.eye(2))
 
     def test_exchange_spectrum(self):
         nu = cut_factor(0.83)
@@ -93,6 +114,11 @@ class TestWords:
         M = word_to_monodromy(w, fluxes).M
         Minv = word_to_monodromy(w.inverse(), fluxes).M
         assert np.abs(M @ Minv - np.eye(4)).max() < 1e-13
+        # with distinct fluxes the inverse starts from the end order, which
+        # the concatenated word carries
+        colored = BraidWord([*w.moves, *w.inverse().moves])
+        assert np.abs(word_to_monodromy(colored, [0.6, 0.7, 0.8, 0.85]).M
+                      - np.eye(4)).max() < 1e-13
 
     def test_concatenation_composes_contravariantly(self):
         # continuation drags through the earlier word first, so the matrix
@@ -109,10 +135,6 @@ class TestWords:
         with pytest.raises(NonAdjacentEncircle):
             word_to_monodromy(BraidWord([Move("encircle", 2)]), [0.9, 0.9, 0.9])
 
-    def test_exchange_needs_identical_fluxes(self):
-        with pytest.raises(ExchangeOnDistinctFluxes):
-            word_to_monodromy(BraidWord([Move("exchange", 0)]), [0.7, 0.8])
-
     def test_json_word(self):
         w = BraidWord.from_json({"moves": [{"encircle": [0, 1], "power": -1},
                                            {"exchange": 1}]})
@@ -125,6 +147,38 @@ class TestWords:
                     {"moves": [{"exchange": 1, "power": 0.5}]}, {"move": []}, []):
             with pytest.raises(ValueError):
                 BraidWord.from_json(bad)
+
+
+class TestColoredRelations:
+    def test_braid_relation(self, rng):
+        for n in (3, 4):
+            for _ in range(10):
+                phis = rng.uniform(0.05, 0.95, n)
+                i = int(rng.integers(0, n - 2))
+                p = int(rng.choice([-1, 1]))
+                lhs = monodromy([("exchange", i, p), ("exchange", i + 1, p),
+                                 ("exchange", i, p)], phis)
+                rhs = monodromy([("exchange", i + 1, p), ("exchange", i, p),
+                                 ("exchange", i + 1, p)], phis)
+                assert np.abs(lhs - rhs).max() < 1e-14
+
+    def test_far_commutativity(self, rng):
+        for _ in range(10):
+            phis = rng.uniform(0.05, 0.95, 4)
+            p, q = (int(v) for v in rng.choice([-2, -1, 1, 2], 2))
+            lhs = monodromy([("exchange", 0, p), ("exchange", 2, q)], phis)
+            rhs = monodromy([("exchange", 2, q), ("exchange", 0, p)], phis)
+            assert np.abs(lhs - rhs).max() < 1e-14
+
+    def test_coupling_carried_to_end_order(self, rng):
+        # M* G(start) M = G(end), relative to |G| |M|^2
+        for _ in range(200):
+            n = int(rng.integers(2, 6))
+            word = BraidWord([Move("exchange" if rng.integers(0, 2) else "encircle",
+                                   int(rng.integers(0, n - 1)), int(rng.choice([-2, -1, 1, 2])))
+                              for _ in range(int(rng.integers(1, 9)))])
+            M = word_to_monodromy(word, rng.uniform(0.05, 0.95, n))
+            assert M.pseudo_unitarity_residual() < 1e-14
 
 
 class TestReduction:
@@ -188,6 +242,7 @@ class TestAnalyticHolonomy:
         num = holonomy(three_identical_09, word_to_path(three_identical_09, word),
                        ode_tol=1e-6)
         assert np.abs(num.u - ana.u).max() < 1e-3
+        assert ana.permutation == num.permutation == (0, 2, 1)
         nu = cut_factor(0.9)
         ref = np.sort_complex(np.array([1.0, -np.conj(nu)]))
         assert np.abs(np.sort_complex(ana.eigenvalues) - ref).max() < 1e-11
@@ -206,6 +261,7 @@ class TestAnalyticHolonomy:
         ana = holonomy_analytic(vc, word)
         num = holonomy(vc, word_to_path(vc, word))
         assert np.abs(num.u - ana.u).max() < 1e-4
+        assert ana.permutation == num.permutation
 
     def test_homotopy_invariance_of_role_swap(self, three_identical_09):
         # "a circles b" and "b circles a" are homotopic loops in the
@@ -232,6 +288,48 @@ class TestAnalyticHolonomy:
         num = holonomy(three_identical_09,
                        word_to_path(three_identical_09, combo), ode_tol=1e-6)
         assert np.abs(num.u - uc).max() < 1e-3
+        assert num.permutation == holonomy_analytic(three_identical_09, combo).permutation
+
+    @pytest.mark.parametrize("moves, perm", [
+        ([("exchange", 1, 1)], (0, 2, 1)),
+        ([("exchange", 0, 3)], (1, 0, 2)),
+        ([("exchange", 0, -1), ("exchange", 1, 1)], (2, 0, 1)),
+        ([("encircle", 0, 1), ("exchange", 1, 2)], (0, 1, 2)),
+    ])
+    def test_permutation_is_the_paths(self, three_identical_09, moves, perm):
+        # in fluxon indices, end[k] == start[p[k]], as the numeric route reports
+        vc = three_identical_09
+        word = BraidWord([Move(*m) for m in moves])
+        assert holonomy_analytic(vc, word).permutation == perm
+        assert word_to_path(vc, word).closure_permutation() == perm
+
+    def test_flux_equality_is_exact(self):
+        # one rule on both routes: a fluxon must land on a fluxon of exactly
+        # its flux, however close the two fluxes are
+        vc = validate(FluxConfig([0.0, 0.3 + 1.0j, -0.2 + 2.2j], [0.9, 0.9, 0.9 + 1e-13]))
+        word = BraidWord([Move("exchange", 1)])
+        with pytest.raises(ClosedPathRequired):
+            holonomy_analytic(vc, word)
+        with pytest.raises(ClosedPathRequired):
+            holonomy(vc, word_to_path(vc, word))
+
+    @pytest.mark.parametrize("positions, fluxes, moves", [
+        ([0.0, 0.3 + 1.0j, -0.2 + 2.2j], [0.6, 0.7, 0.8],
+         [("exchange", 0, 1), ("encircle", 1, 1), ("exchange", 0, -1)]),
+        ([0.0, 0.3 + 1.0j, -0.2 + 2.2j], [0.7, 0.7, 0.8], [("exchange", 0, 1)]),
+        ([0.0, 1.1 + 0.4j, 0.3 + 1.5j, -0.8 + 2.3j], [0.9, 0.75, 0.8, 0.7],
+         [("encircle", 0, -1), ("exchange", 2, 1), ("exchange", 2, 1)]),
+    ], ids=["pure_braid", "equal_pair_exchange", "four_strands"])
+    def test_colored_words_match_transport(self, positions, fluxes, moves):
+        # braids on distinct fluxes: the colored monodromy against the
+        # Magnus transport of the loop the word describes
+        ode_tol = 1e-10
+        vc = validate(FluxConfig(positions, fluxes))
+        word = BraidWord([Move(*m) for m in moves])
+        ana = holonomy_analytic(vc, word)
+        num = holonomy(vc, word_to_path(vc, word), ode_tol=ode_tol)
+        assert np.abs(num.u - ana.u).max() < 10 * ode_tol
+        assert ana.permutation == num.permutation
 
 
 class TestPhases:

@@ -4,7 +4,7 @@ import subprocess
 import sys
 
 import fluxholo
-from fluxholo import cli, errors, metric, special, transport
+from fluxholo import cli, errors, metric, monodromy, special, transport
 from fluxholo.cli import main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(fluxholo.__file__)))
@@ -54,6 +54,12 @@ def test_removed_names_stay_gone():
     # the curvature stencil evaluates its five metrics as one batch, and
     # tests/conftest.py keeps a positions -> metric helper
     assert not hasattr(fluxholo, "MetricEvaluator")
+    # an encirclement is the square of the colored half-twist, which needs
+    # no flux equality: a braid word only has to close, as a path does
+    assert not hasattr(fluxholo, "encircle_block")
+    assert not hasattr(monodromy, "encircle_block")
+    assert not hasattr(errors, "ExchangeOnDistinctFluxes")
+    assert not hasattr(monodromy, "FLUX_EQUALITY_TOL")
 
 
 # Prints, as JSON, the scipy modules loaded after each step.  The steps
