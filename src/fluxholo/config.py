@@ -16,6 +16,7 @@ counter-clockwise circle crosses the cuts.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -185,19 +186,51 @@ def separations(z) -> np.ndarray:
     return sep
 
 
-def _check_distinct(positions: np.ndarray) -> None:
-    if len(positions) == 1:
+def _check_distinct(positions) -> None:
+    """CoincidentFluxons unless every pair of positions (complex numbers)
+    lies more than COINCIDENCE_TOL x the diameter apart.  The closest pair
+    named is the first in row-major order."""
+    n = len(positions)
+    if n == 1:
         return
-    sep = separations(positions)
-    diam = sep[np.isfinite(sep)].max()
+    seps = [(abs(positions[i] - positions[j]), i, j) for i in range(n) for j in range(i + 1, n)]
+    finite = [d for d, _, _ in seps if d < math.inf]
+    if not finite:
+        raise ValueError("every separation of the positions overflows the float range")
+    diam = max(finite)
     if diam == 0.0:
         raise CoincidentFluxons("all fluxons coincide")
-    i, j = np.unravel_index(np.argmin(sep), sep.shape)
-    if sep[i, j] <= COINCIDENCE_TOL * diam:
+    closest, i, j = min(seps)
+    if closest <= COINCIDENCE_TOL * diam:
         raise CoincidentFluxons(
-            f"fluxons {i} and {j} are separated by {sep[i, j]:.3g} "
+            f"fluxons {i} and {j} are separated by {closest:.3g} "
             f"(< {COINCIDENCE_TOL:g} x diameter {diam:.3g})"
         )
+
+
+@functools.lru_cache(maxsize=256)
+def _flux_verdict(fluxes: tuple):
+    """What validate decides from the fluxes alone, once per flux tuple:
+    (error before the position checks, mode counts, error of strict
+    validation), each error as (type, message) or None."""
+    if not all(math.isfinite(f) for f in fluxes):
+        return (ValueError, "fluxes must be finite"), None, None
+    counts = count_modes(fluxes)
+    total = math.fsum(fluxes)
+    if total <= 0.0:
+        return None, counts, (NonpositiveTotalFlux, f"total flux {total:.6g} <= 0")
+    if abs(total - round(total)) < EPS_THRESHOLD:
+        return None, counts, (
+            NearIntegerTotalFlux,
+            f"total flux {total:.6g} lies within {EPS_THRESHOLD:g} of an "
+            f"integer; the metric diverges at thresholds")
+    for a, f in enumerate(fluxes):
+        r = round(f)
+        if r != 0 and abs(f - r) < EPS_THRESHOLD:
+            return None, counts, (
+                NearIntegerFluxon,
+                f"flux {a} = {f:.6g} lies within {EPS_THRESHOLD:g} of the integer {r}")
+    return None, counts, None
 
 
 def validate(config: FluxConfig, *, strict: bool = True) -> ValidatedConfig:
@@ -207,32 +240,17 @@ def validate(config: FluxConfig, *, strict: bool = True) -> ValidatedConfig:
     operation) the total flux must be positive and neither the total flux
     nor any individual flux may sit within EPS_THRESHOLD of a (nonzero)
     integer.  With strict=False only coincidence is checked, which is all
-    that mode counting needs.
+    that mode counting needs.  The verdict on the fluxes is cached per
+    flux tuple; the positions are checked on every call.
     """
-    positions = np.array(config.positions, dtype=complex)
-    if not np.all(np.isfinite(positions)):
+    if not all(cmath.isfinite(z) for z in config.positions):
         raise ValueError("positions must be finite")
-    fluxes = np.array(config.fluxes, dtype=float)
-    if not np.all(np.isfinite(fluxes)):
-        raise ValueError("fluxes must be finite")
-    _check_distinct(positions)
-    counts = count_modes(config.fluxes)
-    if strict:
-        total = math.fsum(config.fluxes)
-        if total <= 0.0:
-            raise NonpositiveTotalFlux(f"total flux {total:.6g} <= 0")
-        if abs(total - round(total)) < EPS_THRESHOLD:
-            raise NearIntegerTotalFlux(
-                f"total flux {total:.6g} lies within {EPS_THRESHOLD:g} of an "
-                f"integer; the metric diverges at thresholds"
-            )
-        for a, f in enumerate(config.fluxes):
-            r = round(f)
-            if r != 0 and abs(f - r) < EPS_THRESHOLD:
-                raise NearIntegerFluxon(
-                    f"flux {a} = {f:.6g} lies within {EPS_THRESHOLD:g} of "
-                    f"the integer {r}"
-                )
+    flux_error, counts, strict_error = _flux_verdict(config.fluxes)
+    if flux_error:
+        raise flux_error[0](flux_error[1])
+    _check_distinct(config.positions)
+    if strict and strict_error:
+        raise strict_error[0](strict_error[1])
     return ValidatedConfig(config=config, counts=counts, strict=strict)
 
 

@@ -95,9 +95,14 @@ def coupling_matrix(fluxes) -> np.ndarray:
     G_ab = sin(pi phi_a) sin(pi phi_b) / sin(pi phi_T)
            * exp[i pi (phi_T - sum_{c=a}^{b-1} (phi_c + phi_{c+1}))],
     completed by hermiticity.  Verified against the brute-force metric
-    through g = Psi^* G Psi in the test suite.
+    through g = Psi^* G Psi in the test suite.  Computed once per flux
+    tuple; the array returned is read-only.
     """
-    phis = np.asarray([float(f) for f in fluxes], dtype=float)
+    return _coupling_matrix(tuple(float(f) for f in fluxes))
+
+
+@functools.lru_cache(maxsize=256)
+def _coupling_matrix(phis: tuple) -> np.ndarray:
     total = math.fsum(phis)
     if abs(math.sin(math.pi * total)) < 1e-9:
         raise ThresholdSingularity(
@@ -113,6 +118,7 @@ def coupling_matrix(fluxes) -> np.ndarray:
             G[a, b] = (math.sin(math.pi * phis[a]) * math.sin(math.pi * phis[b]) / s_tot
                        * np.exp(1j * math.pi * (total - run)))
             G[b, a] = np.conj(G[a, b])
+    G.flags.writeable = False
     return G
 
 
@@ -354,9 +360,7 @@ def _contour_frames(vcs, tol: float, columns: int | None = None):
     keep = branch[order]
     shape = (len(vcs), int(np.count_nonzero(branch)))
     mat = rows[keep].reshape(*shape, columns) * lam[:, None, None] ** -np.arange(columns)
-    cuts = [tuple(cut) for cut in phis[order][keep].reshape(shape).tolist()]
-    couplings = {cut: coupling_matrix(cut) for cut in set(cuts)}  # one per cut order
-    G = np.array([couplings[cut] for cut in cuts])
+    G = np.array([coupling_matrix(cut) for cut in phis[order][keep].reshape(shape).tolist()])
     return mat - mat[:, -1:], G, err
 
 
@@ -467,10 +471,43 @@ def _bump(t):
     return f2
 
 
+class _Work:
+    """Work arrays of the brute-force pieces for chunks of up to `size` grid
+    points: flat buffers, viewed in the shape of the current chunk.  The
+    chunk's points z with contiguous copies x and y of their parts, its
+    bump sum chi, log weight logw, squared distance d2 with its scratch
+    dy, the ring mask near, and the monomial rows p = [1, z, ..., z^(n-1)]
+    with their weighted copy wp."""
+
+    def __init__(self, size, n_cols):
+        # a single column is summed directly, without monomial rows
+        self.size, self.rows, self.shape = size, n_cols if n_cols > 1 else 0, None
+        self._z = np.empty(size, dtype=complex)
+        self._p = np.empty((2, self.rows * size), dtype=complex)
+        self._real = np.empty((6, size))
+        self._near = np.empty(size, dtype=bool)
+
+    def view(self, shape):
+        if shape != self.shape:
+            n = shape[0] * shape[1]
+            self.shape = shape
+            self.z = self._z[:n].reshape(shape)
+            self.p, self.wp = (buf[:self.rows * n].reshape(self.rows, n) for buf in self._p)
+            self.x, self.y, self.chi, self.logw, self.d2, self.dy = (
+                buf[:n].reshape(shape) for buf in self._real)
+            self.near = self._near[:n].reshape(shape)
+        return self
+
+
 class _BruteForce:
-    """One quadrature session: geometry, refinement state, piece sums."""
+    """One quadrature session: geometry, refinement state, piece sums.
+
+    The pieces run over their grids in chunks of up to ANGULAR_CHUNK
+    angles, on one set of work arrays (_Work) that the session grows only
+    when a chunk is larger than every chunk before it."""
 
     ANGULAR_CHUNK = 128
+    DISK_ANGLES = 64
     MAX_LEVEL = 4
 
     def __init__(self, zetas, phis, n_cols):
@@ -493,54 +530,66 @@ class _BruteForce:
             rho = max(abs(zetas[a] - self.center), self.r_out[a])
             feature = min(feature, self.r_out[a] / rho)
         self.nt_boost = int(min(32, max(1, np.ceil(0.5 / feature))))
+        self._work = _Work(0, n_cols)
+
+    def _chunk(self, shape):
+        """The work arrays, viewed for one chunk of grid points of this shape."""
+        if shape[0] * shape[1] > self._work.size:
+            self._work = _Work(shape[0] * shape[1], self.n_cols)
+        return self._work.view(shape)
 
     # -- pieces ------------------------------------------------------------
 
-    def _weight(self, z, skip=None):
-        """Bump sum and log weight on one chunk of grid points z.
+    def _weight(self, w, rings, skip=None):
+        """Log weight (into w.logw) on the chunk of grid points w.z, and
+        the bump sum (into w.chi) when rings is not empty.
 
         One pass per fluxon b forms d^2 = |z - zeta_b|^2.  The log weight
         sums -phi'_b log d^2 over b != skip.  Each bump is 1 for
         d <= r_in and 0 for d >= r_out, so _bump runs only on the ring in
-        between."""
-        x, y = z.real, z.imag
-        chi = np.zeros(z.shape)
-        logw = np.zeros(z.shape)
-        d2 = np.empty(z.shape)
-        dy = np.empty(z.shape)
+        between, and only for the fluxons in rings: the callers leave out
+        those whose ring the chunk cannot meet."""
+        x, y, chi, logw, d2, dy, near = w.x, w.y, w.chi, w.logw, w.d2, w.dy, w.near
+        np.copyto(x, w.z.real)
+        np.copyto(y, w.z.imag)
+        if rings:
+            chi.fill(0.0)
+        logw.fill(0.0)
         for b, (zc, ph) in enumerate(zip(self.zetas, self.phis)):
             np.subtract(x, zc.real, out=d2)
             d2 *= d2
             np.subtract(y, zc.imag, out=dy)
             dy *= dy
             d2 += dy
-            near = d2 < self.r_out[b] ** 2
-            if near.any():
-                t = np.sqrt(d2[near])
-                t -= self.r_in[b]
-                t /= self.r_out[b] - self.r_in[b]
-                ring = (t > 0.0) & (t < 1.0)
-                chi[near] += t <= 0.0
-                near[near] = ring
-                chi[near] += _bump(t[ring])
+            if b in rings:
+                np.less(d2, self.r_out[b] ** 2, out=near)
+                if near.any():
+                    t = np.sqrt(d2[near])
+                    t -= self.r_in[b]
+                    t /= self.r_out[b] - self.r_in[b]
+                    ring = (t > 0.0) & (t < 1.0)
+                    chi[near] += t <= 0.0
+                    near[near] = ring
+                    chi[near] += _bump(t[ring])
             if b != skip and ph != 0.0:
                 np.log(d2, out=d2)
                 d2 *= ph
                 logw -= d2
-        return chi, logw
 
-    def _contract(self, z, w):
-        """sum over the chunk of w zbar^j z^k, one value per (j, k) pair
-        with j <= k, read from P^H (w P) with P = [1, z, ..., z^(n-1)]."""
-        w = w.ravel()
+    def _contract(self, w, weights):
+        """sum over the chunk of weights zbar^j z^k, one value per (j, k)
+        pair with j <= k, read from P^H (weights P) with
+        P = [1, z, ..., z^(n-1)]."""
+        weights = weights.reshape(-1)
         if self.n_cols == 1:
-            return np.array([w.sum()], dtype=complex)
-        p = np.empty((self.n_cols, w.size), dtype=complex)
+            return np.array([weights.sum()], dtype=complex)
+        p = w.p
         p[0] = 1.0
-        p[1] = z.ravel()
+        p[1] = w.z.reshape(-1)
         for k in range(2, self.n_cols):
-            p[k] = p[k - 1] * p[1]
-        gram = np.conj(p) @ (w * p).T
+            np.multiply(p[k - 1], p[1], out=p[k])
+        np.multiply(weights, p, out=w.wp)
+        gram = np.conjugate(p, out=p) @ w.wp.T
         return np.array([gram[j, k] for j, k in self.jk])
 
     def disk_piece(self, a, nr, nt):
@@ -551,15 +600,21 @@ class _BruteForce:
         r = r * self.r_out[a]
         wr = wr * self.r_out[a] ** (beta + 1.0)
         th = trapezoid_angles(nt)
+        eith = np.exp(1j * th)
         wt = np.full(nt, TWO_PI / nt)
         total = np.zeros(len(self.jk), dtype=complex)
         for lo in range(0, nt, self.ANGULAR_CHUNK):
             sl = slice(lo, min(lo + self.ANGULAR_CHUNK, nt))
-            z = self.zetas[a] + r[:, None] * np.exp(1j * th[None, sl])
+            w = self._chunk((nr, sl.stop - lo))
+            np.multiply(r[:, None], eith[sl], out=w.z)
+            w.z += self.zetas[a]
             # the bump disks are disjoint (r_out < dnn / 2), so the bump
             # sum on this disk is fluxon a's own bump
-            chi, logw = self._weight(z, skip=a)
-            total += self._contract(z, chi * np.exp(logw) * wr[:, None] * wt[None, sl])
+            self._weight(w, (a,), skip=a)
+            w.chi *= np.exp(w.logw, out=w.logw)
+            w.chi *= wr[:, None]
+            w.chi *= wt[sl]
+            total += self._contract(w, w.chi)
         return total
 
     def far_piece(self, nr, nt):
@@ -586,27 +641,42 @@ class _BruteForce:
 
     def middle_piece(self, nr, nt):
         """Smooth remainder (1 - sum chi) * weight on the disk |z - c| <= R0,
-        polar panels split at the bump radii."""
+        polar panels split at the bump radii.  A panel meets the ring of
+        fluxon b only between the radii |zeta_b - c| -+ r_out, which are
+        breakpoints, so each panel tests only the rings it meets."""
         brk = {0.0, self.R0}
+        reach = []
         for a in range(len(self.zetas)):
             ra = abs(self.zetas[a] - self.center)
-            for x in (ra - self.r_out[a], ra, ra + self.r_out[a]):
+            span = (ra - self.r_out[a], ra + self.r_out[a])
+            reach.append(span)
+            for x in (span[0], ra, span[1]):
                 if 1e-12 * self.R0 < x < self.R0:
                     brk.add(float(x))
         brk = sorted(brk)
         th = trapezoid_angles(nt)
+        eith = np.exp(1j * th)
         wt = np.full(nt, TWO_PI / nt)
         x, w = gauss_legendre(nr)
         total = np.zeros(len(self.jk), dtype=complex)
         for lo_r, hi_r in zip(brk[:-1], brk[1:]):
             r = lo_r + (hi_r - lo_r) * x
-            wr = w * (hi_r - lo_r)
+            rwr = r * (w * (hi_r - lo_r))
+            rings = [b for b, (lo_b, hi_b) in enumerate(reach) if lo_r < hi_b and hi_r > lo_b]
             for lo in range(0, nt, self.ANGULAR_CHUNK):
                 sl = slice(lo, min(lo + self.ANGULAR_CHUNK, nt))
-                z = self.center + r[:, None] * np.exp(1j * th[None, sl])
-                chi, logw = self._weight(z)
-                total += self._contract(
-                    z, (1.0 - chi) * np.exp(logw) * (r * wr)[:, None] * wt[None, sl])
+                work = self._chunk((nr, sl.stop - lo))
+                np.multiply(r[:, None], eith[sl], out=work.z)
+                work.z += self.center
+                self._weight(work, rings)
+                weights = np.exp(work.logw, out=work.logw)
+                if rings:
+                    np.subtract(1.0, work.chi, out=work.chi)
+                    work.chi *= weights
+                    weights = work.chi
+                weights *= rwr[:, None]
+                weights *= wt[sl]
+                total += self._contract(work, weights)
         return total
 
     # -- assembly ----------------------------------------------------------
@@ -629,7 +699,7 @@ class _BruteForce:
                     continue
                 kind, a = lab
                 if kind == "disk":
-                    cur = self.disk_piece(a, nr, max(nt // 2, 32))
+                    cur = self.disk_piece(a, nr, self.DISK_ANGLES)
                 elif kind == "far":
                     cur = self.far_piece(min(nr, 96), nt)
                 else:

@@ -125,30 +125,58 @@ def exchange_block(nu: complex) -> np.ndarray:
     return np.array([[1.0 - nu, nu], [1.0, 0.0]], dtype=complex)
 
 
-def _embed(block: np.ndarray, strand: int, n: int) -> np.ndarray:
-    M = np.eye(n, dtype=complex)
-    M[strand:strand + 2, strand:strand + 2] = block
-    return M
+def _inverse_exchange_block(nu: complex) -> np.ndarray:
+    """The inverse of exchange_block(nu), in closed form."""
+    return np.array([[0.0, 1.0], [1.0 / nu, (nu - 1.0) / nu]], dtype=complex)
 
 
-def _half_twists(word: BraidWord, n: int):
-    """(i, +1 or -1) for each half-twist sigma_i^(+-1) of the word, in order."""
+def _twists(word: BraidWord, n: int):
+    """(i, t) for each move sigma_i^t of the word, in order: t half-twists,
+    counter-clockwise for t > 0."""
     for mv in word.moves:
         i = mv.strand
         if not 0 <= i < n - 1:
             raise NonAdjacentEncircle(
                 f"strand {i} has no neighbor {i + 1} (N = {n})")
-        twists = 2 * mv.power if mv.kind == "encircle" else mv.power
-        for _ in range(abs(twists)):
-            yield i, 1 if twists > 0 else -1
+        yield i, 2 * mv.power if mv.kind == "encircle" else mv.power
 
 
 def _carry(word: BraidWord, labels) -> list:
     """Per-strand labels carried through the word: entry s ends on strand s."""
     out = list(labels)
-    for i, _ in _half_twists(word, len(out)):
-        out[i], out[i + 1] = out[i + 1], out[i]
+    for i, twists in _twists(word, len(out)):
+        if twists % 2:
+            out[i], out[i + 1] = out[i + 1], out[i]
     return out
+
+
+def _power(block: np.ndarray, k: int) -> np.ndarray:
+    """block^k for k >= 1 by repeated squaring: O(log k) products."""
+    out = None
+    while k:
+        if k & 1:
+            out = block if out is None else np.matmul(out, block)
+        k >>= 1
+        if k:
+            block = np.matmul(block, block)
+    return out
+
+
+def _twist_block(a: float, b: float, twists: int) -> np.ndarray:
+    """2 x 2 block of sigma_i^twists on strands carrying fluxes a (strand
+    i) and b (strand i + 1).  The half-twists alternate between two colored
+    blocks, so the pair of them is raised to the power |twists| // 2, times
+    the first block once more when |twists| is odd."""
+    if twists > 0:
+        first, second = exchange_block(cut_factor(b)), exchange_block(cut_factor(a))
+    else:
+        first = _inverse_exchange_block(cut_factor(a))
+        second = _inverse_exchange_block(cut_factor(b))
+    half, odd = divmod(abs(twists), 2)
+    if not half:
+        return first
+    out = _power(np.matmul(first, second), half)
+    return np.matmul(out, first) if odd else out
 
 
 def word_to_monodromy(word: BraidWord, fluxes) -> MonodromyMatrix:
@@ -162,18 +190,17 @@ def word_to_monodromy(word: BraidWord, fluxes) -> MonodromyMatrix:
     holonomies of multi-move paths match only with this ordering.
 
     fluxes are listed in strand (cut) order; each half-twist swaps the
-    fluxes of its two strands for the rest of the word.
+    fluxes of its two strands for the rest of the word.  A move of any
+    power costs O(log |power|) 2 x 2 products (_twist_block).
     """
     assign = [float(f) for f in fluxes]
     n = len(assign)
     M = np.eye(n, dtype=complex)
-    for i, sign in _half_twists(word, n):
-        if sign > 0:
-            blk = exchange_block(cut_factor(assign[i + 1]))
-        else:
-            blk = np.linalg.inv(exchange_block(cut_factor(assign[i])))
-        M = M @ _embed(blk, i, n)
-        assign[i], assign[i + 1] = assign[i + 1], assign[i]
+    for i, twists in _twists(word, n):
+        # M times the block embedded in the identity at strands i, i + 1
+        M[:, i:i + 2] = M[:, i:i + 2] @ _twist_block(assign[i], assign[i + 1], twists)
+        if twists % 2:
+            assign[i], assign[i + 1] = assign[i + 1], assign[i]
     return MonodromyMatrix(M=M, word=word, fluxes=tuple(float(f) for f in fluxes))
 
 

@@ -681,18 +681,10 @@ def holonomy(vc: ValidatedConfig, loop: ControlPath,
 # curvature
 # --------------------------------------------------------------------------
 
-def curvature_abelian(vc: ValidatedConfig, moving: int, quad_tol: float = 1e-11,
-                      metric_fn=None) -> complex:
-    """Adiabatic curvature coefficient d dbar log g in the moving fluxon's
-    coordinate (D_f = 1 only), via the five-point Laplacian with step
-    2e-3 x the closest fluxon distance.
-
-    By default the five stencil configurations are validated one by one
-    and their factorized metrics (at quad_tol) evaluated as one batch
-    (metric._factorized_metrics): one panel queue and one integrand call
-    per round for all five.  metric_fn optionally replaces that by any
-    positions -> scalar g callable (e.g. a closed form), called once per
-    stencil point."""
+def _stencil(vc: ValidatedConfig, moving: int):
+    """The five positions of curvature_abelian's stencil (right, left, up,
+    down, centre) and its squared step; NumericalError when the square
+    leaves the float range."""
     if vc.counts.D_f != 1:
         raise ValueError("abelian curvature requires exactly one free mode")
     z0 = vc.zeta
@@ -703,20 +695,50 @@ def curvature_abelian(vc: ValidatedConfig, moving: int, quad_tol: float = 1e-11,
         h2 = math.inf
     if not 0.0 < h2 < math.inf:
         raise NumericalError(f"curvature step {h:g} squared leaves the float range")
-
     stencil = []
     for dz in (h, -h, 1j * h, -1j * h, 0.0):
         z = z0.copy()
         z[moving] += dz
         stencil.append(z)
-    if metric_fn is None:
-        vcs = [validate(FluxConfig(z, vc.config.fluxes)) for z in stencil]
-        g = _factorized_metrics(vcs, quad_tol)[0][:, 0, 0].real.tolist()
-    else:
-        g = [metric_fn(z) for z in stencil]
+    return stencil, h2
+
+
+def _laplacian(g, h2: float) -> complex:
+    """d dbar log g from the five stencil values of g."""
     right, left, up, down, centre = (math.log(v) for v in g)
-    lap = (right + left + up + down - 4.0 * centre) / h2
-    return complex(0.25 * lap)
+    return complex(0.25 * ((right + left + up + down - 4.0 * centre) / h2))
+
+
+def curvature_abelians(vcs, moving: int, quad_tol: float = 1e-11) -> list:
+    """curvature_abelian of each configuration in vcs (one flux
+    assignment), with the 5 B stencil configurations validated in order
+    and their factorized metrics evaluated as one batch
+    (metric._factorized_metrics): one panel queue and one integrand call
+    per round for all of them.  A batch row equals the single call bit for
+    bit, so every value equals curvature_abelian's."""
+    stencils, steps = [], []
+    for vc in vcs:
+        stencil, h2 = _stencil(vc, moving)
+        stencils += [validate(FluxConfig(z, vc.config.fluxes)) for z in stencil]
+        steps.append(h2)
+    g = _factorized_metrics(stencils, quad_tol)[0][:, 0, 0].real.tolist()
+    return [_laplacian(g[5 * i:5 * i + 5], h2) for i, h2 in enumerate(steps)]
+
+
+def curvature_abelian(vc: ValidatedConfig, moving: int, quad_tol: float = 1e-11,
+                      metric_fn=None) -> complex:
+    """Adiabatic curvature coefficient d dbar log g in the moving fluxon's
+    coordinate (D_f = 1 only), via the five-point Laplacian with step
+    2e-3 x the closest fluxon distance.
+
+    By default this is curvature_abelians of a batch of one: the five
+    stencil metrics at quad_tol in one batch.  metric_fn optionally
+    replaces that by any positions -> scalar g callable (e.g. a closed
+    form), called once per stencil point."""
+    if metric_fn is None:
+        return curvature_abelians([vc], moving, quad_tol)[0]
+    stencil, h2 = _stencil(vc, moving)
+    return _laplacian([metric_fn(z) for z in stencil], h2)
 
 
 def curvature_nonabelian(vc: ValidatedConfig, pairs=None,

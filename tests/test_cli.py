@@ -4,7 +4,9 @@ import math
 import pytest
 
 from fluxholo import FluxConfig, curvature_abelian, validate
+from fluxholo import cli, transport
 from fluxholo.cli import main
+from fluxholo.errors import CoincidentFluxons
 
 
 def write_config(tmp_path, fluxes, positions, name="cfg.json"):
@@ -109,6 +111,51 @@ class TestCurvatureMap:
             vc = validate(FluxConfig([0.0, 1.0, u], fluxes))
             r = curvature_abelian(vc, moving=2, quad_tol=1e-8).real
             assert row == f"{u.real:.10g},{u.imag:.10g},{r:.12g}"
+
+    def test_chunked_map_equals_single_cells(self, tmp_path):
+        # 20 grid points: the guarded one (1, 1/30) falls in the middle of
+        # a chunk, and the 19 computed cells end in a partial chunk
+        fluxes, base = [0.5, 0.5, 0.5], [0.0, 1.0, 0.4 + 0.5j]
+        cfg = write_config(tmp_path, fluxes, base)
+        out = tmp_path / "map.csv"
+        code = main(["--output", str(out), "--collision-guard", "0.06", "curvature-map",
+                     cfg, "--mover", "2", "--grid=0.8:1.2:5,-0.1:0.3:4"])
+        assert code == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        grid = [complex(0.8 + (1.2 - 0.8) * ix / 4, -0.1 + (0.3 + 0.1) * iy / 3)
+                for iy in range(4) for ix in range(5)]
+        computed = [u for u in grid if abs(u - 1.0) > 0.06]
+        assert [i for i, u in enumerate(grid) if u not in computed] == [7]
+        chunks = [computed[lo:lo + cli.CURVATURE_CHUNK]
+                  for lo in range(0, len(computed), cli.CURVATURE_CHUNK)]
+        assert len(chunks) > 1 and len(chunks[-1]) < cli.CURVATURE_CHUNK
+        assert any(grid.index(c[0]) < 7 < grid.index(c[-1]) for c in chunks)
+        single = {}
+        for u in computed:
+            vc = validate(FluxConfig([0.0, 1.0, u], fluxes))
+            single[u] = curvature_abelian(vc, moving=2, quad_tol=1e-8)
+        for chunk in chunks:
+            vcs = [validate(FluxConfig([0.0, 1.0, u], fluxes)) for u in chunk]
+            assert transport.curvature_abelians(vcs, moving=2, quad_tol=1e-8) == [
+                single[u] for u in chunk]
+        for row, u in zip(rows, grid):
+            r = f"{single[u].real:.12g}" if u in single else "nan"
+            assert row == f"{u.real:.10g},{u.imag:.10g},{r}"
+
+    def test_failing_cell_in_a_later_chunk(self, tmp_path, capsys):
+        # the tenth cell sits 1e-13 from fluxon 0, outside the guard but
+        # inside the coincidence tolerance: the map stops with that cell's
+        # own validation error, as a cell-by-cell run does
+        fluxes, base = [0.5, 0.5, 0.5], [0.0, 1.0, 0.4 + 0.5j]
+        cfg = write_config(tmp_path, fluxes, base)
+        out = tmp_path / "map.csv"
+        code = main(["--output", str(out), "--collision-guard", "1e-14", "curvature-map",
+                     cfg, "--mover", "2", "--grid=0.3:1e-13:2,0.8:0:5"])
+        with pytest.raises(CoincidentFluxons) as exc:
+            validate(FluxConfig([0.0, 1.0, 0.3 + (1e-13 - 0.3)], fluxes))
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {exc.value}\n"
+        assert not out.exists()
 
     def test_guarded_cells_are_nan(self, tmp_path):
         cfg = write_config(tmp_path, [0.5, 0.5, 0.5], [0.0, 1.0, 0.4 + 0.5j])

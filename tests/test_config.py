@@ -126,3 +126,42 @@ def test_json_round_trip():
     again = FluxConfig.from_dict(cfg.to_dict())
     assert again.positions == cfg.positions
     assert again.fluxes == cfg.fluxes
+
+
+@pytest.mark.parametrize("fluxes, error", [
+    ([0.9995, 1.0003], NearIntegerTotalFlux),
+    ([1.0002, 0.65], NearIntegerFluxon),
+    ([0.3, -0.5], NonpositiveTotalFlux),
+    ([math.nan, 0.5], ValueError),
+])
+def test_cached_flux_verdict_raises_the_same_typed_error(fluxes, error):
+    # the verdict on the fluxes is cached per flux tuple; each call with
+    # new positions raises a fresh error of the same type and message
+    messages = []
+    for pos in ([0.0, 1.0], [2.0, 1j], [0.5 - 1j, 3.0]):
+        with pytest.raises(error) as exc:
+            validate(FluxConfig(pos, fluxes))
+        assert type(exc.value) is error
+        messages.append(str(exc.value))
+    assert len(set(messages)) == 1
+
+
+def test_cached_good_verdict_never_skips_the_position_checks():
+    fluxes = [0.7, 0.8]
+    validate(FluxConfig([0.0, 1.0], fluxes))
+    with pytest.raises(CoincidentFluxons):
+        validate(FluxConfig([0.0, 0.0], fluxes))
+    with pytest.raises(CoincidentFluxons, match="fluxons 0 and 1"):
+        validate(FluxConfig([0.0, 1e-13, 1.0], [0.7, 0.8, 0.2]))
+    with pytest.raises(ValueError, match="positions must be finite"):
+        validate(FluxConfig([0.0, complex(math.inf, 0.0)], fluxes))
+    # the order of the checks holds: a coincidence before a threshold, and
+    # non-finite fluxes before a coincidence
+    bad = [0.9995, 1.0003]
+    with pytest.raises(NearIntegerTotalFlux):
+        validate(FluxConfig([0.0, 1.0], bad))
+    with pytest.raises(CoincidentFluxons):
+        validate(FluxConfig([0.0, 0.0], bad))
+    assert validate(FluxConfig([0.0, 1.0], bad), strict=False).counts.D == 1
+    with pytest.raises(ValueError, match="fluxes must be finite"):
+        validate(FluxConfig([0.0, 0.0], [math.inf, 0.5]))

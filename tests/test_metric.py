@@ -192,6 +192,34 @@ class TestBruteForceWork:
             metric_bruteforce(validate(FluxConfig(pos, fluxes)), tol=1e-8)
         assert calls == [4, 4, 3]
 
+    @pytest.mark.parametrize("pos, fluxes", [
+        ([0.0, 1e-3, 0.2 + 0.98j], [0.4, 0.5, 0.6]),        # a tight pair
+        ([0.0, 0.3 + 1.0j, -0.2 + 2.2j], [0.999, 0.4, 0.3]),  # an edge flux
+    ])
+    def test_disk_angles_are_converged(self, pos, fluxes):
+        # on its disk a fluxon's bump is radial and the other fluxons lie
+        # beyond r_out / 0.45, so the periodic trapezoid rule in the angle
+        # converges like 0.45^n: 64 angles agree with 512 to round-off
+        vc = validate(FluxConfig(pos, fluxes))
+        session = metric_module._BruteForce(vc.zeta / vc.diameter, vc.phi_reduced,
+                                            vc.counts.D_f)
+        for a in range(len(pos)):
+            for nr in (24, 96):
+                d64, d512 = session.disk_piece(a, nr, 64), session.disk_piece(a, nr, 512)
+                assert np.abs(d64 - d512).max() <= 1e-14 * np.abs(d512).max()
+
+    def test_sessions_share_no_buffer_state(self):
+        # each session grows its own work arrays; runs in either order give
+        # the same bytes
+        def run(cases):
+            out = {}
+            for pos, fluxes in cases:
+                bf = metric_bruteforce(validate(FluxConfig(pos, fluxes)), tol=1e-7)
+                out[len(pos)] = (bf.g.tobytes(), bf.error_estimate.hex())
+            return out
+
+        assert run(BRUTE_FORCE_BASE) == run(BRUTE_FORCE_BASE[::-1])
+
     def test_error_estimate_bounds_the_error(self):
         # the estimate |level L - level L-1| bounds the coarser level, so
         # it overstates the error of the returned level (by about 400x)

@@ -27,6 +27,7 @@ from fluxholo.errors import (
     NotConfined,
     NotMaximalFreeModes,
 )
+from fluxholo import monodromy as monodromy_module
 from fluxholo.metric import best_rotation_angle
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -147,6 +148,37 @@ class TestWords:
                     {"moves": [{"exchange": 1, "power": 0.5}]}, {"move": []}, []):
             with pytest.raises(ValueError):
                 BraidWord.from_json(bad)
+
+
+class TestPowers:
+    @pytest.mark.parametrize("kind", ["exchange", "encircle"])
+    def test_folded_power_matches_the_linear_product(self, rng, kind):
+        # sigma_i^p is folded into the colored pair's power; the product of
+        # its single half-twists is the reference
+        for _ in range(5):
+            phis = rng.uniform(0.05, 0.95, 4)
+            for power in (-6, -5, -4, -3, -2, 2, 3, 4, 5, 6):
+                twists = power if kind == "exchange" else 2 * power
+                ref = monodromy([("exchange", 1, int(np.sign(twists)))] * abs(twists), phis)
+                M = monodromy([(kind, 1, power)], phis)
+                assert np.abs(M - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    def test_large_power_takes_logarithmic_work(self, monkeypatch):
+        # a power of 10**9 from a JSON word squares the pair about 30 times;
+        # before, it multiplied 2 * 10**9 blocks
+        products = []
+        matmul = np.matmul
+
+        def counting(*args, **kwargs):
+            products.append(1)
+            return matmul(*args, **kwargs)
+
+        monkeypatch.setattr(monodromy_module.np, "matmul", counting)
+        word = BraidWord.from_json({"moves": [{"encircle": [0, 1], "power": 10 ** 9}]})
+        M = word_to_monodromy(word, [0.6, 0.7, 0.8])
+        assert 0 < len(products) <= 2 * math.ceil(math.log2(10 ** 9)) + 2
+        # each squaring doubles the rounding error, which ends near p x eps
+        assert M.stabilization_residual() < 1e-5
 
 
 class TestColoredRelations:
