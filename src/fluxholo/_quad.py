@@ -21,6 +21,11 @@ from .errors import QuadratureNotConverged
 _GL_CACHE: dict = {}
 _GJ_CACHE: dict = {}
 _RULES = (24, 48)  # coarse and fine Gauss-Legendre rule of every panel
+#: Most panels per call of the integrand.  32 x 72 = 2304 nodes keep a
+#: complex node array of three columns (110 KB) below glibc's default mmap
+#: threshold of 128 KB, so a round of many legs does not map and unmap the
+#: integrand's temporaries on every call.
+PANEL_BLOCK = 32
 
 
 def gauss_legendre(n: int):
@@ -71,9 +76,12 @@ def integrate_panels(f, tol: float, *, breakpoints=None, legs: int):
     floats on the stacked axis t = l + s (a breakpoint t splits leg
     floor(t) at s = t - floor(t), exactly when s is a multiple of 2^-32 and
     l < 2^21).  Each panel is estimated with 24- and 48-node Gauss rules.
-    A round evaluates the new panels of every leg, both rules, in one call
-    of f, then bisects the worst panel of each leg whose summed discrepancy
-    still exceeds tol * max(1, |its result|), for at most 2000 rounds.
+    A round evaluates the new panels of every leg, both rules, in calls of
+    f on at most PANEL_BLOCK panels each (one call when the round has that
+    many or fewer), then bisects the worst panel of each leg whose summed
+    discrepancy still exceeds tol * max(1, |its result|), for at most 2000
+    rounds.  f must treat its rows independently: the blocks then give
+    the bits of one call.
 
     The error estimate of a leg is that summed discrepancy, the sum over
     its panels of |48-node - 24-node| (largest component): it bounds the
@@ -92,7 +100,12 @@ def integrate_panels(f, tol: float, *, breakpoints=None, legs: int):
         ts = np.empty((len(lo), len(x), 2))
         ts[:, :, 0] = leg[:, None]
         ts[:, :, 1] = lo[:, None] + width * x
-        vals = f(ts.reshape(-1, 2)).reshape(len(lo), len(x), -1)
+        if len(lo) <= PANEL_BLOCK:
+            vals = f(ts.reshape(-1, 2))
+        else:
+            vals = np.concatenate([f(ts[i:i + PANEL_BLOCK].reshape(-1, 2))
+                                   for i in range(0, len(lo), PANEL_BLOCK)])
+        vals = vals.reshape(len(lo), len(x), -1)
         coarse = width * np.einsum("pnm,n->pm", vals[:, :_RULES[0]], coarse_w)
         fine = width * np.einsum("pnm,n->pm", vals[:, _RULES[0]:], fine_w)
         return fine, np.abs(fine - coarse).max(axis=1)

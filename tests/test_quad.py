@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fluxholo import _quad
 from fluxholo._quad import gauss_jacobi01, integrate_panels
 
 EPS = 1e-2
@@ -66,6 +67,30 @@ def test_integrand_and_breakpoint_contract():
     for lg, cut in ((0, 0.5), (1, 0.25)):
         mine = s[leg == lg]
         assert (mine < cut).sum() == (mine > cut).sum() == 72
+
+
+def test_rounds_evaluate_in_blocks_of_panels(monkeypatch):
+    # f never sees more than PANEL_BLOCK panels, and the blocks give the
+    # bytes of one call on all of a round's panels
+    centers = np.linspace(0.05, 0.95, 40)
+    breakpoints = [leg + 0.5 for leg in range(0, 40, 3)]
+    rows = []
+
+    def recording(f):
+        def g(ts):
+            rows.append(len(ts))
+            return f(ts)
+        return g
+
+    blocked = integrate_panels(recording(peaks(centers)), 1e-11,
+                               breakpoints=breakpoints, legs=40)
+    # the first round has 40 + 14 panels
+    assert rows[:2] == [_quad.PANEL_BLOCK * 72, 22 * 72]
+    assert max(rows) == _quad.PANEL_BLOCK * 72
+    monkeypatch.setattr(_quad, "PANEL_BLOCK", 10 ** 6)
+    whole = integrate_panels(peaks(centers), 1e-11, breakpoints=breakpoints, legs=40)
+    assert blocked[0].tobytes() == whole[0].tobytes()
+    assert blocked[1].tobytes() == whole[1].tobytes()
 
 
 @pytest.mark.parametrize("beta", [-0.998, -0.99, -0.9, -0.6, 0.0, 0.37, 2.5])
