@@ -77,11 +77,10 @@ def integrate_panels(f, tol: float, *, breakpoints=None, legs: int):
     floor(t) at s = t - floor(t), exactly when s is a multiple of 2^-32 and
     l < 2^21).  Each panel is estimated with 24- and 48-node Gauss rules.
     A round evaluates the new panels of every leg, both rules, in calls of
-    f on at most PANEL_BLOCK panels each (one call when the round has that
-    many or fewer), then bisects the worst panel of each leg whose summed
-    discrepancy still exceeds tol * max(1, |its result|), for at most 2000
-    rounds.  f must treat its rows independently: the blocks then give
-    the bits of one call.
+    f on at most PANEL_BLOCK panels each, then bisects the worst panel of
+    each leg whose summed discrepancy still exceeds tol * max(1, |its
+    result|), for at most 2000 rounds.  f must treat its rows
+    independently: the blocks then give the bits of one call.
 
     The error estimate of a leg is that summed discrepancy, the sum over
     its panels of |48-node - 24-node| (largest component): it bounds the
@@ -100,11 +99,8 @@ def integrate_panels(f, tol: float, *, breakpoints=None, legs: int):
         ts = np.empty((len(lo), len(x), 2))
         ts[:, :, 0] = leg[:, None]
         ts[:, :, 1] = lo[:, None] + width * x
-        if len(lo) <= PANEL_BLOCK:
-            vals = f(ts.reshape(-1, 2))
-        else:
-            vals = np.concatenate([f(ts[i:i + PANEL_BLOCK].reshape(-1, 2))
-                                   for i in range(0, len(lo), PANEL_BLOCK)])
+        vals = np.concatenate([f(ts[i:i + PANEL_BLOCK].reshape(-1, 2))
+                               for i in range(0, len(lo), PANEL_BLOCK)])
         vals = vals.reshape(len(lo), len(x), -1)
         coarse = width * np.einsum("pnm,n->pm", vals[:, :_RULES[0]], coarse_w)
         fine = width * np.einsum("pnm,n->pm", vals[:, _RULES[0]:], fine_w)

@@ -175,9 +175,10 @@ def _parse_grid(spec: str):
 #: Cells per batch of curvature-map stencils (5 metrics each).  The
 #: benchmark's 221-cell map in a fresh process, against one cell per batch
 #: (2-vCPU VM, resource.getrusage): 4 cells add 0.1 MB of peak RSS and make
-#: 172 minor page faults (128), 8 cells add 0.6 MB with 4,700 faults and
-#: 16 cells 2.1 MB with 6,400; 4, 8 and 16 take the same time within the
-#: machine's noise, and one cell per batch about 1.4x as long.
+#: 172 minor page faults (128), or 3,294 under half of the hash seeds, where
+#: glibc trims the heap top between batches; 8 cells add 0.6 MB with 4,700
+#: faults and 16 cells 2.1 MB with 6,400; 4, 8 and 16 take the same time
+#: within the machine's noise, and one cell per batch about 1.4x as long.
 CURVATURE_CHUNK = 4
 
 

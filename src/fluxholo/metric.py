@@ -714,25 +714,29 @@ class _BruteForce:
         differences, summed over the pieces, fall below tol x the largest
         entry.
 
-        Every piece first runs levels 0, 1 and 2: on the disk of an edge
+        Each disk first runs levels 0, 1 and 2: on the disk of an edge
         flux 0.999 the difference L1 - L0 under-reads the next one (4.6e-7
-        against 1.7e-6), so the first difference is not trusted.  Then the
-        piece with the largest last difference moves up one level, so a
-        piece that is already resolved is not refined to certify the
-        others.  A piece that would pass MAX_LEVEL raises
-        QuadratureNotConverged.
+        against 1.7e-6), so a disk's first difference is not trusted.  The
+        far field and the middle start from their level-1 difference, which
+        over-read the next one by at least 8x on 45 probed configurations
+        (the far field's differences are at round-off).  Then, of the
+        pieces below MAX_LEVEL, the one with the largest last difference
+        moves up one level, so a piece that is already resolved is not
+        refined to certify the others.  When no piece is left below
+        MAX_LEVEL, or the pieces at MAX_LEVEL alone exceed the target,
+        QuadratureNotConverged is raised.
 
         Returns the entries, each piece at its latest level, and, per
         entry, the sum over the pieces of its last level difference."""
         labels = [("disk", a) for a in range(len(self.zetas))] + [("far", None), ("mid", None)]
         level, value, diff = {}, {}, {}
         for lab in labels:
+            level[lab] = 2 if lab[0] == "disk" else 1
             value[lab] = self.piece(lab, 0)
-            for lev in (1, 2):
+            for lev in range(1, level[lab] + 1):
                 cur = self.piece(lab, lev)
                 diff[lab] = np.abs(cur - value[lab])
                 value[lab] = cur
-            level[lab] = 2
         while True:
             est = sum(value.values())
             scale = max(float(np.abs(est).max()), 1e-300)
@@ -741,11 +745,15 @@ class _BruteForce:
             total_err = math.fsum(largest.values())
             if total_err <= tol * scale:
                 return est, sum(diff.values())
-            lab = max(labels, key=largest.get)
-            if level[lab] == self.MAX_LEVEL:
+            # refining the other pieces leaves the differences of the pieces
+            # at MAX_LEVEL where they are
+            left = [lab for lab in labels if level[lab] < self.MAX_LEVEL]
+            stuck = math.fsum(largest[lab] for lab in labels if level[lab] == self.MAX_LEVEL)
+            if not left or stuck > tol * scale:
                 raise QuadratureNotConverged(
                     f"plane quadrature stalled at relative error {total_err / scale:.3g} "
                     f"(target {tol:g})", attained=total_err / scale)
+            lab = max(left, key=largest.get)
             level[lab] += 1
             cur = self.piece(lab, level[lab])
             diff[lab] = np.abs(cur - value[lab])
@@ -757,15 +765,17 @@ def metric_bruteforce(vc: ValidatedConfig, tol: float = 1e-6) -> Metric:
 
     Entries with j <= k are integrated on shared grids and mirrored, so
     the result is hermitian by construction.  Each piece of the plane is
-    refined on its own (_BruteForce.run): every piece to level 2, then the
-    piece with the largest last level difference, one level at a time,
-    until the differences summed over the pieces are at most tol x the
-    largest entry.  The grids are laid out at unit diameter; entry (j, k)
-    and its error, the sum over the pieces of its last level difference,
-    are scaled back by the diameter's power lam^(j + k + 2 - 2 Phi'_T), and
-    error_estimate is the largest scaled error.  An entry that leaves the
-    float range raises NumericalError; a piece that would need a level
-    beyond _BruteForce.MAX_LEVEL raises QuadratureNotConverged.
+    refined on its own (_BruteForce.run): each disk to level 2 and the far
+    field and the middle to level 1, then the piece with the largest last
+    level difference, one level at a time, until the differences summed
+    over the pieces are at most tol x the largest entry.  The grids are
+    laid out at unit diameter; entry (j, k) and its error, the sum over
+    the pieces of its last level difference, are scaled back by the
+    diameter's power lam^(j + k + 2 - 2 Phi'_T), and error_estimate is the
+    largest scaled error.  An entry that leaves the float range raises
+    NumericalError; a configuration whose differences levels up to
+    _BruteForce.MAX_LEVEL cannot bring under the target raises
+    QuadratureNotConverged.
     """
     counts = vc.counts
     if counts.D_f < 1 or not counts.free_modes_ok:

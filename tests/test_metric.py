@@ -13,7 +13,8 @@ from fluxholo import (
     validate,
 )
 from fluxholo import metric as metric_module
-from fluxholo.errors import AmbiguousOrdering, FluxholoError, NoFreeModes, ThresholdSingularity
+from fluxholo.errors import (AmbiguousOrdering, FluxholoError, NoFreeModes,
+                             QuadratureNotConverged, ThresholdSingularity)
 from fluxholo.cli import check_metric_laws, check_metric_oracle, worst_residuals
 from conftest import assert_within_tolerance, factorized_metric
 
@@ -265,6 +266,29 @@ class TestBruteForceWork:
         bf = metric_bruteforce(vc, tol=1e-8)
         ref = metric_factorized(vc, tol=1e-12).g
         assert np.abs(bf.g - ref).max() <= bf.error_estimate
+
+    def test_piece_at_max_level_leaves_the_others_to_refine(self):
+        # disk 0 reaches MAX_LEVEL with the largest difference (6e-7) but
+        # under the target on its own; the middle piece's 5e-7 at level 2
+        # is refined away, so the run converges instead of raising
+        session = metric_module._BruteForce(np.array([0.0, 1.0]), np.array([0.4, 0.5]), 1)
+        steps = {("disk", 0): [0.0, 1e-3, 1e-4, 1e-5, 6e-7],
+                 ("mid", None): [0.0, 1e-3, 5e-7, 1e-12, 0.0]}
+        levels = []
+
+        def piece(lab, level):
+            levels.append((lab, level))
+            base = 1.0 if lab == ("mid", None) else 0.0
+            return np.array([base + sum(steps.get(lab, [0.0])[:level + 1])], dtype=complex)
+
+        session.piece = piece
+        est, err = session.run(1e-6)
+        assert (("disk", 0), 4) in levels and (("mid", None), 3) in levels
+        assert err[0] == pytest.approx(6e-7 + 1e-12, rel=1e-6)
+        # with the middle piece stuck as well the target cannot be met
+        steps[("mid", None)][3:] = [5e-7] * 2
+        with pytest.raises(QuadratureNotConverged):
+            session.run(1e-6)
 
     def test_contraction_equals_the_full_product(self):
         # the entries zbar^j z^k weighted by real weights, read from real
