@@ -82,6 +82,14 @@ def integrate_panels(f, tol: float, *, breakpoints=None, legs: int):
     result|), for at most 2000 rounds.  f must treat its rows
     independently: the blocks then give the bits of one call.
 
+    The panels form one flat table in t order, so a leg's sums run over
+    its panels in order, and a round has no loop over legs: the worst
+    panel of every bad leg comes from one np.maximum.reduceat and a
+    first-hit searchsorted (the panel np.argmax picks: the first maximum,
+    a NaN counting as largest), the left halves overwrite the bisected
+    panels in place and one stable permutation puts each right half
+    behind its left half.
+
     The error estimate of a leg is that summed discrepancy, the sum over
     its panels of |48-node - 24-node| (largest component): it bounds the
     error of the 24-node rule, not of the returned 48-node value, which
@@ -91,7 +99,9 @@ def integrate_panels(f, tol: float, *, breakpoints=None, legs: int):
     Raises QuadratureNotConverged when a leg runs out of rounds.
     """
     x = np.concatenate([gauss_legendre(n)[0] for n in _RULES])
-    coarse_w, fine_w = (gauss_legendre(n)[1] for n in _RULES)
+    # einsum casts real weights to complex on every call; cast once, to the
+    # same values
+    coarse_w, fine_w = (gauss_legendre(n)[1].astype(complex) for n in _RULES)
 
     def panel_values(leg, lo, hi):
         """Fine value and |fine - coarse| of each panel [lo, hi] of its leg."""
@@ -106,37 +116,41 @@ def integrate_panels(f, tol: float, *, breakpoints=None, legs: int):
         fine = width * np.einsum("pnm,n->pm", vals[:, _RULES[0]:], fine_w)
         return fine, np.abs(fine - coarse).max(axis=1)
 
-    # panels in t order, hence grouped by leg; then leg-local ends
+    # the panel table: leg, leg-local ends, fine value and error of each
+    # panel, in t order and hence grouped by leg
     pts = np.array(sorted({*map(float, range(legs + 1)),
                            *(float(b) for b in breakpoints or () if 0.0 < b < legs)}))
     leg = pts[:-1].astype(np.intp)
     lo, hi = pts[:-1] - leg, pts[1:] - leg
     fine, err = panel_values(leg, lo, hi)
+    first = np.arange(legs)
     for _ in range(2000):
-        starts = np.searchsorted(leg, np.arange(legs))
+        starts = np.searchsorted(leg, first)
         total = np.add.reduceat(fine, starts, axis=0)
         error = np.add.reduceat(err, starts)
         bound = tol * np.maximum(1.0, np.abs(total).max(axis=1))
         bad = np.flatnonzero(~(error <= bound))
         if not bad.size:
             return total, error
-        ends = np.append(starts[1:], len(lo))
-        worst = np.array([starts[i] + int(np.argmax(err[starts[i]:ends[i]])) for i in bad])
+        # the worst panel of each bad leg is its first panel of largest
+        # error, a NaN counting as largest, as np.argmax picks it
+        peak = np.maximum.reduceat(err, starts)
+        hits = np.flatnonzero((err == peak[leg]) | np.isnan(err))
+        worst = hits[np.searchsorted(hits, starts[bad])]
         mid = 0.5 * (lo[worst] + hi[worst])
-        f_new, e_new = panel_values(np.concatenate([leg[worst], leg[worst]]),
+        f_new, e_new = panel_values(np.concatenate([bad, bad]),
                                     np.concatenate([lo[worst], mid]),
                                     np.concatenate([mid, hi[worst]]))
-        right = worst + 1
-        lo = np.insert(lo, right, mid)
-        hi = np.insert(hi, right, hi[worst])
-        leg = np.insert(leg, right, leg[worst])
-        fine = np.insert(fine, right, f_new[len(worst):], axis=0)
-        err = np.insert(err, right, e_new[len(worst):])
-        # the left halves replace the bisected panels
-        left = worst + np.arange(len(worst))
-        hi[left] = mid
-        fine[left] = f_new[:len(worst)]
-        err[left] = e_new[:len(worst)]
+        k = len(worst)
+        right = (mid, hi[worst], bad, f_new[k:], e_new[k:])
+        # the left halves replace the bisected panels in place, and one
+        # stable permutation puts each right half behind its left half
+        hi[worst] = mid
+        fine[worst] = f_new[:k]
+        err[worst] = e_new[:k]
+        order = np.argsort(np.concatenate([np.arange(len(lo)), worst]), kind="stable")
+        lo, hi, leg, fine, err = (np.concatenate(pair)[order]
+                                  for pair in zip((lo, hi, leg, fine, err), right))
     i = bad[0]
     raise QuadratureNotConverged(
         f"line integral not converged: estimate {error[i]:.3g} > bound {bound[i]:.3g}",

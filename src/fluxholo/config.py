@@ -272,13 +272,22 @@ def cut_orders(zetas, diameters) -> np.ndarray:
     tie."""
     im = zetas.imag
     order = np.argsort(im, axis=1, kind="stable")
-    gaps = np.diff(np.take_along_axis(im, order, axis=1), axis=1)
-    ties = np.argwhere(gaps <= IM_TIE_TOL * diameters[:, None])
-    if len(ties):
-        b, i = ties[0]
+    check_cut_gaps(im, order, np.diff(np.take_along_axis(im, order, axis=1), axis=1),
+                   diameters)
+    return order
+
+
+def check_cut_gaps(im, order, gaps, diameters) -> None:
+    """The tie check of cut_orders on rows already sorted: im (B, N) are
+    the imaginary parts, order (B, N) their stable ascending argsort and
+    gaps (B, N - 1) the differences of the sorted values.  Raises
+    AmbiguousOrdering on the first row with a gap of at most IM_TIE_TOL x
+    its diameter."""
+    ties = gaps <= IM_TIE_TOL * diameters[:, None]
+    if ties.any():
+        b, i = np.argwhere(ties)[0]
         prev, nxt = int(order[b, i]), int(order[b, i + 1])
         raise AmbiguousOrdering(
             f"fluxons {prev} and {nxt} share Im zeta = {im[b, prev]:.6g}; "
             f"cut rays would overlap"
         )
-    return order

@@ -41,6 +41,7 @@ configuration's own cut order, so it reads primitive_matrix directly.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -48,7 +49,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._quad import gauss_jacobi01, gauss_legendre, integrate_panels, trapezoid_angles
-from .config import FluxConfig, ValidatedConfig, cut_order, cut_orders, separations, validate
+from .config import (FluxConfig, ValidatedConfig, check_cut_gaps, cut_order, separations,
+                     validate)
 from .errors import NoFreeModes, NumericalError, QuadratureNotConverged, ThresholdSingularity
 from .modes import log_psi0
 
@@ -107,17 +109,20 @@ def _coupling_matrix(phis: tuple) -> np.ndarray:
     if abs(math.sin(math.pi * total)) < 1e-9:
         raise ThresholdSingularity(
             f"total flux {total:.6g} too close to an integer for G")
+    # Python scalars, one array at the end: cold configurations with
+    # random fluxes miss this cache on nearly every call
     n = len(phis)
-    G = np.zeros((n, n), dtype=complex)
     s_tot = math.sin(math.pi * total)
+    sines = [math.sin(math.pi * phi) for phi in phis]
+    rows = [[0j] * n for _ in range(n)]
     for a in range(n):
-        G[a, a] = -math.sin(math.pi * phis[a]) * math.sin(math.pi * (total - phis[a])) / s_tot
+        rows[a][a] = -sines[a] * math.sin(math.pi * (total - phis[a])) / s_tot
         run = 0.0
         for b in range(a + 1, n):
             run += phis[b - 1] + phis[b]
-            G[a, b] = (math.sin(math.pi * phis[a]) * math.sin(math.pi * phis[b]) / s_tot
-                       * np.exp(1j * math.pi * (total - run)))
-            G[b, a] = np.conj(G[a, b])
+            rows[a][b] = sines[a] * sines[b] / s_tot * cmath.exp(1j * math.pi * (total - run))
+            rows[b][a] = rows[a][b].conjugate()
+    G = np.array(rows, dtype=complex)
     G.flags.writeable = False
     return G
 
@@ -180,6 +185,9 @@ class _Legs:
             w.reshape(-1)[on_arm * len(phis) + own[on_arm]] = 1.0
             base = (np.exp(log_psi0(w, phis)) * factor.take(leg)
                     * np.where(graded.take(leg), s, 1.0))
+            if n_cols == 1:
+                return base[:, None]
+            # cumprod keeps the multiplication order of the powers xi^k
             xi = start.take(leg) + step
             powers = np.cumprod(np.column_stack([np.ones_like(xi)] + [xi] * (n_cols - 1)),
                                 axis=1)
@@ -214,7 +222,7 @@ def _primitive_raw(zetas, phis, order, n_cols, x_left, tol):
     is exactly zero.  Every leg is integrated once.
     """
     n = zetas.shape[1]
-    tips = np.take_along_axis(zetas, order, axis=1)
+    tips = zetas[np.arange(len(order))[:, None], order]
     feet = x_left[:, None] + 1j * tips.imag
     start = np.concatenate([tips, feet[:, :-1]], axis=1)
     end = np.concatenate([feet, feet[:, 1:]], axis=1)
@@ -336,7 +344,9 @@ def _contour_frames(vcs, tol: float, columns: int | None = None):
     metric.
 
     The rotation, cut order, legs and breakpoints are array operations
-    over the batch, and all legs of all configurations share one panel
+    over the batch: the rotated positions and the gaps of the tie check
+    are rows of the one sorted rotation table of _best_rotations, which
+    is not sorted again.  All legs of all configurations share one panel
     queue; each leg is integrated at its own local parameter, so a row
     does not depend on the rest of the batch, bit for bit.
     """
@@ -351,16 +361,17 @@ def _contour_frames(vcs, tol: float, columns: int | None = None):
     if columns is None:
         columns = int(np.count_nonzero(branch)) - 1
     zetas = np.array([vc.zeta for vc in vcs])
-    lam = np.exp(1j * _rotation_angles(zetas))
-    rotated = zetas * lam[:, None]
+    picks, rotated, order, gaps = _best_rotations(zetas)
+    lam = _ROTATIONS[picks]
     diameters = np.abs(rotated[:, :, None] - rotated[:, None, :]).max(axis=(1, 2))
-    order = cut_orders(rotated, diameters)
+    check_cut_gaps(rotated.imag, order, gaps, diameters)
     x_left = rotated.real.min(axis=1) - 1.5 * diameters
     rows, err = _primitive_raw(rotated, phis, order, columns, x_left, tol)
     keep = branch[order]
     shape = (len(vcs), int(np.count_nonzero(branch)))
     mat = rows[keep].reshape(*shape, columns) * lam[:, None, None] ** -np.arange(columns)
-    G = np.array([coupling_matrix(cut) for cut in phis[order][keep].reshape(shape).tolist()])
+    G = np.array([_coupling_matrix(tuple(cut))
+                  for cut in phis[order][keep].reshape(shape).tolist()])
     return mat - mat[:, -1:], G, err
 
 
@@ -412,19 +423,26 @@ _ROTATION_ANGLES = np.pi * (np.arange(32) / 32.0)
 _ROTATIONS = np.exp(1j * _ROTATION_ANGLES)
 
 
-def _rotation_angles(zetas) -> np.ndarray:
-    """best_rotation_angle of each row of zetas (B, N)."""
-    if zetas.shape[1] == 1:
-        return np.zeros(len(zetas))
-    im = np.sort((zetas[:, None, :] * _ROTATIONS[:, None]).imag, axis=2)
+def _best_rotations(zetas):
+    """The best-separated rigid rotation of each row of zetas (B, N): its
+    index into _ROTATIONS (B,), the rotated positions (B, N), their cut
+    order (B, N) and the gaps between their consecutive sorted imaginary
+    parts (B, N - 1).  The rotated positions and the gaps are rows of the
+    one sorted (B, 32, N) table of rotations; the cut order is a stable
+    argsort of the chosen row alone."""
+    table = zetas[:, None, :] * _ROTATIONS[:, None]
+    gaps = np.diff(np.sort(table.imag, axis=2), axis=2)
     picks = []
-    for gaps in np.diff(im, axis=2).min(axis=2).tolist():
+    for smallest in gaps.min(axis=2, initial=np.inf).tolist():
         best, pick = -1.0, 0
-        for k, gap in enumerate(gaps):
+        for k, gap in enumerate(smallest):
             if gap > best * (1.0 + 1e-12):
                 best, pick = gap, k
         picks.append(pick)
-    return _ROTATION_ANGLES[picks]
+    rows = np.arange(len(zetas))
+    rotated = table[rows, picks]
+    order = np.argsort(rotated.imag, axis=1, kind="stable")
+    return np.array(picks), rotated, order, gaps[rows, picks]
 
 
 def best_rotation_angle(zetas) -> float:
@@ -432,7 +450,8 @@ def best_rotation_angle(zetas) -> float:
     as much as possible: the angle k pi / 32, k = 0..31, at which a scan in
     increasing k last finds a smallest gap more than 1e-12 relative above
     the best one so far."""
-    return float(_rotation_angles(np.asarray(zetas, dtype=complex)[None])[0])
+    picks = _best_rotations(np.asarray(zetas, dtype=complex)[None])[0]
+    return float(_ROTATION_ANGLES[picks[0]])
 
 
 class MetricEvaluator:

@@ -13,6 +13,7 @@ from fluxholo import (
     validate,
 )
 from fluxholo import metric as metric_module
+from fluxholo.config import IM_TIE_TOL, cut_orders
 from fluxholo.errors import (AmbiguousOrdering, FluxholoError, NoFreeModes,
                              QuadratureNotConverged, ThresholdSingularity)
 from fluxholo.cli import check_metric_laws, check_metric_oracle, worst_residuals
@@ -121,6 +122,72 @@ class TestBatchedFrames:
                for f in (self.FLUXES, [0.4, 0.5, 0.6, 0.8])]
         with pytest.raises(ValueError):
             metric_module._contour_frames(vcs, 1e-10)
+
+    def test_cut_order_comes_from_the_rotation_table(self):
+        # the chosen row of the rotation table is zetas * lambda bit for
+        # bit, and its stable argsort is config.cut_orders of that row
+        rng = np.random.default_rng(20)
+        for n in (2, 3, 4, 5, 8):
+            zetas = rng.normal(size=(24, n)) + 1j * rng.normal(size=(24, n))
+            zetas[:4, 1] = zetas[:4, 0].real + 1j * zetas[:4, 1].imag   # same real part
+            zetas[4:8, 1] = zetas[4:8, 0] + rng.normal(size=4)          # same imaginary part
+            if n == 4:
+                zetas[8:12] = self.POSITIONS
+            picks, rotated, order, gaps = metric_module._best_rotations(zetas)
+            lam = metric_module._ROTATIONS[picks]
+            assert rotated.tobytes() == (zetas * lam[:, None]).tobytes()
+            diameters = np.abs(rotated[:, :, None] - rotated[:, None, :]).max(axis=(1, 2))
+            assert np.array_equal(order, cut_orders(rotated, diameters))
+            assert np.array_equal(gaps, np.diff(np.sort(rotated.imag, axis=1), axis=1))
+
+    def test_cut_order_from_the_table_rejects_ties(self, monkeypatch):
+        # with the identity as the only rotation the given imaginary parts
+        # are the chosen row's: an exact tie and a gap of IM_TIE_TOL x the
+        # diameter (1 here) raise, twice that gap does not
+        monkeypatch.setattr(metric_module, "_ROTATIONS", np.array([1.0 + 0.0j]))
+        fluxes = self.FLUXES[:3]
+
+        def frame(pos):
+            return metric_module._contour_frames([validate(FluxConfig(pos, fluxes))], 1e-10)
+
+        for pos in ([0.0, 1.0, 0.5 + 0.7j], [0.0, 1.0 + IM_TIE_TOL * 1j, 0.5 + 0.7j]):
+            with pytest.raises(AmbiguousOrdering):
+                frame(pos)
+        psi, _, _ = frame([0.0, 1.0 + 2.0 * IM_TIE_TOL * 1j, 0.5 + 0.7j])
+        assert np.isfinite(psi).all()
+
+    def test_integrand_columns_equal_the_ones_column_cumprod(self, monkeypatch):
+        # values returns base for one column and cumprod's powers xi^k
+        # times base for more, bit for bit as cumprod([1, xi, ..., xi])
+        legs, integrands = [], []
+        integrate = metric_module.integrate_panels
+
+        class Recording(metric_module._Legs):
+            def __init__(self, *args):
+                super().__init__(*args)
+                legs.append(self)
+
+        def recording(f, *args, **kwargs):
+            integrands.append(f)
+            return integrate(f, *args, **kwargs)
+
+        monkeypatch.setattr(metric_module, "_Legs", Recording)
+        monkeypatch.setattr(metric_module, "integrate_panels", recording)
+        vc = validate(FluxConfig([0.0, 1.1 + 0.4j, 0.3 + 1.5j, -0.8 + 0.9j, 0.5 - 0.7j],
+                                 [0.45, 0.55, 0.35, 0.6, 0.3]))
+        rng = np.random.default_rng(3)
+        for n_cols in (1, 2, 3, 4):
+            metric_module._contour_frames([vc], 1e-8, n_cols)
+        table = legs[0]
+        leg = rng.integers(0, len(table.start), 500)
+        ts = np.column_stack([leg, rng.uniform(0.0, 1.0, 500)])
+        s = ts[:, 1]
+        xi = table.start.take(leg) + table.d.take(leg) * s ** table.p.take(leg)
+        base = integrands[0](ts)[:, 0]
+        for n_cols, f in zip((1, 2, 3, 4), integrands):
+            ref = np.cumprod(np.column_stack([np.ones_like(xi)] + [xi] * (n_cols - 1)),
+                             axis=1) * base[:, None]
+            assert f(ts).tobytes() == ref.tobytes(), n_cols
 
     def test_integrand_and_breakpoints_keep_the_tracer_contract(self, monkeypatch):
         # a benchmark tracer wraps integrate_panels with a one-argument

@@ -93,6 +93,103 @@ def test_rounds_evaluate_in_blocks_of_panels(monkeypatch):
     assert blocked[1].tobytes() == whole[1].tobytes()
 
 
+def reference_integrate_panels(f, tol, *, breakpoints=None, legs):
+    """integrate_panels as it refined before its flat panel table: a Python
+    loop of np.argmax over the bad legs, then np.insert per array.  The
+    oracle of test_flat_panel_table_matches_the_insert_loop."""
+    x = np.concatenate([_quad.gauss_legendre(n)[0] for n in _quad._RULES])
+    coarse_w, fine_w = (_quad.gauss_legendre(n)[1] for n in _quad._RULES)
+
+    def panel_values(leg, lo, hi):
+        width = (hi - lo)[:, None]
+        ts = np.empty((len(lo), len(x), 2))
+        ts[:, :, 0] = leg[:, None]
+        ts[:, :, 1] = lo[:, None] + width * x
+        vals = np.concatenate([f(ts[i:i + _quad.PANEL_BLOCK].reshape(-1, 2))
+                               for i in range(0, len(lo), _quad.PANEL_BLOCK)])
+        vals = vals.reshape(len(lo), len(x), -1)
+        coarse = width * np.einsum("pnm,n->pm", vals[:, :_quad._RULES[0]], coarse_w)
+        fine = width * np.einsum("pnm,n->pm", vals[:, _quad._RULES[0]:], fine_w)
+        return fine, np.abs(fine - coarse).max(axis=1)
+
+    pts = np.array(sorted({*map(float, range(legs + 1)),
+                           *(float(b) for b in breakpoints or () if 0.0 < b < legs)}))
+    leg = pts[:-1].astype(np.intp)
+    lo, hi = pts[:-1] - leg, pts[1:] - leg
+    fine, err = panel_values(leg, lo, hi)
+    for _ in range(2000):
+        starts = np.searchsorted(leg, np.arange(legs))
+        total = np.add.reduceat(fine, starts, axis=0)
+        error = np.add.reduceat(err, starts)
+        bound = tol * np.maximum(1.0, np.abs(total).max(axis=1))
+        bad = np.flatnonzero(~(error <= bound))
+        if not bad.size:
+            return total, error
+        ends = np.append(starts[1:], len(lo))
+        worst = np.array([starts[i] + int(np.argmax(err[starts[i]:ends[i]])) for i in bad])
+        mid = 0.5 * (lo[worst] + hi[worst])
+        f_new, e_new = panel_values(np.concatenate([leg[worst], leg[worst]]),
+                                    np.concatenate([lo[worst], mid]),
+                                    np.concatenate([mid, hi[worst]]))
+        right = worst + 1
+        lo = np.insert(lo, right, mid)
+        hi = np.insert(hi, right, hi[worst])
+        leg = np.insert(leg, right, leg[worst])
+        fine = np.insert(fine, right, f_new[len(worst):], axis=0)
+        err = np.insert(err, right, e_new[len(worst):])
+        left = worst + np.arange(len(worst))
+        hi[left] = mid
+        fine[left] = f_new[:len(worst)]
+        err[left] = e_new[:len(worst)]
+    raise AssertionError("reference did not converge")
+
+
+def mixed_legs():
+    """An integrand on four legs that refine over several rounds: legs 0
+    and 1 carry peaks, leg 2 a unit step at s = 0.1, 0.35, 0.6 and 0.85,
+    and leg 3 a peak whose first call returns NaN on [0.5, 0.75).  The
+    steps sit at the same place in leg 2's four initial panels, whose
+    nodes then take the same values, so their errors tie exactly; each
+    call appends its node array to the returned list."""
+    seen = []
+    smooth = peaks(np.array([0.3, 0.62, 0.5, 0.4]))
+
+    def f(ts):
+        seen.append(ts.copy())
+        leg, s = ts[:, 0], ts[:, 1]
+        out = smooth(ts)
+        step = (leg == 2)
+        out[step] = (s[step] * 4.0 % 1.0 > 0.4)[:, None]
+        if len(seen) == 1:
+            out[(leg == 3) & (s >= 0.5) & (s < 0.75)] = np.nan
+        return out
+
+    return f, seen
+
+
+def test_flat_panel_table_matches_the_insert_loop():
+    # several legs bisect in one round, leg 2's panel errors tie exactly,
+    # and a panel of leg 3 starts with a NaN estimate: the flat table
+    # picks the same panel as np.argmax in each case and keeps t order
+    breakpoints = [2.25, 2.5, 2.75, 3.5, 3.75]
+    f, seen = mixed_legs()
+    ref = reference_integrate_panels(f, 1e-9, breakpoints=breakpoints, legs=4)
+    ref_nodes = list(seen)
+    f, seen = mixed_legs()
+    new = integrate_panels(f, 1e-9, breakpoints=breakpoints, legs=4)
+    assert len(seen) == len(ref_nodes) > 5
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(seen, ref_nodes))
+    assert new[0].tobytes() == ref[0].tobytes()
+    assert new[1].tobytes() == ref[1].tobytes()
+    # what the input is meant to exercise did happen
+    assert np.isnan(mixed_legs()[0](ref_nodes[0])).any()
+    second = ref_nodes[1][:, 0]
+    assert len(set(second.tolist())) >= 3
+    # the tied panels of leg 2 are bisected first to last, one a round
+    firsts = [ts[ts[:, 0] == 2, 1].min() for ts in ref_nodes[1:5]]
+    assert np.floor(np.array(firsts) * 4.0).tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
 @pytest.mark.parametrize("beta", [-0.998, -0.99, -0.9, -0.6, 0.0, 0.37, 2.5])
 def test_gauss_jacobi_moments(beta):
     # int_0^1 t^(beta + p) dt = 1 / (beta + p + 1), at the brute-force rule
