@@ -424,7 +424,8 @@ def check_metric_oracle(rng, n, quad_tol):
 
 
 def check_numeric_holonomy():
-    vc = validate(FluxConfig([0.0, 0.3 + 1.0j, -0.2 + 2.2j], [0.9, 0.9, 0.9]))
+    # sigma_0^2 on three different fluxes: a colored pure braid
+    vc = validate(FluxConfig([0.0, 0.3 + 1.0j, -0.2 + 2.2j], [0.9, 0.8, 0.85]))
     word = mono.BraidWord([mono.Move("encircle", 0, 1)])
     num = tr.holonomy(vc, mono.word_to_path(vc, word), ode_tol=1e-7)
     ana = mono.holonomy_analytic(vc, word)

@@ -16,7 +16,6 @@ counter-clockwise circle crosses the cuts.
 from __future__ import annotations
 
 import cmath
-import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -208,31 +207,6 @@ def _check_distinct(positions) -> None:
         )
 
 
-@functools.lru_cache(maxsize=256)
-def _flux_verdict(fluxes: tuple):
-    """What validate decides from the fluxes alone, once per flux tuple:
-    (error before the position checks, mode counts, error of strict
-    validation), each error as (type, message) or None."""
-    if not all(math.isfinite(f) for f in fluxes):
-        return (ValueError, "fluxes must be finite"), None, None
-    counts = count_modes(fluxes)
-    total = math.fsum(fluxes)
-    if total <= 0.0:
-        return None, counts, (NonpositiveTotalFlux, f"total flux {total:.6g} <= 0")
-    if abs(total - round(total)) < EPS_THRESHOLD:
-        return None, counts, (
-            NearIntegerTotalFlux,
-            f"total flux {total:.6g} lies within {EPS_THRESHOLD:g} of an "
-            f"integer; the metric diverges at thresholds")
-    for a, f in enumerate(fluxes):
-        r = round(f)
-        if r != 0 and abs(f - r) < EPS_THRESHOLD:
-            return None, counts, (
-                NearIntegerFluxon,
-                f"flux {a} = {f:.6g} lies within {EPS_THRESHOLD:g} of the integer {r}")
-    return None, counts, None
-
-
 def validate(config: FluxConfig, *, strict: bool = True) -> ValidatedConfig:
     """Validate a configuration and annotate it with mode counts.
 
@@ -240,18 +214,29 @@ def validate(config: FluxConfig, *, strict: bool = True) -> ValidatedConfig:
     operation) the total flux must be positive and neither the total flux
     nor any individual flux may sit within EPS_THRESHOLD of a (nonzero)
     integer.  With strict=False only coincidence is checked, which is all
-    that mode counting needs.  The verdict on the fluxes is cached per
-    flux tuple; the positions are checked on every call.
+    that mode counting needs.  The checks run in this order: finite
+    positions, finite fluxes, coincidence, then the strict flux checks.
     """
     if not all(cmath.isfinite(z) for z in config.positions):
         raise ValueError("positions must be finite")
-    flux_error, counts, strict_error = _flux_verdict(config.fluxes)
-    if flux_error:
-        raise flux_error[0](flux_error[1])
+    fluxes = config.fluxes
+    if not all(math.isfinite(f) for f in fluxes):
+        raise ValueError("fluxes must be finite")
     _check_distinct(config.positions)
-    if strict and strict_error:
-        raise strict_error[0](strict_error[1])
-    return ValidatedConfig(config=config, counts=counts, strict=strict)
+    if strict:
+        total = math.fsum(fluxes)
+        if total <= 0.0:
+            raise NonpositiveTotalFlux(f"total flux {total:.6g} <= 0")
+        if abs(total - round(total)) < EPS_THRESHOLD:
+            raise NearIntegerTotalFlux(
+                f"total flux {total:.6g} lies within {EPS_THRESHOLD:g} of an "
+                f"integer; the metric diverges at thresholds")
+        for a, f in enumerate(fluxes):
+            r = round(f)
+            if r != 0 and abs(f - r) < EPS_THRESHOLD:
+                raise NearIntegerFluxon(
+                    f"flux {a} = {f:.6g} lies within {EPS_THRESHOLD:g} of the integer {r}")
+    return ValidatedConfig(config=config, counts=count_modes(fluxes), strict=strict)
 
 
 def cut_order(vc: ValidatedConfig) -> tuple:
@@ -262,23 +247,15 @@ def cut_order(vc: ValidatedConfig) -> tuple:
     rays collide and are rejected; the caller is expected to perturb (for
     the metric a rigid rotation is exact, see the scaling law).
     """
-    order = cut_orders(vc.zeta[None], np.array([vc.diameter]))[0]
-    return tuple(int(i) for i in order)
-
-
-def cut_orders(zetas, diameters) -> np.ndarray:
-    """cut_order of each row of zetas (B, N), whose diameters are given:
-    an intp array (B, N).  Raises AmbiguousOrdering on the first row with a
-    tie."""
-    im = zetas.imag
+    im = vc.zeta.imag[None]
     order = np.argsort(im, axis=1, kind="stable")
     check_cut_gaps(im, order, np.diff(np.take_along_axis(im, order, axis=1), axis=1),
-                   diameters)
-    return order
+                   np.array([vc.diameter]))
+    return tuple(int(i) for i in order[0])
 
 
 def check_cut_gaps(im, order, gaps, diameters) -> None:
-    """The tie check of cut_orders on rows already sorted: im (B, N) are
+    """The tie check of cut_order on rows already sorted: im (B, N) are
     the imaginary parts, order (B, N) their stable ascending argsort and
     gaps (B, N - 1) the differences of the sorted values.  Raises
     AmbiguousOrdering on the first row with a gap of at most IM_TIE_TOL x

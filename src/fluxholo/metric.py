@@ -31,12 +31,13 @@ The paths share their legs, so N fluxons cost 2N - 1 line integrals
 (_primitive_raw), refined together on one panel queue (_Legs).
 _contour_frames is the one place that turns configurations into
 (Psi, G) and the one place that picks the frame: the rigid rotation that
-best separates the fluxons' imaginary parts.  It takes a batch of
-configurations with the same fluxes, whose legs all share the queue; one
-configuration is a batch of one (_contour_frame).  The metric, its
-derivatives, the curvature stencil and the transport all use that frame.
-The single exception is holonomy_analytic, whose braid word refers to the
-configuration's own cut order, so it reads primitive_matrix directly.
+best separates the fluxons' imaginary parts.  It takes one validated
+configuration, for its fluxes, and a batch of positions, whose legs all
+share the queue; one configuration is a batch of one (_contour_frame).
+The metric, its derivatives, the curvature stencil and the transport all
+use that frame.  The single exception is holonomy_analytic, whose braid
+word refers to the configuration's own cut order, so it reads
+primitive_matrix directly.
 """
 
 from __future__ import annotations
@@ -97,20 +98,14 @@ def coupling_matrix(fluxes) -> np.ndarray:
     G_ab = sin(pi phi_a) sin(pi phi_b) / sin(pi phi_T)
            * exp[i pi (phi_T - sum_{c=a}^{b-1} (phi_c + phi_{c+1}))],
     completed by hermiticity.  Verified against the brute-force metric
-    through g = Psi^* G Psi in the test suite.  Computed once per flux
-    tuple; the array returned is read-only.
+    through g = Psi^* G Psi in the test suite.  Each call builds a fresh
+    array from Python scalars.
     """
-    return _coupling_matrix(tuple(float(f) for f in fluxes))
-
-
-@functools.lru_cache(maxsize=256)
-def _coupling_matrix(phis: tuple) -> np.ndarray:
+    phis = [float(f) for f in fluxes]
     total = math.fsum(phis)
     if abs(math.sin(math.pi * total)) < 1e-9:
         raise ThresholdSingularity(
             f"total flux {total:.6g} too close to an integer for G")
-    # Python scalars, one array at the end: cold configurations with
-    # random fluxes miss this cache on nearly every call
     n = len(phis)
     s_tot = math.sin(math.pi * total)
     sines = [math.sin(math.pi * phi) for phi in phis]
@@ -122,9 +117,15 @@ def _coupling_matrix(phis: tuple) -> np.ndarray:
             run += phis[b - 1] + phis[b]
             rows[a][b] = sines[a] * sines[b] / s_tot * cmath.exp(1j * math.pi * (total - run))
             rows[b][a] = rows[a][b].conjugate()
-    G = np.array(rows, dtype=complex)
-    G.flags.writeable = False
-    return G
+    return np.array(rows, dtype=complex)
+
+
+def _free_mode_counts(vc: ValidatedConfig):
+    """The mode counts of vc; NoFreeModes unless it has free modes."""
+    counts = vc.counts
+    if counts.D_f < 1 or not counts.free_modes_ok:
+        raise NoFreeModes(f"configuration has D_f = {counts.D_f} free modes")
+    return counts
 
 
 # --------------------------------------------------------------------------
@@ -243,9 +244,7 @@ def primitive_matrix(vc: ValidatedConfig, tol: float = 1e-10,
     flux < 1 so the endpoint integrals converge, and an unambiguous cut
     ordering.
     """
-    counts = vc.counts
-    if counts.D_f < 1 or not counts.free_modes_ok:
-        raise NoFreeModes(f"configuration has D_f = {counts.D_f} free modes")
+    counts = _free_mode_counts(vc)
     if columns is None:
         columns = counts.D_f
     order = cut_order(vc)
@@ -324,14 +323,15 @@ def _gauss_manin_layout(phis: tuple):
     return branch, phis[branch], np.maximum(lag, 0), lag >= 0
 
 
-def _contour_frames(vcs, tol: float, columns: int | None = None):
+def _contour_frames(vc: ValidatedConfig, zetas, tol: float, columns: int | None = None):
     """Contour matrices psi (B, n, columns), coupling matrices G (B, n, n)
-    and quadrature errors (B,) of a batch of configurations with the same
-    fluxes, in the one frame of the metric, its derivatives and the
-    transport; n is the number of branch points (phi' != 0).
+    and quadrature errors (B,) at the positions zetas (B, N), with the
+    fluxes and mode counts of vc, in the one frame of the metric, its
+    derivatives and the transport; n is the number of branch points
+    (phi' != 0).  The positions are not validated again.
 
-    Configuration b is evaluated rigidly rotated by lambda = e^{i alpha},
-    with alpha the rotation that best separates its imaginary parts
+    Row b is evaluated rigidly rotated by lambda = e^{i alpha}, with alpha
+    the rotation that best separates its imaginary parts
     (best_rotation_angle), and column k is scaled by lambda^(-k): by the
     rigid-rotation law a contour matrix at the unrotated positions.  g and
     the connection g^{-1} psi^* G d psi do not depend on the row basis, so
@@ -340,27 +340,21 @@ def _contour_frames(vcs, tol: float, columns: int | None = None):
     branch points) and one row per branch point in the rotated cut order,
     each re-anchored to the last one, so every row is an integral between
     branch points, as the Gauss-Manin connection needs.  G is in the same
-    row order, and psi_f^* G psi_f over the first D_f columns is the
-    metric.
+    row order, built once per distinct cut order of the batch, and
+    psi_f^* G psi_f over the first D_f columns is the metric.
 
     The rotation, cut order, legs and breakpoints are array operations
     over the batch: the rotated positions and the gaps of the tie check
     are rows of the one sorted rotation table of _best_rotations, which
-    is not sorted again.  All legs of all configurations share one panel
-    queue; each leg is integrated at its own local parameter, so a row
-    does not depend on the rest of the batch, bit for bit.
+    is not sorted again.  All legs of all rows share one panel queue;
+    each leg is integrated at its own local parameter, so a row does not
+    depend on the rest of the batch, bit for bit.
     """
-    fluxes = vcs[0].config.fluxes
-    if any(vc.config.fluxes != fluxes for vc in vcs):
-        raise ValueError("a batch of contour frames needs one flux assignment")
-    counts = vcs[0].counts
-    if counts.D_f < 1 or not counts.free_modes_ok:
-        raise NoFreeModes(f"configuration has D_f = {counts.D_f} free modes")
-    phis = vcs[0].phi_reduced
+    _free_mode_counts(vc)
+    phis = vc.phi_reduced
     branch = phis != 0.0
     if columns is None:
         columns = int(np.count_nonzero(branch)) - 1
-    zetas = np.array([vc.zeta for vc in vcs])
     picks, rotated, order, gaps = _best_rotations(zetas)
     lam = _ROTATIONS[picks]
     diameters = np.abs(rotated[:, :, None] - rotated[:, None, :]).max(axis=(1, 2))
@@ -368,26 +362,27 @@ def _contour_frames(vcs, tol: float, columns: int | None = None):
     x_left = rotated.real.min(axis=1) - 1.5 * diameters
     rows, err = _primitive_raw(rotated, phis, order, columns, x_left, tol)
     keep = branch[order]
-    shape = (len(vcs), int(np.count_nonzero(branch)))
+    shape = (len(zetas), int(np.count_nonzero(branch)))
     mat = rows[keep].reshape(*shape, columns) * lam[:, None, None] ** -np.arange(columns)
-    G = np.array([_coupling_matrix(tuple(cut))
-                  for cut in phis[order][keep].reshape(shape).tolist()])
+    cuts = [tuple(cut) for cut in phis[order][keep].reshape(shape).tolist()]
+    built = {cut: coupling_matrix(cut) for cut in set(cuts)}
+    G = np.array([built[cut] for cut in cuts])
     return mat - mat[:, -1:], G, err
 
 
 def _contour_frame(vc: ValidatedConfig, tol: float, columns: int | None = None):
     """_contour_frames of vc as a batch of one: psi, G and the quadrature
     error of one configuration."""
-    psi, G, err = _contour_frames([vc], tol, columns)
+    psi, G, err = _contour_frames(vc, vc.zeta[None], tol, columns)
     return psi[0], G[0], float(err[0])
 
 
-def _factorized_metrics(vcs, tol: float):
-    """g = Psi^* G Psi and its error estimate for a batch of configurations
-    with the same fluxes: arrays (B, D_f, D_f) and (B,).  Psi and G come
-    from _contour_frames at tol * 1e-2.  Raises QuadratureNotConverged if
-    any g is not positive definite."""
-    psi, G, psi_err = _contour_frames(vcs, tol * 1e-2, vcs[0].counts.D_f)
+def _factorized_metrics(vc: ValidatedConfig, zetas, tol: float):
+    """g = Psi^* G Psi and its error estimate at the positions zetas
+    (B, N), with the fluxes of vc: arrays (B, D_f, D_f) and (B,).  Psi and
+    G come from _contour_frames at tol * 1e-2.  Raises
+    QuadratureNotConverged if any g is not positive definite."""
+    psi, G, psi_err = _contour_frames(vc, zetas, tol * 1e-2, vc.counts.D_f)
     g = psi.conj().transpose(0, 2, 1) @ G @ psi
     g = 0.5 * (g + g.conj().transpose(0, 2, 1))
     err = 2.0 * np.abs(G).max(axis=(1, 2)) * np.abs(psi).max(axis=(1, 2)) * psi_err
@@ -415,7 +410,7 @@ def metric_factorized(vc: ValidatedConfig, tol: float = 1e-8,
     """
     if not auto_rotate:
         cut_order(vc)
-    g, err = _factorized_metrics([vc], tol)
+    g, err = _factorized_metrics(vc, vc.zeta[None], tol)
     return Metric(g=g[0], method="factorized", error_estimate=float(err[0]))
 
 
@@ -796,9 +791,7 @@ def metric_bruteforce(vc: ValidatedConfig, tol: float = 1e-6) -> Metric:
     _BruteForce.MAX_LEVEL cannot bring under the target raises
     QuadratureNotConverged.
     """
-    counts = vc.counts
-    if counts.D_f < 1 or not counts.free_modes_ok:
-        raise NoFreeModes(f"configuration has D_f = {counts.D_f} free modes")
+    counts = _free_mode_counts(vc)
     lam = vc.diameter
     session = _BruteForce(vc.zeta / lam, vc.phi_reduced, counts.D_f)
     flat, err = session.run(tol)

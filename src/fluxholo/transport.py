@@ -44,7 +44,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .config import FluxConfig, ValidatedConfig, separations, validate
+from .config import ValidatedConfig, separations
 from .errors import (
     ClosedPathRequired,
     CollisionGuardTripped,
@@ -710,18 +710,18 @@ def _laplacian(g, h2: float) -> complex:
 
 
 def curvature_abelians(vcs, moving: int, quad_tol: float = 1e-11) -> list:
-    """curvature_abelian of each configuration in vcs (one flux
-    assignment), with the 5 B stencil configurations validated in order
-    and their factorized metrics evaluated as one batch
-    (metric._factorized_metrics): one panel queue and one integrand call
-    per round for all of them.  A batch row equals the single call bit for
+    """curvature_abelian of each configuration in vcs, one flux
+    assignment (ValueError otherwise): the factorized metrics at the 5 B
+    stencil positions run as one batch (metric._factorized_metrics), with
+    one panel queue and one integrand call per round.  The positions are
+    not validated again: a step of 2e-3 x the closest distance cannot make
+    two fluxons coincide.  A batch row equals the single call bit for
     bit, so every value equals curvature_abelian's."""
-    stencils, steps = [], []
-    for vc in vcs:
-        stencil, h2 = _stencil(vc, moving)
-        stencils += [validate(FluxConfig(z, vc.config.fluxes)) for z in stencil]
-        steps.append(h2)
-    g = _factorized_metrics(stencils, quad_tol)[0][:, 0, 0].real.tolist()
+    if len({vc.config.fluxes for vc in vcs}) > 1:
+        raise ValueError("a batch of curvature cells needs one flux assignment")
+    stencils, steps = zip(*(_stencil(vc, moving) for vc in vcs))
+    zetas = np.reshape(stencils, (5 * len(vcs), -1))
+    g = _factorized_metrics(vcs[0], zetas, quad_tol)[0][:, 0, 0].real.tolist()
     return [_laplacian(g[5 * i:5 * i + 5], h2) for i, h2 in enumerate(steps)]
 
 

@@ -1,10 +1,11 @@
 import json
 import math
+import sys
 
 import pytest
 
 from fluxholo import FluxConfig, curvature_abelian, validate
-from fluxholo import cli, transport
+from fluxholo import cli, config, transport
 from fluxholo.cli import main
 from fluxholo.errors import CoincidentFluxons
 
@@ -141,6 +142,27 @@ class TestCurvatureMap:
         for row, u in zip(rows, grid):
             r = f"{single[u].real:.12g}" if u in single else "nan"
             assert row == f"{u.real:.10g},{u.imag:.10g},{r}"
+
+    def test_map_validates_each_cell_once(self, tmp_path, monkeypatch):
+        # the 5 x 4 map above: the configuration and each of its 19
+        # computed cells are validated once, by the command; nothing
+        # validates the stencil positions
+        callers = []
+        original = config.validate
+
+        def counting(*args, **kwargs):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return original(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("fluxholo") and getattr(
+                    module, "validate", None) is original:
+                monkeypatch.setattr(module, "validate", counting)
+        cfg = write_config(tmp_path, [0.5, 0.5, 0.5], [0.0, 1.0, 0.4 + 0.5j])
+        code = main(["--output", str(tmp_path / "map.csv"), "--collision-guard", "0.06",
+                     "curvature-map", cfg, "--mover", "2", "--grid=0.8:1.2:5,-0.1:0.3:4"])
+        assert code == 0
+        assert callers == ["fluxholo.cli"] * (1 + 19)
 
     def test_failing_cell_in_a_later_chunk(self, tmp_path, capsys):
         # the tenth cell sits 1e-13 from fluxon 0, outside the guard but

@@ -135,8 +135,8 @@ def test_json_round_trip():
     ([math.nan, 0.5], ValueError),
 ])
 def test_cached_flux_verdict_raises_the_same_typed_error(fluxes, error):
-    # the verdict on the fluxes is cached per flux tuple; each call with
-    # new positions raises a fresh error of the same type and message
+    # the verdict on the fluxes depends on the fluxes alone; each call
+    # with new positions raises a fresh error of the same type and message
     messages = []
     for pos in ([0.0, 1.0], [2.0, 1j], [0.5 - 1j, 3.0]):
         with pytest.raises(error) as exc:

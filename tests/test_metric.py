@@ -13,7 +13,7 @@ from fluxholo import (
     validate,
 )
 from fluxholo import metric as metric_module
-from fluxholo.config import IM_TIE_TOL, cut_orders
+from fluxholo.config import IM_TIE_TOL, check_cut_gaps
 from fluxholo.errors import (AmbiguousOrdering, FluxholoError, NoFreeModes,
                              QuadratureNotConverged, ThresholdSingularity)
 from fluxholo.cli import check_metric_laws, check_metric_oracle, worst_residuals
@@ -110,22 +110,18 @@ class TestBatchedFrames:
         vcs = [validate(FluxConfig(pos, self.FLUXES)) for pos in self.POSITIONS]
         alone = [metric_module._contour_frame(vc, 1e-12) for vc in vcs]
         for batch in (vcs, vcs[::-1], vcs + vcs):
-            psi, G, err = metric_module._contour_frames(batch, 1e-12)
+            zetas = np.array([vc.zeta for vc in batch])
+            psi, G, err = metric_module._contour_frames(vcs[0], zetas, 1e-12)
             for b, vc in enumerate(batch):
                 one = alone[vcs.index(vc)]
                 assert np.array_equal(psi[b], one[0])
                 assert np.array_equal(G[b], one[1])
                 assert err[b] == one[2]
 
-    def test_batch_needs_one_flux_assignment(self):
-        vcs = [validate(FluxConfig(self.POSITIONS[0], f))
-               for f in (self.FLUXES, [0.4, 0.5, 0.6, 0.8])]
-        with pytest.raises(ValueError):
-            metric_module._contour_frames(vcs, 1e-10)
-
     def test_cut_order_comes_from_the_rotation_table(self):
         # the chosen row of the rotation table is zetas * lambda bit for
-        # bit, and its stable argsort is config.cut_orders of that row
+        # bit, its stable argsort is the cut order, and the tie check
+        # accepts it: the best rotation leaves no ties
         rng = np.random.default_rng(20)
         for n in (2, 3, 4, 5, 8):
             zetas = rng.normal(size=(24, n)) + 1j * rng.normal(size=(24, n))
@@ -137,7 +133,10 @@ class TestBatchedFrames:
             lam = metric_module._ROTATIONS[picks]
             assert rotated.tobytes() == (zetas * lam[:, None]).tobytes()
             diameters = np.abs(rotated[:, :, None] - rotated[:, None, :]).max(axis=(1, 2))
-            assert np.array_equal(order, cut_orders(rotated, diameters))
+            im = rotated.imag
+            assert np.array_equal(order, np.argsort(im, axis=1, kind="stable"))
+            check_cut_gaps(im, order, np.diff(np.take_along_axis(im, order, axis=1), axis=1),
+                           diameters)
             assert np.array_equal(gaps, np.diff(np.sort(rotated.imag, axis=1), axis=1))
 
     def test_cut_order_from_the_table_rejects_ties(self, monkeypatch):
@@ -148,7 +147,8 @@ class TestBatchedFrames:
         fluxes = self.FLUXES[:3]
 
         def frame(pos):
-            return metric_module._contour_frames([validate(FluxConfig(pos, fluxes))], 1e-10)
+            vc = validate(FluxConfig(pos, fluxes))
+            return metric_module._contour_frames(vc, vc.zeta[None], 1e-10)
 
         for pos in ([0.0, 1.0, 0.5 + 0.7j], [0.0, 1.0 + IM_TIE_TOL * 1j, 0.5 + 0.7j]):
             with pytest.raises(AmbiguousOrdering):
@@ -177,7 +177,7 @@ class TestBatchedFrames:
                                  [0.45, 0.55, 0.35, 0.6, 0.3]))
         rng = np.random.default_rng(3)
         for n_cols in (1, 2, 3, 4):
-            metric_module._contour_frames([vc], 1e-8, n_cols)
+            metric_module._contour_frames(vc, vc.zeta[None], 1e-8, n_cols)
         table = legs[0]
         leg = rng.integers(0, len(table.start), 500)
         ts = np.column_stack([leg, rng.uniform(0.0, 1.0, 500)])

@@ -23,6 +23,7 @@ from fluxholo import (
     validate,
     word_to_path,
 )
+from fluxholo import transport
 from fluxholo.cli import check_flat_curvature
 from fluxholo.errors import (
     ClosedPathRequired,
@@ -311,6 +312,14 @@ class TestHolonomy:
 class TestCurvature:
     def test_two_fluxon_curvature_vanishes(self):
         assert_within_tolerance(check_flat_curvature())
+
+    def test_batch_needs_one_flux_assignment(self):
+        # a batch shares the first cell's fluxes, so cells of different
+        # fluxes (each with one free mode) are refused
+        vcs = [validate(FluxConfig([0.0, 1.0, 0.4 + 0.5j], f))
+               for f in ([0.5, 0.5, 0.5], [0.5, 0.5, 0.6])]
+        with pytest.raises(ValueError, match="one flux assignment"):
+            transport.curvature_abelians(vcs, moving=2, quad_tol=1e-8)
 
     def test_half_flux_closed_form_cross_check(self):
         u = 0.35 + 0.45j
