@@ -135,14 +135,17 @@ def count_modes(fluxes: Sequence[float]) -> ModeCounts:
     it counts the opposite-spin sector via |Phi_T|), so no validation is
     required here.
     """
-    fluxes = [float(f) for f in fluxes]
-    total = math.fsum(fluxes)
+    floats, n, phi_prime = [], [], []
+    for f in fluxes:
+        f = float(f)
+        na = math.floor(f) if f >= 1.0 else 0
+        floats.append(f)
+        n.append(na)
+        phi_prime.append(f - na)
+    total = math.fsum(floats)
     D = max(0, math.ceil(abs(total)) - 1) if total != 0.0 else 0
-    n = tuple(max(0, math.floor(f)) for f in fluxes)
-    phi_prime = tuple(f - na for f, na in zip(fluxes, n))
-    reduced_total = math.fsum(phi_prime)
-    D_f = max(0, math.ceil(reduced_total) - 1)
-    return ModeCounts(D=D, D_f=D_f, n=n, phi_prime=phi_prime)
+    D_f = max(0, math.ceil(math.fsum(phi_prime)) - 1)
+    return ModeCounts(D=D, D_f=D_f, n=tuple(n), phi_prime=tuple(phi_prime))
 
 
 @dataclass(frozen=True)

@@ -515,12 +515,12 @@ class _Work:
 class _BruteForce:
     """One quadrature session: geometry, refinement state, piece sums.
 
-    The pieces are each disk, the far field and the middle; each has its
-    own refinement level (run), so a piece is refined only while its level
-    difference is the largest one left.  The pieces run over their grids
-    in chunks of up to ANGULAR_CHUNK angles, on one set of work arrays
-    (_Work) that the session grows only when a chunk is larger than every
-    chunk before it."""
+    The pieces are each disk, the far field and each radial panel of the
+    middle; each has its own refinement level (run), so a piece is refined
+    only while its level difference is the largest one left.  The pieces
+    run over their grids in chunks of up to ANGULAR_CHUNK angles, on one
+    set of work arrays (_Work) that the session grows only when a chunk is
+    larger than every chunk before it."""
 
     ANGULAR_CHUNK = 128
     DISK_ANGLES = 64
@@ -546,6 +546,19 @@ class _BruteForce:
             rho = max(abs(zetas[a] - self.center), self.r_out[a])
             feature = min(feature, self.r_out[a] / rho)
         self.nt_boost = int(min(32, max(1, np.ceil(0.5 / feature))))
+        # the remainder's radial panels, split at the bump radii: a panel
+        # meets the ring of fluxon b only between the radii
+        # |zeta_b - c| -+ r_out, so each panel keeps the rings it meets
+        brk, reach = {0.0, self.R0}, []
+        for a in range(n):
+            ra = abs(zetas[a] - self.center)
+            reach.append((ra - self.r_out[a], ra + self.r_out[a]))
+            brk.update(float(x) for x in (reach[a][0], ra, reach[a][1])
+                       if 1e-12 * self.R0 < x < self.R0)
+        brk = sorted(brk)
+        self.panels = [(lo, hi, [b for b, (lo_b, hi_b) in enumerate(reach)
+                                 if lo < hi_b and hi > lo_b])
+                       for lo, hi in zip(brk[:-1], brk[1:])]
         self._work = _Work(0, n_cols)
 
     def _chunk(self, shape):
@@ -669,51 +682,40 @@ class _BruteForce:
                       * np.einsum("i,it,t->", wv, smooth, wt))
         return out
 
-    def middle_piece(self, nr, nt):
-        """Smooth remainder (1 - sum chi) * weight on the disk |z - c| <= R0,
-        polar panels split at the bump radii.  A panel meets the ring of
-        fluxon b only between the radii |zeta_b - c| -+ r_out, which are
-        breakpoints, so each panel tests only the rings it meets."""
-        brk = {0.0, self.R0}
-        reach = []
-        for a in range(len(self.zetas)):
-            ra = abs(self.zetas[a] - self.center)
-            span = (ra - self.r_out[a], ra + self.r_out[a])
-            reach.append(span)
-            for x in (span[0], ra, span[1]):
-                if 1e-12 * self.R0 < x < self.R0:
-                    brk.add(float(x))
-        brk = sorted(brk)
+    def middle_piece(self, i, nr, nt):
+        """Smooth remainder (1 - sum chi) * weight on radial panel i of the
+        disk |z - c| <= R0, in polar coordinates; the panel tests only the
+        bump rings it meets, which self.panels lists."""
+        lo_r, hi_r, rings = self.panels[i]
         th = trapezoid_angles(nt)
         eith = np.exp(1j * th)
         wt = np.full(nt, TWO_PI / nt)
         x, w = gauss_legendre(nr)
+        r = lo_r + (hi_r - lo_r) * x
+        rwr = r * (w * (hi_r - lo_r))
         total = np.zeros(len(self.jk), dtype=complex)
-        for lo_r, hi_r in zip(brk[:-1], brk[1:]):
-            r = lo_r + (hi_r - lo_r) * x
-            rwr = r * (w * (hi_r - lo_r))
-            rings = [b for b, (lo_b, hi_b) in enumerate(reach) if lo_r < hi_b and hi_r > lo_b]
-            for lo in range(0, nt, self.ANGULAR_CHUNK):
-                sl = slice(lo, min(lo + self.ANGULAR_CHUNK, nt))
-                work = self._chunk((nr, sl.stop - lo))
-                np.multiply(r[:, None], eith[sl], out=work.z)
-                work.z += self.center
-                self._weight(work, rings)
-                weights = np.exp(work.logw, out=work.logw)
-                if rings:
-                    np.subtract(1.0, work.chi, out=work.chi)
-                    work.chi *= weights
-                    weights = work.chi
-                weights *= rwr[:, None]
-                weights *= wt[sl]
-                total += self._contract(work, weights)
+        for lo in range(0, nt, self.ANGULAR_CHUNK):
+            sl = slice(lo, min(lo + self.ANGULAR_CHUNK, nt))
+            work = self._chunk((nr, sl.stop - lo))
+            np.multiply(r[:, None], eith[sl], out=work.z)
+            work.z += self.center
+            self._weight(work, rings)
+            weights = np.exp(work.logw, out=work.logw)
+            if rings:
+                np.subtract(1.0, work.chi, out=work.chi)
+                work.chi *= weights
+                weights = work.chi
+            weights *= rwr[:, None]
+            weights *= wt[sl]
+            total += self._contract(work, weights)
         return total
 
     # -- assembly ----------------------------------------------------------
 
     def piece(self, lab, level):
-        """Sum of piece lab, ("disk", a), ("far", None) or ("mid", None),
-        on the grids of refinement level `level`."""
+        """Sum of piece lab, ("disk", a), ("far", None) or ("mid", i) for
+        radial panel i of the remainder, on the grids of refinement level
+        `level`."""
         kind, a = lab
         nr = 24 * 2 ** level
         nt = 64 * 2 ** level
@@ -721,7 +723,7 @@ class _BruteForce:
             return self.disk_piece(a, nr, self.DISK_ANGLES)
         if kind == "far":
             return self.far_piece(min(nr, 96), nt)
-        return self.middle_piece(nr, 2 * nt * self.nt_boost)
+        return self.middle_piece(a, nr, 2 * nt * self.nt_boost)
 
     def run(self, tol):
         """Piece sums refined one piece at a time until the last level
@@ -731,18 +733,21 @@ class _BruteForce:
         Each disk first runs levels 0, 1 and 2: on the disk of an edge
         flux 0.999 the difference L1 - L0 under-reads the next one (4.6e-7
         against 1.7e-6), so a disk's first difference is not trusted.  The
-        far field and the middle start from their level-1 difference, which
-        over-read the next one by at least 8x on 45 probed configurations
-        (the far field's differences are at round-off).  Then, of the
-        pieces below MAX_LEVEL, the one with the largest last difference
-        moves up one level, so a piece that is already resolved is not
-        refined to certify the others.  When no piece is left below
+        far field and each middle panel start from their level-1
+        difference; for the whole middle it over-read the next one by at
+        least 8x on 45 probed configurations (the far field's differences
+        are at round-off), and the periodic trapezoid rule converges
+        geometrically on a smooth panel.  Then, of the pieces below
+        MAX_LEVEL, the one with the largest last difference moves up one
+        level, so a piece that is already resolved is not refined to
+        certify the others.  When no piece is left below
         MAX_LEVEL, or the pieces at MAX_LEVEL alone exceed the target,
         QuadratureNotConverged is raised.
 
         Returns the entries, each piece at its latest level, and, per
         entry, the sum over the pieces of its last level difference."""
-        labels = [("disk", a) for a in range(len(self.zetas))] + [("far", None), ("mid", None)]
+        labels = ([("disk", a) for a in range(len(self.zetas))] + [("far", None)]
+                  + [("mid", i) for i in range(len(self.panels))])
         level, value, diff = {}, {}, {}
         for lab in labels:
             level[lab] = 2 if lab[0] == "disk" else 1
@@ -780,11 +785,12 @@ def metric_bruteforce(vc: ValidatedConfig, tol: float = 1e-6) -> Metric:
     Entries with j <= k are integrated on shared grids and mirrored, so
     the result is hermitian by construction.  Each piece of the plane is
     refined on its own (_BruteForce.run): each disk to level 2 and the far
-    field and the middle to level 1, then the piece with the largest last
-    level difference, one level at a time, until the differences summed
-    over the pieces are at most tol x the largest entry.  The grids are
-    laid out at unit diameter; entry (j, k) and its error, the sum over
-    the pieces of its last level difference, are scaled back by the
+    field and each radial panel of the middle to level 1, then the piece
+    with the largest last level difference, one level at a time, until the
+    differences summed over the pieces are at most tol x the largest
+    entry.  The grids are laid out at unit diameter; entry (j, k) and its
+    error, the sum over the pieces of its last level difference, are
+    scaled back by the
     diameter's power lam^(j + k + 2 - 2 Phi'_T), and error_estimate is the
     largest scaled error.  An entry that leaves the float range raises
     NumericalError; a configuration whose differences levels up to

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from fluxholo import FluxConfig, count_modes, cut_factor, cut_order, validate
@@ -72,6 +73,23 @@ def test_counts_negative_flux_mix():
 def test_counts_half_fluxes():
     c = count_modes([0.5, 0.5, 0.5])
     assert (c.D, c.D_f) == (1, 1)
+
+
+def test_counts_match_the_counting_formulas(rng):
+    # the formulas of check_mode_counting, with the integer parts and the
+    # reduced fluxes written out; integer, negative and above-1 fluxes
+    for _ in range(500):
+        n = int(rng.integers(1, 7))
+        fluxes = rng.uniform(-3.0, 4.0, n)
+        whole = rng.random(n) < 0.3
+        fluxes[whole] = np.round(fluxes[whole])
+        c = count_modes(fluxes)
+        n_direct = tuple(max(0, math.floor(f)) for f in fluxes)
+        red = tuple(float(f) - na for f, na in zip(fluxes, n_direct))
+        assert c.n == n_direct and all(type(na) is int for na in c.n)
+        assert c.phi_prime == red and all(type(p) is float for p in c.phi_prime)
+        assert c.D == max(0, math.ceil(abs(math.fsum(fluxes))) - 1)
+        assert c.D_f == max(0, math.ceil(math.fsum(red)) - 1)
 
 
 def test_bookkeeping_identity_positive_fluxes(rng):

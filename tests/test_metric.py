@@ -246,7 +246,9 @@ class TestBruteForceWork:
 
     def test_refinement_schedule(self, monkeypatch):
         # the same grids give the same per-piece schedule: the number of
-        # middle-piece evaluations at the CLI tolerance is pinned
+        # middle-panel evaluations at the CLI tolerance is pinned (it was
+        # [4, 3, 3] whole-middle evaluations while the remainder was one
+        # piece)
         middle = metric_module._BruteForce.middle_piece
         calls = []
 
@@ -258,7 +260,7 @@ class TestBruteForceWork:
         for pos, fluxes in BRUTE_FORCE_BASE:
             calls.append(0)
             metric_bruteforce(validate(FluxConfig(pos, fluxes)), tol=1e-8)
-        assert calls == [4, 3, 3]
+        assert calls == [25, 32, 43]
 
     @pytest.mark.parametrize("pos, fluxes", [
         ([0.0, 1e-3, 0.2 + 0.98j], [0.4, 0.5, 0.6]),        # a tight pair
@@ -340,22 +342,70 @@ class TestBruteForceWork:
         # is refined away, so the run converges instead of raising
         session = metric_module._BruteForce(np.array([0.0, 1.0]), np.array([0.4, 0.5]), 1)
         steps = {("disk", 0): [0.0, 1e-3, 1e-4, 1e-5, 6e-7],
-                 ("mid", None): [0.0, 1e-3, 5e-7, 1e-12, 0.0]}
+                 ("mid", 0): [0.0, 1e-3, 5e-7, 1e-12, 0.0]}
         levels = []
 
         def piece(lab, level):
             levels.append((lab, level))
-            base = 1.0 if lab == ("mid", None) else 0.0
+            base = 1.0 if lab == ("mid", 0) else 0.0
             return np.array([base + sum(steps.get(lab, [0.0])[:level + 1])], dtype=complex)
 
         session.piece = piece
         est, err = session.run(1e-6)
-        assert (("disk", 0), 4) in levels and (("mid", None), 3) in levels
+        assert (("disk", 0), 4) in levels and (("mid", 0), 3) in levels
         assert err[0] == pytest.approx(6e-7 + 1e-12, rel=1e-6)
         # with the middle piece stuck as well the target cannot be met
-        steps[("mid", None)][3:] = [5e-7] * 2
+        steps[("mid", 0)][3:] = [5e-7] * 2
         with pytest.raises(QuadratureNotConverged):
             session.run(1e-6)
+
+    @pytest.mark.parametrize("pos, fluxes", BRUTE_FORCE_BASE)
+    def test_middle_panels_sum_to_the_whole_middle(self, pos, fluxes):
+        # the remainder as one piece: the panel loop over its breakpoints,
+        # each panel testing the rings it meets
+        def whole_middle(session, nr, nt):
+            brk, reach = {0.0, session.R0}, []
+            for a in range(len(session.zetas)):
+                ra = abs(session.zetas[a] - session.center)
+                span = (ra - session.r_out[a], ra + session.r_out[a])
+                reach.append(span)
+                for x in (span[0], ra, span[1]):
+                    if 1e-12 * session.R0 < x < session.R0:
+                        brk.add(float(x))
+            brk = sorted(brk)
+            th = 2.0 * np.pi * np.arange(nt) / nt
+            x, w = np.polynomial.legendre.leggauss(nr)
+            x, w = 0.5 * (x + 1.0), 0.5 * w
+            total = np.zeros(len(session.jk), dtype=complex)
+            for lo_r, hi_r in zip(brk[:-1], brk[1:]):
+                r = lo_r + (hi_r - lo_r) * x
+                rings = [b for b, (lo_b, hi_b) in enumerate(reach)
+                         if lo_r < hi_b and hi_r > lo_b]
+                for lo in range(0, nt, session.ANGULAR_CHUNK):
+                    sl = slice(lo, min(lo + session.ANGULAR_CHUNK, nt))
+                    chunk = session._chunk((nr, sl.stop - lo))
+                    chunk.z[...] = session.center + r[:, None] * np.exp(1j * th[sl])
+                    session._weight(chunk, rings)
+                    weights = np.exp(chunk.logw) * (1.0 - chunk.chi if rings else 1.0)
+                    weights = weights * (r * w * (hi_r - lo_r))[:, None] * (2.0 * np.pi / nt)
+                    total += session._contract(chunk, weights)
+            return total
+
+        vc = validate(FluxConfig(pos, fluxes))
+        session = metric_module._BruteForce(vc.zeta / vc.diameter, vc.phi_reduced,
+                                            vc.counts.D_f)
+        for level in (0, 1):
+            nr, nt = 24 * 2 ** level, 128 * 2 ** level * session.nt_boost
+            ref = whole_middle(session, nr, nt)
+            got = sum(session.piece(("mid", i), level) for i in range(len(session.panels)))
+            assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+
+    def test_tight_pair_refuses(self):
+        # ROADMAP items 4 and 13: a pair 1.4e-4 apart in a unit triple stalls
+        # the plane quadrature, which refuses with the typed error
+        vc = validate(FluxConfig([0.0, 1.4e-4, 0.3 + 0.9j], [0.4, 0.5, 0.6]))
+        with pytest.raises(QuadratureNotConverged, match="plane quadrature stalled"):
+            metric_bruteforce(vc, tol=1e-7)
 
     def test_contraction_equals_the_full_product(self):
         # the entries zbar^j z^k weighted by real weights, read from real
