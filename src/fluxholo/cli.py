@@ -172,14 +172,15 @@ def _parse_grid(spec: str):
     return grid
 
 
-#: Cells per batch of curvature-map stencils (5 metrics each).  The
-#: benchmark's 221-cell map in a fresh process, against one cell per batch
-#: (2-vCPU VM, resource.getrusage): 4 cells add 0.1 MB of peak RSS and make
-#: 172 minor page faults (128), or 3,294 under half of the hash seeds, where
-#: glibc trims the heap top between batches; 8 cells add 0.6 MB with 4,700
-#: faults and 16 cells 2.1 MB with 6,400; 4, 8 and 16 take the same time
-#: within the machine's noise, and one cell per batch about 1.4x as long.
-CURVATURE_CHUNK = 4
+#: Cells per batch of the curvature map (one contour quadrature each).  The
+#: benchmark's 221-cell map in a fresh process (2-vCPU VM, resource.getrusage,
+#: median over PYTHONHASHSEED 0 to 7): 16 cells take 94 ms and add 0.1 MB of
+#: peak RSS to one cell per batch (300 ms); 4 cells take 147 ms, 8 cells
+#: 107 ms.  Larger batches save little time for more memory: 32 cells take
+#: 82 ms and add 0.9 MB, one batch for the whole map 84 ms and 8.6 MB.
+#: Minor page faults at 16 cells read 143 to 1,385 in runs made at
+#: different times, against about 110 for 1 to 8 cells.
+CURVATURE_CHUNK = 16
 
 
 def cmd_curvature_map(args) -> int:

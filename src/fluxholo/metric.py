@@ -382,7 +382,14 @@ def _factorized_metrics(vc: ValidatedConfig, zetas, tol: float):
     (B, N), with the fluxes of vc: arrays (B, D_f, D_f) and (B,).  Psi and
     G come from _contour_frames at tol * 1e-2.  Raises
     QuadratureNotConverged if any g is not positive definite."""
-    psi, G, psi_err = _contour_frames(vc, zetas, tol * 1e-2, vc.counts.D_f)
+    return _frame_metrics(*_contour_frames(vc, zetas, tol * 1e-2, vc.counts.D_f))
+
+
+def _frame_metrics(psi, G, psi_err):
+    """g = psi^* G psi, made hermitian, and its error estimate from the
+    free columns psi (B, n, D_f) of contour matrices, their coupling
+    matrices G (B, n, n) and quadrature errors (B,).  Raises
+    QuadratureNotConverged if any g is not positive definite."""
     g = psi.conj().transpose(0, 2, 1) @ G @ psi
     g = 0.5 * (g + g.conj().transpose(0, 2, 1))
     err = 2.0 * np.abs(G).max(axis=(1, 2)) * np.abs(psi).max(axis=(1, 2)) * psi_err
@@ -454,7 +461,7 @@ class MetricEvaluator:
 
     Validates the positions and returns metric_factorized(...,
     auto_rotate=True).g.  The library no longer uses it (the curvature
-    stencil evaluates its five metrics as one batch); it stays in this
+    stencil continues one contour matrix per cell); it stays in this
     module only because the benchmark's tracer and self-tests
     (perfbench/spans.py, perfbench/test_perfbench.py) name it.
     """

@@ -16,13 +16,14 @@ and the Gauss-Manin connection d_a Psi = Psi D_a^T of the contour matrix
 (metric._gauss_manin), d_a g = Psi^* G d_a Psi and the curvature is
 algebraic in Psi and its derivatives.  Transport continues Psi along the
 path with the same connection, so a whole holonomy costs one contour
-quadrature at the start.  Psi starts in the frame of metric._contour_frame,
-the rigid rotation that best separates the imaginary parts, since U does
-not depend on the row basis; G stays fixed in that frame's cut order
-because continuation changes Psi only by monodromies, which preserve G.
-The numeric monodromy that holonomy reports is expressed in the rows of
-that frame, which may order the fluxons differently from the
-configuration's own cut order.
+quadrature at the start, and a cell of the curvature map one contour
+quadrature for its five stencil points.  Psi starts in the frame of
+metric._contour_frame, the rigid rotation that best separates the
+imaginary parts, since U does not depend on the row basis; G stays fixed
+in that frame's cut order because continuation changes Psi only by
+monodromies, which preserve G.  The numeric monodromy that holonomy
+reports is expressed in the rows of that frame, which may order the
+fluxons differently from the configuration's own cut order.
 
 The transport ODE is linear, dPsi/dt = Psi A(t)^T, and an in-house
 adaptive stepper integrates it: a 6th-order Magnus step on the three
@@ -52,7 +53,7 @@ from .errors import (
     NumericalError,
     ODEStepUnderflow,
 )
-from .metric import _contour_frame, _factorized_metrics, _gauss_manin
+from .metric import _contour_frame, _contour_frames, _frame_metrics, _gauss_manin
 from .modes import ModeVector
 
 TWO_PI = 2.0 * np.pi
@@ -413,13 +414,17 @@ _LOCAL_SHARE = 0.1
 
 def _magnus(a, h: float):
     """Omega_6 and the error estimate for Y' = A(t) Y over one step of
-    length h, from A at the step's seven nodes (shape (7, m, m)).
+    length h, from A at the step's seven nodes (shape (..., 7, m, m): any
+    leading axes are a batch of steps of that length, each row equal to the
+    single call bit for bit).
 
     Omega_6 is the 6th-order Magnus formula on the three Gauss nodes of
     Blanes, Casas, Oteo and Ros, Phys. Rep. 470 (2009) 151, sec. 5.4 (after
     Iserles and Norsett, Phil. Trans. R. Soc. A 357 (1999) 983):
       Omega_6 = a1 + a3/12 + [-20 a1 - a3 + c1, a2 + c2] / 240,
       c1 = [a1, a2],  c2 = -[a1, 2 a3 + c1] / 60.
+    Only the Gauss nodes enter Omega_6; the other four enter only the
+    estimate, so a caller that does not read it may leave them zero.
     Omega_4 = a1 + a3/12 - c1/12 is its 4th-order companion on the same
     integral of A, and their difference, O(h^5), is the commutator part of
     the error estimate.  The Gauss rule's own error in that integral, the
@@ -433,7 +438,9 @@ def _magnus(a, h: float):
     the node matrices, which does not shrink with h, cannot stall the
     stepper."""
     m = a.shape[-1]
-    a1, a2, a3, quadrature = (_MOMENTS @ a.reshape(len(a), -1)).reshape(4, m, m)
+    batch = a.shape[:-3]
+    moments = (_MOMENTS @ a.reshape(*batch, len(_NODES), m * m)).reshape(*batch, 4, m, m)
+    a1, a2, a3, quadrature = (moments[..., k, :, :] for k in range(4))
     a1, a2, a3 = h * a1, h * a2, h * a3
     c1 = a1 @ a2 - a2 @ a1
     b = 2.0 * a3 + c1
@@ -444,20 +451,28 @@ def _magnus(a, h: float):
 
 
 def _expm(a):
-    """exp(a) of a small square matrix: the [6/6] Pade approximant of
-    a / 2^s, with the 1-norm of a / 2^s at most 1/2, squared s times.  There
-    the approximant is exact to about 2e-17 relative (Higham, SIAM J. Matrix
-    Anal. Appl. 26 (2005) 1179)."""
-    norm = float(np.abs(a).sum(axis=0).max())
-    s = max(0, math.ceil(math.log2(2.0 * norm))) if norm > 0.5 else 0
-    x = a / 2.0 ** s
-    x2 = x @ x
-    x4 = x2 @ x2
-    even, odd = np.tensordot(_PADE6, np.stack([np.eye(len(a)), x2, x4, x4 @ x2]), 1)
-    odd = x @ odd
+    """exp(a) of small square matrices a (..., m, m), each row of a batch
+    equal to the single call bit for bit: the [6/6] Pade approximant of
+    a / 2^s, with the 1-norm of a / 2^s at most 1/2, squared s times (s per
+    matrix).  There the approximant is exact to about 2e-17 relative
+    (Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179)."""
+    m = a.shape[-1]
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    s = np.zeros(norm.shape, dtype=int)
+    for i in np.flatnonzero(norm > 0.5):
+        s.flat[i] = math.ceil(math.log2(2.0 * norm.flat[i]))
+    x = a / (2.0 ** s)[..., None, None]
+    powers = np.empty((*a.shape[:-2], 4, m, m), dtype=complex)
+    powers[..., 0, :, :] = np.eye(m)
+    powers[..., 1, :, :] = x2 = x @ x
+    powers[..., 2, :, :] = x4 = x2 @ x2
+    powers[..., 3, :, :] = x4 @ x2
+    pade = (_PADE6 @ powers.reshape(*a.shape[:-2], 4, m * m)).reshape(*a.shape[:-2], 2, m, m)
+    even, odd = pade[..., 0, :, :], x @ pade[..., 1, :, :]
     r = np.linalg.solve(even - odd, even + odd)
-    for _ in range(s):
-        r = r @ r
+    for k in range(s.max(initial=0)):
+        more = s > k
+        r[more] = r[more] @ r[more]
     return r
 
 
@@ -681,63 +696,90 @@ def holonomy(vc: ValidatedConfig, loop: ControlPath,
 # curvature
 # --------------------------------------------------------------------------
 
-def _stencil(vc: ValidatedConfig, moving: int):
-    """The five positions of curvature_abelian's stencil (right, left, up,
-    down, centre) and its squared step; NumericalError when the square
-    leaves the float range."""
+def _stencil_step(vc: ValidatedConfig, moving: int):
+    """The step h = 2e-3 x the closest fluxon distance of curvature_abelian's
+    stencil and its square; NumericalError when the square leaves the
+    float range."""
     if vc.counts.D_f != 1:
         raise ValueError("abelian curvature requires exactly one free mode")
-    z0 = vc.zeta
-    h = 2e-3 * _min_distance(z0)
+    h = 2e-3 * _min_distance(vc.zeta)
     try:
         h2 = h ** 2
     except OverflowError:
         h2 = math.inf
     if not 0.0 < h2 < math.inf:
         raise NumericalError(f"curvature step {h:g} squared leaves the float range")
-    stencil = []
-    for dz in (h, -h, 1j * h, -1j * h, 0.0):
-        z = z0.copy()
-        z[moving] += dz
-        stencil.append(z)
-    return stencil, h2
+    return h, h2
+
+
+#: The moves of the stencil's off-centre points in units of h, in the
+#: order of _laplacian: right, left, up, down (the centre comes last).
+_STENCIL_MOVES = np.array([1.0, -1.0, 1j, -1j])
 
 
 def _laplacian(g, h2: float) -> complex:
-    """d dbar log g from the five stencil values of g."""
+    """d dbar log g from the five stencil values of g (right, left, up,
+    down, centre)."""
     right, left, up, down, centre = (math.log(v) for v in g)
     return complex(0.25 * ((right + left + up + down - 4.0 * centre) / h2))
 
 
 def curvature_abelians(vcs, moving: int, quad_tol: float = 1e-11) -> list:
     """curvature_abelian of each configuration in vcs, one flux
-    assignment (ValueError otherwise): the factorized metrics at the 5 B
-    stencil positions run as one batch (metric._factorized_metrics), with
-    one panel queue and one integrand call per round.  The positions are
-    not validated again: a step of 2e-3 x the closest distance cannot make
-    two fluxons coincide.  A batch row equals the single call bit for
-    bit, so every value equals curvature_abelian's."""
+    assignment (ValueError otherwise), from one contour quadrature per
+    cell.
+
+    _contour_frames evaluates every cell's contour matrix Psi, with all
+    monomial columns, in one batch at quad_tol * 1e-2.  Psi at the four
+    off-centre stencil points comes from continuing it along the straight
+    step to each: d Psi / dt = Psi A(t)^T with A = dz D_moving, the
+    Gauss-Manin matrix (metric._gauss_manin) of the moving fluxon times
+    the step dz, in one 6th-order Magnus step (_magnus, _expm) on the
+    step's three Gauss nodes, batched over the cells and the four steps.
+    |dz D| is about 2e-3, so the truncation, O(|dz D|^7), is far below
+    round-off.  The five metrics g = Psi_f^* G Psi_f then go to the
+    five-point Laplacian.  Positions are not validated again: a step of
+    2e-3 x the closest distance cannot make two fluxons coincide.  Every
+    step is row by row, so a batch row equals the single call bit for
+    bit."""
     if len({vc.config.fluxes for vc in vcs}) > 1:
         raise ValueError("a batch of curvature cells needs one flux assignment")
-    stencils, steps = zip(*(_stencil(vc, moving) for vc in vcs))
-    zetas = np.reshape(stencils, (5 * len(vcs), -1))
-    g = _factorized_metrics(vcs[0], zetas, quad_tol)[0][:, 0, 0].real.tolist()
-    return [_laplacian(g[5 * i:5 * i + 5], h2) for i, h2 in enumerate(steps)]
+    h, h2 = np.array([_stencil_step(vc, moving) for vc in vcs]).T
+    zetas = np.array([vc.zeta for vc in vcs])
+    psi, G, err = _contour_frames(vcs[0], zetas, quad_tol * 1e-2)
+    m = psi.shape[-1]
+    dz = h[:, None] * _STENCIL_MOVES
+    z = np.tile(zetas[:, None, None], (1, len(_STENCIL_MOVES), len(_GAUSS), 1))
+    z[..., moving] += _NODES[list(_GAUSS)] * dz[..., None]
+    a = np.zeros((*dz.shape, len(_NODES), m, m), dtype=complex)
+    a[:, :, list(_GAUSS)] = (dz[..., None, None, None]
+                             * _gauss_manin(z, vcs[0].phi_reduced)[..., moving, :, :])
+    moved = psi[:, None] @ _expm(_magnus(a, 1.0)[0]).swapaxes(-1, -2)
+    frames = np.concatenate([moved, psi[:, None]], axis=1)[..., :1]
+    g = _frame_metrics(frames.reshape(-1, *frames.shape[2:]), np.repeat(G, 5, axis=0),
+                       np.repeat(err, 5))[0][:, 0, 0].real.tolist()
+    return [_laplacian(g[5 * i:5 * i + 5], step2) for i, step2 in enumerate(h2.tolist())]
 
 
 def curvature_abelian(vc: ValidatedConfig, moving: int, quad_tol: float = 1e-11,
                       metric_fn=None) -> complex:
     """Adiabatic curvature coefficient d dbar log g in the moving fluxon's
     coordinate (D_f = 1 only), via the five-point Laplacian with step
-    2e-3 x the closest fluxon distance.
+    h = 2e-3 x the closest fluxon distance.
 
-    By default this is curvature_abelians of a batch of one: the five
-    stencil metrics at quad_tol in one batch.  metric_fn optionally
-    replaces that by any positions -> scalar g callable (e.g. a closed
-    form), called once per stencil point."""
+    By default this is curvature_abelians of a batch of one: one contour
+    quadrature at quad_tol * 1e-2, continued to the four off-centre points
+    by the Gauss-Manin connection.  metric_fn optionally replaces that by
+    any positions -> scalar g callable (e.g. a closed form), called once
+    per stencil point: the moving fluxon moved by h, -h, ih, -ih and 0."""
     if metric_fn is None:
         return curvature_abelians([vc], moving, quad_tol)[0]
-    stencil, h2 = _stencil(vc, moving)
+    h, h2 = _stencil_step(vc, moving)
+    stencil = []
+    for dz in [*(h * _STENCIL_MOVES).tolist(), 0.0]:
+        z = vc.zeta.copy()
+        z[moving] += dz
+        stencil.append(z)
     return _laplacian([metric_fn(z) for z in stencil], h2)
 
 

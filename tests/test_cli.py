@@ -95,9 +95,8 @@ class TestCurvatureMap:
         assert all(abs(v) < 1e-6 for v in vals if not math.isnan(v))
 
     def test_rows_equal_curvature_abelian(self, tmp_path):
-        # each cell's stencil metrics run as one batch; a cell's value is
-        # the library's curvature_abelian at the CLI's quad_tol, to the
-        # printed digit
+        # the cells run in batches; a cell's value is the library's
+        # curvature_abelian at the CLI's quad_tol, to the printed digit
         fluxes, base = [0.5, 0.5, 0.5], [0.0, 1.0, 0.4 + 0.5j]
         cfg = write_config(tmp_path, fluxes, base)
         out = tmp_path / "map.csv"
@@ -165,14 +164,16 @@ class TestCurvatureMap:
         assert callers == ["fluxholo.cli"] * (1 + 19)
 
     def test_failing_cell_in_a_later_chunk(self, tmp_path, capsys):
-        # the tenth cell sits 1e-13 from fluxon 0, outside the guard but
-        # inside the coincidence tolerance: the map stops with that cell's
-        # own validation error, as a cell-by-cell run does
+        # the last cell, in the second chunk, sits 1e-13 from fluxon 0,
+        # outside the guard but inside the coincidence tolerance: the map
+        # stops with that cell's own validation error, as a cell-by-cell
+        # run does
         fluxes, base = [0.5, 0.5, 0.5], [0.0, 1.0, 0.4 + 0.5j]
         cfg = write_config(tmp_path, fluxes, base)
         out = tmp_path / "map.csv"
+        rows = cli.CURVATURE_CHUNK // 2 + 2
         code = main(["--output", str(out), "--collision-guard", "1e-14", "curvature-map",
-                     cfg, "--mover", "2", "--grid=0.3:1e-13:2,0.8:0:5"])
+                     cfg, "--mover", "2", f"--grid=0.3:1e-13:2,0.8:0:{rows}"])
         with pytest.raises(CoincidentFluxons) as exc:
             validate(FluxConfig([0.0, 1.0, 0.3 + (1e-13 - 0.3)], fluxes))
         assert code == 2

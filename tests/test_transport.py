@@ -330,6 +330,39 @@ class TestCurvature:
         assert abs(r_engine - r_closed) < 1e-4 * max(1.0, abs(r_closed))
         assert abs(r_closed) > 1e-3  # genuinely curved
 
+    def test_map_accuracy_pin(self):
+        # a half-flux grid at (0, 1, u) with cells just outside the map's
+        # guard (1e-2 x the diameter) next to both fixed fluxons: the one
+        # contour quadrature per cell, continued to the stencil, against
+        # the stencil on the closed form and on five factorized metrics
+        fluxes = [0.5, 0.5, 0.5]
+        cells = [complex(x, y) for x in (-0.4, 0.1, 0.5, 0.9, 1.4) for y in (0.2, 0.7, 1.3)]
+        cells += [0.012j, 0.009 + 0.009j, 1.0 + 0.012j, 0.991 + 0.008j, 0.5 + 0.012j]
+        vcs = [validate(FluxConfig([0.0, 1.0, u], fluxes)) for u in cells]
+        assert min(min(abs(u), abs(u - 1.0)) / vc.diameter for u, vc in zip(cells, vcs)) < 0.012
+        values = transport.curvature_abelians(vcs, moving=2, quad_tol=1e-8)
+        five = factorized_metric(fluxes, tol=1e-8)
+        for vc, r in zip(vcs, values):
+            for metric_fn in (lambda z: metric_half_fluxes(z[2]), lambda z: five(z)[0, 0].real):
+                ref = curvature_abelian(vc, moving=2, metric_fn=metric_fn)
+                assert abs(r - ref) <= 1e-7 * abs(ref)
+
+    def test_map_makes_one_contour_quadrature_per_cell(self, monkeypatch):
+        # the four off-centre stencil metrics are continued from the
+        # centre's contour matrix, not integrated again
+        calls = []
+        frames = transport._contour_frames
+
+        def counted(vc, zetas, tol, columns=None):
+            calls.append(len(zetas))
+            return frames(vc, zetas, tol, columns)
+
+        monkeypatch.setattr(transport, "_contour_frames", counted)
+        vcs = [validate(FluxConfig([0.0, 1.0, u], [0.5, 0.5, 0.5]))
+               for u in (0.3 + 0.4j, 0.6 + 0.9j, -0.2 + 0.5j)]
+        transport.curvature_abelians(vcs, moving=2, quad_tol=1e-8)
+        assert calls == [3]
+
     def test_flat_when_maximal(self, three_identical_09):
         R = curvature_nonabelian(three_identical_09, pairs=[(0, 0), (1, 1)])
         for mat in R.values():
@@ -452,6 +485,21 @@ def test_expm_matches_scipy(scale):
         ref = expm(a)
         norm = np.abs(a).sum(axis=0).max()
         assert np.abs(_expm(a) - ref).max() <= 1e-14 * max(1.0, norm) * np.abs(ref).max()
+
+
+def test_batched_magnus_and_expm_rows_equal_single_calls():
+    # the curvature map steps a batch of cells and directions at once;
+    # the transport steps one matrix at a time and must keep its bits
+    rng = np.random.default_rng(5)
+    for m, scale in ((1, 0.2), (2, 1e-3), (3, 0.5), (4, 3.0)):
+        a = scale * (rng.normal(size=(3, 2, 7, m, m)) + 1j * rng.normal(size=(3, 2, 7, m, m)))
+        omega, estimate = transport._magnus(a, 0.3)
+        step = _expm(omega)
+        for i, j in np.ndindex(3, 2):
+            single = transport._magnus(a[i, j], 0.3)
+            assert np.array_equal(single[0], omega[i, j])
+            assert np.array_equal(single[1], estimate[i, j])
+            assert np.array_equal(_expm(omega[i, j]), step[i, j])
 
 
 class TestStepper:
