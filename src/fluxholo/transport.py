@@ -26,14 +26,14 @@ reports is expressed in the rows of that frame, which may order the
 fluxons differently from the configuration's own cut order.
 
 The transport ODE is linear, dPsi/dt = Psi A(t)^T, and an in-house
-adaptive stepper integrates it: a 6th-order Magnus step on the three
-Gauss-Legendre nodes of each step (_magnus), exponentiated by a [6/6]
-Pade approximant with scaling and squaring (_expm).  All node positions
-of a step go to _gauss_manin as one batch.  When D_f = N - 1 the
-connection is flat and U(t) = Psi~(t)^{-1} Psi~(0), so only Psi is
-integrated; otherwise U advances on the same nodes.  ode_tol bounds the
-error estimate of each step at ode_tol / 10 (see _TransportProblem.solve).
-The package needs no ODE library.
+adaptive stepper integrates it: a 5-stage Gauss-Legendre collocation step
+(order 10) whose error estimate is its difference from the 4-stage
+collocation step (order 8) on that rule's own Gauss nodes (_collocate).
+The nine node positions of a step go to _gauss_manin as one batch.  When
+D_f = N - 1 the connection is flat and U(t) = Psi~(t)^{-1} Psi~(0), so
+only Psi is integrated; otherwise U advances by the same step.  ode_tol
+bounds the error estimate of each step at ode_tol / 10 (see
+_TransportProblem.solve).  The package needs no ODE library.
 """
 
 from __future__ import annotations
@@ -359,43 +359,69 @@ def connection(vc: ValidatedConfig, tol: float = 1e-10) -> list:
 
 
 # --------------------------------------------------------------------------
-# the transport ODE: a 6th-order Magnus stepper
+# the transport ODE: a 10th-order Gauss collocation stepper
 # --------------------------------------------------------------------------
 
+#: Stages of a transport step.  s-stage Gauss-Legendre collocation has
+#: order 2s; its error estimate is the (s - 1)-stage companion's.
+_STAGES = 5
+
+
+def _collocation(stages: int):
+    """Nodes c, Butcher matrix and weights of Gauss-Legendre collocation on
+    [0, 1]: entry (i, j) of the matrix is the integral from 0 to c_i of the
+    Lagrange polynomial of c_j, taken by the Gauss rule on [0, c_i] with
+    the polynomial in product form, so each coefficient holds to rounding;
+    the weights are the same integrals from 0 to 1."""
+    x, w = np.polynomial.legendre.leggauss(stages)
+    c = 0.5 * (x + 1.0)
+    upper = np.append(c, 1.0)
+    t = upper[:, None] * c                                   # t[i, k] = upper_i c_k
+    off = ~np.eye(stages, dtype=bool)
+    ratio = (t[..., None, None] - c) / np.where(off, c[:, None] - c, 1.0)
+    lagrange = np.where(off, ratio, 1.0).prod(axis=-1)      # [i, k, j]: l_j(t[i, k])
+    integrals = upper[:, None] * np.einsum("k,ikj->ij", 0.5 * w, lagrange)
+    return c, integrals[:-1], integrals[-1]
+
+
+def _step_rules():
+    """The _STAGES-stage Gauss collocation rule and its (_STAGES - 1)-stage
+    companion as one system on their 2 _STAGES - 1 nodes: the nodes, the
+    block-diagonal Butcher matrix and the weights of each rule (rows)."""
+    rules = [_collocation(_STAGES), _collocation(_STAGES - 1)]
+    nodes = np.concatenate([c for c, _, _ in rules])
+    butcher, weights = np.zeros((len(nodes), len(nodes))), np.zeros((2, len(nodes)))
+    butcher[:_STAGES, :_STAGES], butcher[_STAGES:, _STAGES:] = rules[0][1], rules[1][1]
+    weights[0, :_STAGES], weights[1, _STAGES:] = rules[0][2], rules[1][2]
+    return nodes, butcher, weights
+
+
+_STEP_NODES, _BUTCHER, _WEIGHTS = _step_rules()
+
+
+def _collocate(y0, b, h: float):
+    """Y(h) for Y' = Y B(t), Y(0) = y0, by the step's rule and by its
+    companion (shape (2, *y0.shape)), with the stage values Y_i and slopes
+    Y_i B_i, from B at _STEP_NODES (shape (2 _STAGES - 1, m, m)).  The
+    stages of both rules come from one linear solve:
+    Y_i = y0 + h sum_j a_ij Y_j B_j."""
+    s, m = b.shape[0], b.shape[-1]
+    blocks = h * _BUTCHER.T[:, :, None, None] * b[:, None]   # (j, i): h a_ij B_j
+    lhs = np.eye(s * m) - blocks.transpose(0, 2, 1, 3).reshape(s * m, s * m)
+    stages = np.linalg.solve(lhs.T, np.tile(y0, s).T).T
+    stages = stages.reshape(len(y0), s, m).transpose(1, 0, 2)
+    slopes = stages @ b
+    return y0 + h * np.einsum("ri,ikl->rkl", _WEIGHTS, slopes), stages, slopes
+
+
 _R15 = math.sqrt(15.0)
-_GAUSS = (1, 3, 5)
-#: The nodes of a step on [0, 1]: its start and end, the three
-#: Gauss-Legendre nodes (at _GAUSS) and 1/3, 2/3 between them.
-_NODES = np.array([0.0, 0.5 - _R15 / 10.0, 1.0 / 3.0, 0.5, 2.0 / 3.0, 0.5 + _R15 / 10.0, 1.0])
-
-
-def _integrated_lagrange(nodes, at) -> np.ndarray:
-    """w[i, j] = integral from 0 to at[i] of the Lagrange polynomial of
-    nodes[j]; at = nodes gives a collocation method's Butcher matrix."""
-    k = np.arange(len(nodes))
-    moments = np.asarray(at, dtype=float)[:, None] ** (k + 1) / (k + 1)
-    return np.linalg.solve(np.vander(nodes, increasing=True).T, moments.T).T
-
-
-#: Integrals of the Lagrange polynomials of the Gauss nodes from 0 to each
-#: node: the 3-stage Gauss collocation polynomial, whose rows at the Gauss
-#: nodes are its Butcher matrix and whose last row holds the Gauss weights.
-_COLLOCATION = _integrated_lagrange(_NODES[list(_GAUSS)], _NODES)
-#: Against A at the nodes: the Gauss rule minus the rule on the other six
-#: nodes (all but the middle one), which is exact for quintics.  On t^6 it
-#: is 1.3 times the error of the Gauss rule.
-_QUADRATURE_CHECK = np.zeros(len(_NODES))
-_QUADRATURE_CHECK[list(_GAUSS)] = _COLLOCATION[-1]
-_QUADRATURE_CHECK[[0, 1, 2, 4, 5, 6]] -= _integrated_lagrange(
-    _NODES[[0, 1, 2, 4, 5, 6]], [1.0])[0]
-#: The rows a1, a2, a3 of _magnus (divided by h), the univariate
-#: moments of A at the Gauss nodes, and _QUADRATURE_CHECK: weights on A at
-#: the nodes.
-_MOMENTS = np.zeros((4, len(_NODES)))
-_MOMENTS[0, 3] = 1.0
-_MOMENTS[1, [1, 5]] = -_R15 / 3.0, _R15 / 3.0
-_MOMENTS[2, [1, 3, 5]] = 10.0 / 3.0, -20.0 / 3.0, 10.0 / 3.0
-_MOMENTS[3] = _QUADRATURE_CHECK
+#: The three Gauss-Legendre nodes on [0, 1] of _magnus.
+_GAUSS3 = np.array([0.5 - _R15 / 10.0, 0.5, 0.5 + _R15 / 10.0])
+#: The rows a1, a2, a3 of _magnus (divided by h): the univariate moments
+#: of A at the Gauss nodes.
+_MOMENTS = np.array([[0.0, 1.0, 0.0],
+                     [-_R15 / 3.0, 0.0, _R15 / 3.0],
+                     [10.0 / 3.0, -20.0 / 3.0, 10.0 / 3.0]])
 #: Coefficients of the [6/6] Pade approximant of exp on I, x^2, x^4, x^6:
 #: the even part (row 0) and the odd part divided by x (row 1).
 _PADE6 = np.array([[1.0, 5.0 / 44.0, 1.0 / 792.0, 1.0 / 665280.0],
@@ -403,9 +429,6 @@ _PADE6 = np.array([[1.0, 5.0 / 44.0, 1.0 / 792.0, 1.0 / 665280.0],
 #: A step never claims less than the rounding of the Gauss-Manin matrices
 #: it rests on, about 32 eps relative on the encircle loop.
 _ROUNDOFF = 64.0 * float(np.finfo(float).eps)
-#: Steps shorter than this (of a segment) count the quadrature check per
-#: step, longer ones per unit of parameter.
-_UNIT_STEP = 1.0 / 256.0
 #: Smallest step, as a fraction of a path segment's parameter.
 _MIN_STEP = 1e-10
 #: Share of ode_tol that one step may spend.
@@ -413,41 +436,25 @@ _LOCAL_SHARE = 0.1
 
 
 def _magnus(a, h: float):
-    """Omega_6 and the error estimate for Y' = A(t) Y over one step of
-    length h, from A at the step's seven nodes (shape (..., 7, m, m): any
-    leading axes are a batch of steps of that length, each row equal to the
-    single call bit for bit).
-
-    Omega_6 is the 6th-order Magnus formula on the three Gauss nodes of
-    Blanes, Casas, Oteo and Ros, Phys. Rep. 470 (2009) 151, sec. 5.4 (after
-    Iserles and Norsett, Phil. Trans. R. Soc. A 357 (1999) 983):
+    """Omega_6 for Y' = A(t) Y over one step of length h (the curvature
+    map's continuation step), from A at the step's three Gauss nodes
+    _GAUSS3 (shape (..., 3, m, m): any leading axes are a batch of steps
+    of that length, each row equal to the single call bit for bit): the
+    6th-order Magnus formula of Blanes, Casas, Oteo
+    and Ros, Phys. Rep. 470 (2009) 151, sec. 5.4 (after Iserles and
+    Norsett, Phil. Trans. R. Soc. A 357 (1999) 983):
       Omega_6 = a1 + a3/12 + [-20 a1 - a3 + c1, a2 + c2] / 240,
-      c1 = [a1, a2],  c2 = -[a1, 2 a3 + c1] / 60.
-    Only the Gauss nodes enter Omega_6; the other four enter only the
-    estimate, so a caller that does not read it may leave them zero.
-    Omega_4 = a1 + a3/12 - c1/12 is its 4th-order companion on the same
-    integral of A, and their difference, O(h^5), is the commutator part of
-    the error estimate.  The Gauss rule's own error in that integral, the
-    whole error of a commuting A (two fluxons, or the trace of A), is
-    invisible to every rule on the Gauss nodes alone: any rule on them
-    that is exact for cubics is the Gauss rule.  _QUADRATURE_CHECK
-    measures it on the other nodes, 1.3 times the true error on t^6.
-    Being that sharp, the errors it estimates add up over the steps of a
-    segment, so it enters per unit of parameter (not multiplied by h), down
-    to steps of _UNIT_STEP; below, it enters per step, so that rounding in
-    the node matrices, which does not shrink with h, cannot stall the
-    stepper."""
+      c1 = [a1, a2],  c2 = -[a1, 2 a3 + c1] / 60."""
     m = a.shape[-1]
     batch = a.shape[:-3]
-    moments = (_MOMENTS @ a.reshape(*batch, len(_NODES), m * m)).reshape(*batch, 4, m, m)
-    a1, a2, a3, quadrature = (moments[..., k, :, :] for k in range(4))
-    a1, a2, a3 = h * a1, h * a2, h * a3
+    moments = (_MOMENTS @ a.reshape(*batch, 3, m * m)).reshape(*batch, 3, m, m)
+    a1, a2, a3 = (h * moments[..., k, :, :] for k in range(3))
     c1 = a1 @ a2 - a2 @ a1
     b = 2.0 * a3 + c1
     c2 = (b @ a1 - a1 @ b) / 60.0
     x, y = c1 - a3 - 20.0 * a1, a2 + c2
     tail = (x @ y - y @ x) / 240.0 + c1 / 12.0
-    return a1 + (a3 - c1) / 12.0 + tail, tail + quadrature * (h / max(h, _UNIT_STEP))
+    return a1 + (a3 - c1) / 12.0 + tail
 
 
 def _expm(a):
@@ -513,10 +520,10 @@ class _TransportProblem:
     When every monomial column is free (D_f = N - 1 for fractional
     fluxes) the connection is flat, U(t) = Psi~(t)^{-1} Psi~(0) with Psi~
     the contour matrix without its zero anchor row, and only Psi is
-    integrated.  Otherwise U advances on the same nodes.
+    integrated.  Otherwise U advances by the same step.
 
-    nfev counts the Gauss-Manin evaluations: six per attempted step (seven
-    for the first step of a segment); n_steps counts the accepted steps."""
+    nfev counts the Gauss-Manin evaluations, nine per attempted step (at
+    _STEP_NODES); n_steps counts the accepted steps."""
 
     def __init__(self, vc: ValidatedConfig, path: ControlPath,
                  quad_tol: float, collision_guard: float | None):
@@ -533,83 +540,77 @@ class _TransportProblem:
         self.diagonal = np.diag(np.full(vc.n_fluxons, np.inf))
         self.nfev = 0
         self.n_steps = 0
+        self.check_guard(0, np.zeros(1), path.start[None])
 
     def metric(self, psi) -> np.ndarray:
         f = psi[:, :self.dim] * self.scale
         return f.conj().T @ self.G @ f
 
-    def generators(self, index: int, s: float, h: float, start) -> np.ndarray:
-        """A at the seven nodes of [s, s + h] on segment index.  start is A
-        at s when a step already ended or began there, else None.  The
-        positions of a step go to _gauss_manin as one batch, and the
-        collision guard is checked at each of them."""
-        nodes = s + h * (_NODES if start is None else _NODES[1:])
-        z, v = self.path.segments[index].states(nodes)
+    def check_guard(self, index: int, s, z) -> None:
+        """CollisionGuardTripped if two fluxons are closer than the guard at
+        any of the positions z (k, N), at parameters s on segment index."""
         gaps = np.abs(z[:, :, None] - z[:, None, :]) + self.diagonal
         close = gaps.min(axis=(1, 2)) < self.guard
         if close.any():
-            t = (index + nodes[np.argmax(close)]) / len(self.path.segments)
+            t = (index + s[np.argmax(close)]) / len(self.path.segments)
             raise CollisionGuardTripped(
                 f"fluxons within {self.guard:g} of each other at t = {t:.4f}")
-        self.nfev += len(nodes)
-        a = np.einsum("ia,iakj->ikj", v, _gauss_manin(z, self.phis))
-        return a if start is None else np.concatenate([start[None], a])
 
-    def coefficient_generators(self, a, psi, h: float) -> np.ndarray:
-        """K at the nodes of a step from psi at its start, with Psi there
-        from the step's 3-stage Gauss collocation polynomial: one linear
-        solve for the stages Y_i = psi + h sum_j c_ij Y_j A_j^T.  Its value
-        at the end of the step is of 6th order."""
-        m = a.shape[-1]
-        at = a[list(_GAUSS)].transpose(0, 2, 1)
-        butcher = _COLLOCATION[list(_GAUSS)]
-        blocks = h * butcher.T[:, :, None, None] * at[:, None]  # (j, i): h c_ij A_j^T
-        lhs = np.eye(3 * m) - blocks.transpose(0, 2, 1, 3).reshape(3 * m, 3 * m)
-        stages = np.linalg.solve(lhs.T, np.tile(psi, 3).T).T
-        slopes = stages.reshape(len(psi), 3, m).transpose(1, 0, 2) @ at
-        values = psi + h * np.einsum("ij,jkl->ikl", _COLLOCATION, slopes)
-        f = values[:, :, :self.dim]
+    def generators(self, index: int, s: float, h: float) -> np.ndarray:
+        """A^T at the nodes _STEP_NODES of [s, s + h] on segment index, from
+        one _gauss_manin batch.  The collision guard is checked at each node
+        and at the step's end, which needs its position alone."""
+        nodes = s + h * np.append(_STEP_NODES, 1.0)
+        z, v = self.path.segments[index].states(nodes)
+        self.check_guard(index, nodes, z)
+        self.nfev += len(_STEP_NODES)
+        return np.einsum("ia,iakj->ijk", v[:-1], _gauss_manin(z[:-1], self.phis))
+
+    def step(self, index: int, s: float, h: float, psi, u):
+        """Psi and U (None when flat) after one collocation step over
+        [s, s + h] on segment index, and the larger difference of the two
+        from the companion's, relative to max(1, ||Psi||) and max(1, ||U||).
+        K at a stage comes from Psi's stage value Y_i and slope Y_i A_i^T,
+        so the U^T equation, (U^T)' = U^T K^T, steps on the same nodes."""
+        ends, stages, slopes = _collocate(psi, self.generators(index, s, h), h)
+        err = _relative(ends[0] - ends[1], psi)
+        if u is None:
+            return ends[0], None, err
+        f = stages[:, :, :self.dim]
         left = f.conj().transpose(0, 2, 1) @ self.G
-        return -np.linalg.solve(left @ f, left @ (values @ a.transpose(0, 2, 1))[:, :, :self.dim])
+        k = -np.linalg.solve(left @ f, left @ slopes[:, :, :self.dim])
+        u_ends = _collocate(u.T, k.transpose(0, 2, 1), h)[0]
+        return ends[0], u_ends[0].T, max(err, _relative(u_ends[0] - u_ends[1], u))
 
     def solve(self, ode_tol: float):
         """(Psi(1), U(1)) for U(0) = identity.
 
         Each segment of the path is integrated on its own parameter, so no
-        step straddles a joint, where the velocity jumps.  A step is
-        accepted when ||Psi E^T|| relative to max(1, ||Psi||), with E the
-        estimate of _magnus (and the same for U), is at most ode_tol / 10;
-        the next step is scaled by 0.9 (bound / error)^(1/5), between 0.2x
-        and 4x.  The estimate never reads below _ROUNDOFF, so a bound
-        below it (ode_tol below about 1.4e-13) shrinks the step until it
-        falls below 1e-10 of a segment, which raises ODEStepUnderflow."""
+        step straddles a joint, where the velocity jumps.  A step (see
+        step) is accepted when its error estimate is at most ode_tol / 10;
+        the next step is scaled by 0.9 (bound / error)^(1/(2 _STAGES - 1)),
+        between 0.2x and 4x.  The estimate never reads below _ROUNDOFF, so a
+        bound below it (ode_tol below about 1.4e-13) shrinks the step until
+        it falls below 1e-10 of a segment, which raises ODEStepUnderflow."""
         bound = _LOCAL_SHARE * ode_tol
+        power = 1.0 / (2 * _STAGES - 1)
         psi = self.psi0
         u = None if self.flat else np.eye(self.dim, dtype=complex)
         h = 0.125
         for index in range(len(self.path.segments)):
-            s, start = 0.0, None
+            s = 0.0
             while s < 1.0:
                 last = h >= 1.0 - s
                 step = 1.0 - s if last else h
-                a = self.generators(index, s, step, start)
-                omega, diff = _magnus(a, step)
-                err = _relative(psi @ diff.T, psi)
-                if u is not None:
-                    k = self.coefficient_generators(a, psi, step)
-                    omega_u, diff_u = _magnus(k, step)
-                    err = max(err, _relative(diff_u @ u, u))
+                new_psi, new_u, err = self.step(index, s, step, psi, u)
                 err = max(err, _ROUNDOFF)
                 if err <= bound:
-                    psi = psi @ _expm(omega).T
-                    if u is not None:
-                        u = _expm(omega_u) @ u
-                    s, start = (1.0 if last else s + step), a[-1]
+                    psi, u = new_psi, new_u
+                    s = 1.0 if last else s + step
                     self.n_steps += 1
-                    h = step * min(4.0, 0.9 * (bound / err) ** 0.2)
+                    h = step * min(4.0, 0.9 * (bound / err) ** power)
                 else:
-                    start = a[0]
-                    h = step * max(0.2, 0.9 * (bound / err) ** 0.2)
+                    h = step * max(0.2, 0.9 * (bound / err) ** power)
                     if h < _MIN_STEP:
                         t = (index + s) / len(self.path.segments)
                         raise ODEStepUnderflow(
@@ -747,14 +748,11 @@ def curvature_abelians(vcs, moving: int, quad_tol: float = 1e-11) -> list:
     h, h2 = np.array([_stencil_step(vc, moving) for vc in vcs]).T
     zetas = np.array([vc.zeta for vc in vcs])
     psi, G, err = _contour_frames(vcs[0], zetas, quad_tol * 1e-2)
-    m = psi.shape[-1]
     dz = h[:, None] * _STENCIL_MOVES
-    z = np.tile(zetas[:, None, None], (1, len(_STENCIL_MOVES), len(_GAUSS), 1))
-    z[..., moving] += _NODES[list(_GAUSS)] * dz[..., None]
-    a = np.zeros((*dz.shape, len(_NODES), m, m), dtype=complex)
-    a[:, :, list(_GAUSS)] = (dz[..., None, None, None]
-                             * _gauss_manin(z, vcs[0].phi_reduced)[..., moving, :, :])
-    moved = psi[:, None] @ _expm(_magnus(a, 1.0)[0]).swapaxes(-1, -2)
+    z = np.tile(zetas[:, None, None], (1, len(_STENCIL_MOVES), len(_GAUSS3), 1))
+    z[..., moving] += _GAUSS3 * dz[..., None]
+    a = dz[..., None, None, None] * _gauss_manin(z, vcs[0].phi_reduced)[..., moving, :, :]
+    moved = psi[:, None] @ _expm(_magnus(a, 1.0)).swapaxes(-1, -2)
     frames = np.concatenate([moved, psi[:, None]], axis=1)[..., :1]
     g = _frame_metrics(frames.reshape(-1, *frames.shape[2:]), np.repeat(G, 5, axis=0),
                        np.repeat(err, 5))[0][:, 0, 0].real.tolist()

@@ -354,7 +354,7 @@ class TestAnalyticHolonomy:
     ], ids=["pure_braid", "equal_pair_exchange", "four_strands"])
     def test_colored_words_match_transport(self, positions, fluxes, moves):
         # braids on distinct fluxes: the colored monodromy against the
-        # Magnus transport of the loop the word describes
+        # numeric transport of the loop the word describes
         ode_tol = 1e-10
         vc = validate(FluxConfig(positions, fluxes))
         word = BraidWord([Move(*m) for m in moves])

@@ -60,6 +60,12 @@ def test_removed_names_stay_gone():
     assert not hasattr(monodromy, "encircle_block")
     assert not hasattr(errors, "ExchangeOnDistinctFluxes")
     assert not hasattr(monodromy, "FLUX_EQUALITY_TOL")
+    # the transport steps by Gauss collocation with its own error estimate;
+    # the 6th-order Magnus step is the curvature map's alone, on three nodes
+    for name in ("_QUADRATURE_CHECK", "_UNIT_STEP", "_NODES", "_GAUSS", "_COLLOCATION",
+                 "_integrated_lagrange"):
+        assert not hasattr(transport, name)
+    assert not hasattr(transport._TransportProblem, "coefficient_generators")
 
 
 # Prints, as JSON, the scipy modules loaded after each step.  The steps
@@ -111,7 +117,7 @@ print(json.dumps(steps))
 def test_scipy_loads_only_where_it_is_called(tmp_path):
     # no step loads scipy: the brute-force metric and the closed forms run
     # on numpy, math and mpmath, and the transport ODE on the package's own
-    # Magnus stepper; only tests/ use scipy, as an oracle
+    # collocation stepper; only tests/ use scipy, as an oracle
     pair, triple = write_configs(tmp_path)
     steps = json.loads(run_python("-c", SCIPY_PROBE, pair, triple, str(tmp_path / "out")))
     assert "holonomy" in steps

@@ -242,6 +242,21 @@ class TestParallelTransport:
         with pytest.raises(CollisionGuardTripped):
             parallel_transport(two_fluxon, path, ModeVector([1.0]), ode_tol=1e-6)
 
+    def test_collision_guard_at_a_joint(self, two_fluxon):
+        # the closest approach, 1e-4 from fluxon 1, is the joint of a closed
+        # two-segment path; Gauss nodes lie inside a step, so the guard is
+        # also checked at each step's end
+        there = ControlPath.segment(two_fluxon.zeta, 0, two_fluxon.zeta[1] - 1e-4)
+        loop = there.then(ControlPath.segment(there.end, 0, two_fluxon.zeta[0]))
+        assert loop.is_closed(two_fluxon.config.fluxes)
+        with pytest.raises(CollisionGuardTripped):
+            holonomy(two_fluxon, loop)
+        # a step over the last half of the first segment keeps its nodes
+        # 0.024 or more from fluxon 1 (the guard is 0.0104); its end trips
+        prob = transport._TransportProblem(two_fluxon, loop, 1e-10, None)
+        with pytest.raises(CollisionGuardTripped, match="t = 0.5000"):
+            prob.generators(0, 0.5, 0.5)
+
 
 class TestHolonomy:
     def test_open_path_rejected(self, two_fluxon):
@@ -488,17 +503,15 @@ def test_expm_matches_scipy(scale):
 
 
 def test_batched_magnus_and_expm_rows_equal_single_calls():
-    # the curvature map steps a batch of cells and directions at once;
-    # the transport steps one matrix at a time and must keep its bits
+    # the curvature map steps a batch of cells and directions at once, and
+    # a map row must not depend on the rest of its batch
     rng = np.random.default_rng(5)
     for m, scale in ((1, 0.2), (2, 1e-3), (3, 0.5), (4, 3.0)):
-        a = scale * (rng.normal(size=(3, 2, 7, m, m)) + 1j * rng.normal(size=(3, 2, 7, m, m)))
-        omega, estimate = transport._magnus(a, 0.3)
+        a = scale * (rng.normal(size=(3, 2, 3, m, m)) + 1j * rng.normal(size=(3, 2, 3, m, m)))
+        omega = transport._magnus(a, 0.3)
         step = _expm(omega)
         for i, j in np.ndindex(3, 2):
-            single = transport._magnus(a[i, j], 0.3)
-            assert np.array_equal(single[0], omega[i, j])
-            assert np.array_equal(single[1], estimate[i, j])
+            assert np.array_equal(transport._magnus(a[i, j], 0.3), omega[i, j])
             assert np.array_equal(_expm(omega[i, j]), step[i, j])
 
 
@@ -523,6 +536,35 @@ class TestStepper:
         with pytest.raises(ODEStepUnderflow):
             holonomy(vc, loop, ode_tol=1e-18)
         assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("name, steps", [("encircle", (32, 64)), ("c10-r0.25", (6, 12))])
+    def test_order_at_fixed_steps(self, name, steps):
+        # halving a fixed step divides the error of U(1) by at least
+        # 2^(2s - 1), at step counts where the error is far above rounding
+        # (encircle passes close to fluxon 1 and needs the finer steps); the
+        # reference is the same stepper at 256 steps.  Around a whole loop
+        # the error falls faster than h^(2s) at these steps, so this catches
+        # a wrong coefficient, not a lower order: the step ceilings below do
+        vc, loop = ORACLE_LOOPS[name]()
+
+        def fixed(n):
+            prob = transport._TransportProblem(vc, loop, 1e-10, None)
+            psi, u = prob.psi0, None if prob.flat else np.eye(prob.dim, dtype=complex)
+            for i in range(n):
+                psi, u, _ = prob.step(0, i / n, 1.0 / n, psi, u)
+            return np.linalg.solve(psi[:-1], prob.psi0[:-1]) if u is None else u
+
+        ref = fixed(256)
+        coarse, fine = (np.abs(fixed(n) - ref).max() for n in steps)
+        assert fine > 1e3 * np.finfo(float).eps
+        assert coarse >= 2.0 ** (2 * transport._STAGES - 1) * fine
+
+    @pytest.mark.parametrize("name, ceiling", [("encircle", 40), ("exchange", 16),
+                                               ("c10-r0.25", 20), ("rotation", 8)])
+    def test_accepted_steps_at_default_tolerance(self, name, ceiling):
+        # ceilings set with the 10th-order step, which took 22, 9, 11 and 6
+        vc, loop = ORACLE_LOOPS[name]()
+        assert holonomy(vc, loop, ode_tol=1e-8).n_steps <= ceiling
 
     def test_counters_repeat_exactly(self, three_identical_09):
         # the benchmark digest hashes nfev and n_steps; nfev counts the
