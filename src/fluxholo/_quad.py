@@ -1,8 +1,8 @@
 """Shared quadrature primitives.
 
-Gauss-Legendre and Gauss-Jacobi rules with node caching, plus a small
-adaptive panel integrator that refines a batch of vector-valued complex
-line integrals together.
+Gauss-Legendre, Gauss-Kronrod and Gauss-Jacobi rules with node caching,
+plus a small adaptive panel integrator that refines a batch of
+vector-valued complex line integrals together.
 Everything here is deterministic for given inputs: panels are refined in
 a fixed worst-first order and sums run in fixed order, so repeated runs
 produce identical bits.
@@ -20,12 +20,12 @@ from .errors import QuadratureNotConverged
 
 _GL_CACHE: dict = {}
 _GJ_CACHE: dict = {}
-_RULES = (24, 48)  # coarse and fine Gauss-Legendre rule of every panel
-#: Most panels per call of the integrand.  32 x 72 = 2304 nodes keep a
+_GK_CACHE: dict = {}
+#: Most panels per call of the integrand.  47 x 49 = 2303 nodes keep a
 #: complex node array of three columns (110 KB) below glibc's default mmap
 #: threshold of 128 KB, so a round of many legs does not map and unmap the
 #: integrand's temporaries on every call.
-PANEL_BLOCK = 32
+PANEL_BLOCK = 47
 
 
 def gauss_legendre(n: int):
@@ -34,6 +34,47 @@ def gauss_legendre(n: int):
         x, w = leggauss(n)
         _GL_CACHE[n] = (0.5 * (x + 1.0), 0.5 * w)
     return _GL_CACHE[n]
+
+
+def gauss_kronrod(n: int):
+    """Nodes x of the (2n + 1)-node Gauss-Kronrod rule on [0, 1], its
+    weights, and the weights of the n-node Gauss rule on the nodes x[1::2]
+    that it embeds.
+
+    Laurie (Math. Comp. 66, 1997): the Jacobi matrix of the Kronrod rule
+    shares the first ceil(3n/2) + 1 Legendre recurrence coefficients
+    beta_k and completes the rest from mixed moments, held in the two
+    rows s and t.  The Legendre weight is symmetric, so every diagonal
+    coefficient alpha_k is zero and drops out.  As in gauss_jacobi01, the
+    nodes are the eigenvalues and the weights beta_0 times the squared
+    first eigenvector components; both are symmetrized on [-1, 1], as
+    leggauss does, before they are mapped to [0, 1].
+    """
+    if n not in _GK_CACHE:
+        k = np.arange(1.0, -(-3 * n // 2) + 1)
+        b = np.zeros(2 * n + 1)
+        b[0] = 2.0
+        b[1:len(k) + 1] = k ** 2 / (4.0 * k ** 2 - 1.0)
+        s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+        t[1] = b[n + 1]
+        for m in range(n - 1):
+            k = np.arange((m + 1) // 2, -1, -1)
+            s[k + 1] = np.cumsum(b[k + n + 1] * s[k] - b[m - k] * s[k + 1])
+            s, t = t, s
+        s[1:] = s[:-1].copy()
+        for m in range(n - 1, 2 * n - 2):
+            k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+            j = n - 1 - m + k
+            s[j + 1] = np.cumsum(b[m - k] * s[j + 2] - b[k + n + 1] * s[j + 1])
+            if m % 2:
+                b[(m + 1) // 2 + n + 1] = s[j[-1] + 1] / s[j[-1] + 2]
+            s, t = t, s
+        off = np.diag(np.sqrt(b[1:]), 1)
+        x, v = np.linalg.eigh(off + off.T)
+        w = b[0] * v[0] ** 2
+        x, w = 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
+        _GK_CACHE[n] = (0.5 * (x + 1.0), 0.5 * w, gauss_legendre(n)[1])
+    return _GK_CACHE[n]
 
 
 def gauss_jacobi01(n: int, beta: float):
@@ -75,12 +116,13 @@ def integrate_panels(f, tol: float, *, breakpoints=None, legs: int):
     Panels start at the leg ends and at the breakpoints, a flat list of
     floats on the stacked axis t = l + s (a breakpoint t splits leg
     floor(t) at s = t - floor(t), exactly when s is a multiple of 2^-32 and
-    l < 2^21).  Each panel is estimated with 24- and 48-node Gauss rules.
-    A round evaluates the new panels of every leg, both rules, in calls of
-    f on at most PANEL_BLOCK panels each, then bisects the worst panel of
-    each leg whose summed discrepancy still exceeds tol * max(1, |its
-    result|), for at most 2000 rounds.  f must treat its rows
-    independently: the blocks then give the bits of one call.
+    l < 2^21).  Each panel is evaluated on one 49-node Gauss-Kronrod rule
+    (gauss_kronrod(24)), whose every other node is a 24-node Gauss rule.
+    A round evaluates the new panels of every leg in calls of f on at most
+    PANEL_BLOCK panels each, then bisects the worst panel of each leg
+    whose summed discrepancy still exceeds tol * max(1, |its result|), for
+    at most 2000 rounds.  f must treat its rows independently: the blocks
+    then give the bits of one call.
 
     The panels form one flat table in t order, so a leg's sums run over
     its panels in order, and a round has no loop over legs: the worst
@@ -90,18 +132,19 @@ def integrate_panels(f, tol: float, *, breakpoints=None, legs: int):
     panels in place and one stable permutation puts each right half
     behind its left half.
 
-    The error estimate of a leg is that summed discrepancy, the sum over
-    its panels of |48-node - 24-node| (largest component): it bounds the
-    error of the 24-node rule, not of the returned 48-node value, which
-    it overstates by 8x to 5e5x against the N = 3 closed form.
+    The returned value of a leg is the sum of its 49-node values.  Its
+    error estimate is that summed discrepancy, the sum over its panels of
+    |49-node - 24-node| (largest component): it bounds the error of the
+    embedded 24-node rule, not of the returned 49-node value, which it
+    overstates by 1.8x to 5e6x against the N = 3 closed form.
 
     Returns (result, error_estimate) of shapes (legs, m) and (legs,).
     Raises QuadratureNotConverged when a leg runs out of rounds.
     """
-    x = np.concatenate([gauss_legendre(n)[0] for n in _RULES])
+    x, fine_w, coarse_w = gauss_kronrod(24)
     # einsum casts real weights to complex on every call; cast once, to the
     # same values
-    coarse_w, fine_w = (gauss_legendre(n)[1].astype(complex) for n in _RULES)
+    fine_w, coarse_w = fine_w.astype(complex), coarse_w.astype(complex)
 
     def panel_values(leg, lo, hi):
         """Fine value and |fine - coarse| of each panel [lo, hi] of its leg."""
@@ -112,8 +155,8 @@ def integrate_panels(f, tol: float, *, breakpoints=None, legs: int):
         vals = np.concatenate([f(ts[i:i + PANEL_BLOCK].reshape(-1, 2))
                                for i in range(0, len(lo), PANEL_BLOCK)])
         vals = vals.reshape(len(lo), len(x), -1)
-        coarse = width * np.einsum("pnm,n->pm", vals[:, :_RULES[0]], coarse_w)
-        fine = width * np.einsum("pnm,n->pm", vals[:, _RULES[0]:], fine_w)
+        coarse = width * np.einsum("pnm,n->pm", vals[:, 1::2], coarse_w)
+        fine = width * np.einsum("pnm,n->pm", vals, fine_w)
         return fine, np.abs(fine - coarse).max(axis=1)
 
     # the panel table: leg, leg-local ends, fine value and error of each

@@ -20,19 +20,22 @@ The factorized route evaluates the holomorphic contour matrix
 
     Psi_ak = int_{xi0}^{zeta_a} xi^k prod_b (xi - zeta_b)^(-phi'_b) d xi
 
-along paths routed to the left of all fluxons so they never cross a cut,
-and contracts it with the position-independent hermitian coupling matrix
-G(phi):  g = Psi^* G Psi.  G has rank N - 1 with kernel spanned by the
-all-ones vector (a fiducial-point shift adds a constant to each column
-of Psi and must not change g) and exactly D_f positive eigenvalues.  The
-fiducial point xi0 is always the last fluxon in cut order.
+along straight legs between fluxons adjacent in cut order, which cross
+no cut, and contracts it with the position-independent hermitian
+coupling matrix G(phi):  g = Psi^* G Psi.  G has rank N - 1 with kernel
+spanned by the all-ones vector (a fiducial-point shift adds a constant
+to each column of Psi and must not change g) and exactly D_f positive
+eigenvalues.  The fiducial point xi0 is always the last fluxon in cut
+order.
 
-The paths share their legs, so N fluxons cost 2N - 1 line integrals
-(_primitive_raw), refined together on one panel queue (_Legs).
+The rows are partial sums of the N - 1 legs, each split at its midpoint
+into two arms, so N fluxons cost 2N - 2 line integrals (_primitive_raw),
+refined together on one panel queue (_Legs) of 49-node Gauss-Kronrod
+panels (_quad.integrate_panels).
 _contour_frames is the one place that turns configurations into
 (Psi, G) and the one place that picks the frame: the rigid rotation that
 best separates the fluxons' imaginary parts.  It takes one validated
-configuration, for its fluxes, and a batch of positions, whose legs all
+configuration, for its fluxes, and a batch of positions, whose arms all
 share the queue; one configuration is a batch of one (_contour_frame).
 The metric, its derivatives, the curvature stencil and the transport all
 use that frame.  The single exception is holonomy_analytic, whose braid
@@ -133,22 +136,22 @@ def _free_mode_counts(vc: ValidatedConfig):
 # --------------------------------------------------------------------------
 
 class _Legs:
-    """Table of straight legs of xi^k psi_0(xi) d xi for a batch of
+    """Table of straight arms of xi^k psi_0(xi) d xi for a batch of
     configurations with the same fluxes, integrated together.
 
     zetas (B, N) are the batch's positions and phis (N,) the reduced
-    fluxes, in one fluxon order.  Configuration b has K legs: leg (b, l)
-    runs from start[b, l] to end[b, l], and sing[b, l] is the index of the
-    fluxon an arm starts on (-1 for a plain leg).  An arm is parameterized
-    as xi = zeta_a + d s^p with p = m / (1 - phi'_a): the start fluxon's
-    factor times the Jacobian, (d s^p)^(-phi'_a) d p s^(p-1)
+    fluxes, in one fluxon order.  Configuration b has K arms: arm (b, l)
+    runs from start[b, l], the position of fluxon sing[b, l], to end[b, l].
+    An arm is parameterized as xi = zeta_a + d s^p with
+    p = m / (1 - phi'_a): the start fluxon's factor times the Jacobian,
+    (d s^p)^(-phi'_a) d p s^(p-1)
     = p d^(1 - phi'_a) s^(m-1), is smooth, so that fluxon leaves the sum
     (its xi - zeta_a is replaced by exactly 1).  m = 2 for phi'_a < 1/2
     grades the arm further, since with p < 2 the factors smooth in xi
     would have a singular second derivative in s at the start.  Offsets
     start - zeta_b are precomputed so that xi - zeta_b suffers no
-    cancellation near the start.  Every leg is evaluated at its own local
-    s, so a configuration's legs give the same bits wherever they sit in
+    cancellation near the start.  Every arm is evaluated at its own local
+    s, so a configuration's arms give the same bits wherever they sit in
     the batch.
     """
 
@@ -157,19 +160,17 @@ class _Legs:
         self.zetas = zetas
         self.phis = phis
         d = end - start
-        arm = sing >= 0
-        ph = phis[np.maximum(sing, 0)]
-        graded = arm & (ph < 0.5)
-        p = np.where(arm, np.where(graded, 2.0, 1.0) / (1.0 - ph), 1.0)
-        arm_factor = p * d * np.exp(log_psi0(d[..., None], ph[..., None]))
+        ph = phis[sing]
+        graded = ph < 0.5
+        p = np.where(graded, 2.0, 1.0) / (1.0 - ph)
         self.start, self.d, self.p = start.ravel(), d.ravel(), p.ravel()
         self.graded = graded.ravel()
-        self.factor = np.where(arm, arm_factor, d).ravel()
+        self.factor = (p * d * np.exp(log_psi0(d[..., None], ph[..., None]))).ravel()
         self.offsets = (start[..., None] - zetas[:, None, :]).reshape(-1, len(phis))
         self.sing = sing.ravel()
 
     def integrate(self, n_cols, tol):
-        """Every leg's integral, shape (B, K, n_cols), and error estimate,
+        """Every arm's integral, shape (B, K, n_cols), and error estimate,
         shape (B, K)."""
         start, d, p, graded, factor = self.start, self.d, self.p, self.graded, self.factor
         offsets, sing, phis = self.offsets, self.sing, self.phis
@@ -181,9 +182,7 @@ class _Legs:
             w = offsets.take(leg, axis=0)
             w += step[:, None]
             # an arm's start fluxon leaves the sum: its w is exactly 1
-            own = sing.take(leg)
-            on_arm = np.flatnonzero(own >= 0)
-            w.reshape(-1)[on_arm * len(phis) + own[on_arm]] = 1.0
+            w[np.arange(len(w)), sing.take(leg)] = 1.0
             base = (np.exp(log_psi0(w, phis)) * factor.take(leg)
                     * np.where(graded.take(leg), s, 1.0))
             if n_cols == 1:
@@ -199,9 +198,9 @@ class _Legs:
         return vals.reshape(*self.shape, n_cols), errs.reshape(self.shape)
 
     def _breakpoints(self):
-        """Values of t = leg + s where a leg passes a fluxon's real part
+        """Values of t = arm + s where an arm passes a fluxon's real part
         (candidate spots for integrand spikes).  s is rounded to a multiple
-        of 2^-32, so that t - leg gives it back exactly and a leg's panels
+        of 2^-32, so that t - arm gives it back exactly and an arm's panels
         do not depend on its place in the batch."""
         legs = np.flatnonzero(np.abs(self.d.real) >= 1e-300)
         zetas = np.repeat(self.zetas, self.shape[1], axis=0)[legs]
@@ -211,27 +210,29 @@ class _Legs:
         return (legs[leg] + np.round(s * 2.0 ** 32) * 2.0 ** -32).tolist()
 
 
-def _primitive_raw(zetas, phis, order, n_cols, x_left, tol):
+def _primitive_raw(zetas, phis, order, n_cols, tol):
     """Contour matrices of a batch, rows in cut order, and their errors.
 
     zetas (B, N) and phis (N,) are in one fluxon order; order (B, N) is
     each configuration's cut order, along which the heights y_a ascend
-    strictly, and x_left (B,) a line left of all its fluxons.  Row a is
-    arm_N + C(y_a) - C(y_N) - arm_a: arm_a runs from zeta_a (its singular
-    end) to the line x = x_left, and C sums the gaps of that line between
-    consecutive heights.  The fiducial point is the last fluxon, whose row
-    is exactly zero.  Every leg is integrated once.
+    strictly.  Leg l runs straight from fluxon l to fluxon l + 1 of the cut
+    order.  Every cut runs to +x at its own fluxon's height, so no cut
+    meets a leg between two adjacent heights.  Each leg is split at its
+    midpoint into two arms, each starting on its own fluxon (its singular
+    end): leg l is arm_l - arm'_l.  Row a is -(leg_a + ... + leg_{N-2}),
+    the integral from the last fluxon, the fiducial point, whose row is
+    exactly zero.  Every arm is integrated once.
     """
-    n = zetas.shape[1]
     tips = zetas[np.arange(len(order))[:, None], order]
-    feet = x_left[:, None] + 1j * tips.imag
-    start = np.concatenate([tips, feet[:, :-1]], axis=1)
-    end = np.concatenate([feet, feet[:, 1:]], axis=1)
-    sing = np.concatenate([order, np.full((len(order), n - 1), -1)], axis=1)
-    vals, errs = _Legs(zetas, phis, start, end, sing).integrate(n_cols, tol)
-    arms, gaps = vals[:, :n], vals[:, n:]
-    C = np.cumsum(np.concatenate([np.zeros_like(gaps[:, :1]), gaps], axis=1), axis=1)
-    return arms[:, -1:] + (C - C[:, -1:]) - arms, errs.sum(axis=1)
+    mid = 0.5 * (tips[:, :-1] + tips[:, 1:])
+    start = np.concatenate([tips[:, :-1], tips[:, 1:]], axis=1)
+    sing = np.concatenate([order[:, :-1], order[:, 1:]], axis=1)
+    vals, errs = _Legs(zetas, phis, start, np.concatenate([mid, mid], axis=1),
+                       sing).integrate(n_cols, tol)
+    n = mid.shape[1]
+    legs = vals[:, :n] - vals[:, n:]
+    rows = -np.cumsum(legs[:, ::-1], axis=1)[:, ::-1]
+    return np.concatenate([rows, np.zeros_like(legs[:, :1])], axis=1), errs.sum(axis=1)
 
 
 def primitive_matrix(vc: ValidatedConfig, tol: float = 1e-10,
@@ -249,8 +250,7 @@ def primitive_matrix(vc: ValidatedConfig, tol: float = 1e-10,
         columns = counts.D_f
     order = cut_order(vc)
     zetas, phis = vc.zeta, vc.phi_reduced
-    x_left = np.array([zetas.real.min() - 1.5 * vc.diameter])
-    mat, err = _primitive_raw(zetas[None], phis, np.array([order]), columns, x_left, tol)
+    mat, err = _primitive_raw(zetas[None], phis, np.array([order]), columns, tol)
     return PrimitiveMatrix(matrix=mat[0], order=order,
                            fluxes=tuple(phis[list(order)]), error_estimate=float(err[0]))
 
@@ -343,11 +343,11 @@ def _contour_frames(vc: ValidatedConfig, zetas, tol: float, columns: int | None 
     row order, built once per distinct cut order of the batch, and
     psi_f^* G psi_f over the first D_f columns is the metric.
 
-    The rotation, cut order, legs and breakpoints are array operations
+    The rotation, cut order, arms and breakpoints are array operations
     over the batch: the rotated positions and the gaps of the tie check
     are rows of the one sorted rotation table of _best_rotations, which
-    is not sorted again.  All legs of all rows share one panel queue;
-    each leg is integrated at its own local parameter, so a row does not
+    is not sorted again.  All arms of all rows share one panel queue;
+    each arm is integrated at its own local parameter, so a row does not
     depend on the rest of the batch, bit for bit.
     """
     _free_mode_counts(vc)
@@ -359,8 +359,7 @@ def _contour_frames(vc: ValidatedConfig, zetas, tol: float, columns: int | None 
     lam = _ROTATIONS[picks]
     diameters = np.abs(rotated[:, :, None] - rotated[:, None, :]).max(axis=(1, 2))
     check_cut_gaps(rotated.imag, order, gaps, diameters)
-    x_left = rotated.real.min(axis=1) - 1.5 * diameters
-    rows, err = _primitive_raw(rotated, phis, order, columns, x_left, tol)
+    rows, err = _primitive_raw(rotated, phis, order, columns, tol)
     keep = branch[order]
     shape = (len(zetas), int(np.count_nonzero(branch)))
     mat = rows[keep].reshape(*shape, columns) * lam[:, None, None] ** -np.arange(columns)
@@ -412,8 +411,8 @@ def metric_factorized(vc: ValidatedConfig, tol: float = 1e-8,
     configuration has an unambiguous cut order (AmbiguousOrdering if not).
 
     error_estimate propagates the contour estimate of _quad.integrate_panels,
-    which bounds the error of its 24-node rule; it overstates the error of
-    the returned g accordingly.
+    which bounds the error of its embedded 24-node Gauss rule; it
+    overstates the error of the returned g accordingly.
     """
     if not auto_rotate:
         cut_order(vc)

@@ -71,7 +71,7 @@ class TestPrimitiveMatrix:
 
 class TestContourWork:
     def test_generic_metric_takes_few_integrand_calls(self, monkeypatch):
-        # all 2N - 1 legs share one panel queue, so a metric costs one
+        # all 2N - 2 arms share one panel queue, so a metric costs one
         # integrand call per refinement round, not one per leg, panel and
         # rule (about 170 at N = 8)
         integrate = metric_module.integrate_panels
@@ -207,7 +207,8 @@ class TestBatchedFrames:
         monkeypatch.setattr(metric_module, "integrate_panels", recording)
         vc = validate(FluxConfig(self.POSITIONS[0], self.FLUXES))
         metric_factorized(vc, tol=1e-10)
-        assert seen["legs"] == 7
+        # N = 4: two arms on each of the three legs between neighbours
+        assert seen["legs"] == 6
         assert isinstance(seen["breakpoints"], list) and seen["breakpoints"]
         for b in seen["breakpoints"]:
             assert type(b) is float and 0.0 < b < seen["legs"]
@@ -464,7 +465,8 @@ def two_fluxon_metric(fluxes, delta):
 
 
 FACTORIZED_OUT_OF_RANGE = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 4, extreme scales: the factorized metric at diameter 1e+-300")
+    strict=True, reason="ROADMAP item 4, extreme scales: the factorized metric at N = 3 and "
+                        "diameter 1e+-300")
 
 
 class TestScaleLadder:
@@ -478,15 +480,29 @@ class TestScaleLadder:
         bf = metric_bruteforce(vc, tol=1e-8)
         assert abs(bf.g[0, 0] - two_fluxon_metric([0.5, 0.7], s * (1 + 1j))) <= bf.error_estimate
 
-    @pytest.mark.parametrize("s", [pytest.param(1e-300, marks=FACTORIZED_OUT_OF_RANGE),
-                                   1e-150, 1.0, 1e150,
-                                   pytest.param(1e300, marks=FACTORIZED_OUT_OF_RANGE)])
+    @pytest.mark.parametrize("s", [1e-300, 1e-150, 1.0, 1e150, 1e300])
     def test_factorized_follows_the_scaling_law(self, s):
-        # 1e-300 raises after overflow warnings; 1e300 returns g 22% low
-        # (1.93e-119 against 2.485e-119) without a warning
+        # with the arms on the legs between neighbours, 1e-300 and 1e300
+        # hold too; on arms to a line 1.5 diameters to the left, 1e-300
+        # raised after overflow warnings and 1e300 returned g 22% low
         vc = validate(FluxConfig([0.0, s * (1 + 1j)], [0.5, 0.7]))
         m = metric_factorized(vc)
         assert abs(m.g[0, 0] - two_fluxon_metric([0.5, 0.7], s * (1 + 1j))) <= m.error_estimate
+
+    # [0, 0.9 + 0.7j, 0.2 + 1.9j] s with fluxes [0.4, 0.5, 0.6]: g_00 scales
+    # as s^-1
+    @pytest.mark.parametrize("s", [pytest.param(1e-300, marks=FACTORIZED_OUT_OF_RANGE),
+                                   1e-150, 1e150,
+                                   pytest.param(1e300, marks=FACTORIZED_OUT_OF_RANGE)])
+    def test_factorized_follows_the_scaling_law_at_three_fluxons(self, s):
+        # 1e-300 raises after an overflow warning in exp; 1e300 returns g
+        # 32% low (8.40e-300 against 1.231e-299) with an estimate of 4.7e-12
+        # relative
+        pos, fluxes = np.array([0.0, 0.9 + 0.7j, 0.2 + 1.9j]), [0.4, 0.5, 0.6]
+        unit = metric_factorized(validate(FluxConfig(pos, fluxes)), tol=1e-12)
+        m = metric_factorized(validate(FluxConfig(s * pos, fluxes)))
+        assert (abs(m.g[0, 0] - unit.g[0, 0] / s)
+                <= m.error_estimate + unit.error_estimate / s)
 
 
 class TestFactorizedMetric:
@@ -588,6 +604,22 @@ class TestOracleEquivalence:
         bf = metric_bruteforce(vc, tol=1e-7)
         fac = metric_factorized(vc, tol=1e-10, auto_rotate=True)
         assert np.abs(bf.g - fac.g).max() < 1e-7 * np.abs(bf.g).max()
+
+    def test_zero_flux_between_branch_points_drops_out(self):
+        # a phi' = 0 fluxon is no branch point: inside the cut order it is
+        # the start of two arms, and g is the metric of the other three
+        pos = np.array([0.0, 1.1 + 0.4j, 0.3 + 1.5j, -0.8 + 0.9j])
+        fluxes = np.array([0.45, 0.55, 0.0, 0.6])
+        order = metric_module._best_rotations(pos[None])[2][0].tolist()
+        assert 0 < order.index(2) < 3
+        for tol in (1e-8, 1e-11):
+            with_zero = metric_factorized(validate(FluxConfig(pos, fluxes)), tol=tol,
+                                          auto_rotate=True)
+            without = metric_factorized(validate(FluxConfig(pos[[0, 1, 3]], fluxes[[0, 1, 3]])),
+                                        tol=tol, auto_rotate=True)
+            error = np.abs(with_zero.g - without.g).max()
+            assert error <= (with_zero.error_estimate + without.error_estimate
+                             + 1e-13 * np.abs(without.g).max())
 
     def test_near_tie(self):
         # imaginary parts 1.5e-8 apart, just above the tie tolerance: the

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fluxholo import _quad
-from fluxholo._quad import gauss_jacobi01, integrate_panels
+from fluxholo._quad import gauss_jacobi01, gauss_kronrod, gauss_legendre, integrate_panels
 
 EPS = 1e-2
 
@@ -59,14 +59,14 @@ def test_integrand_and_breakpoint_contract():
     val, _ = integrate_panels(f, 1e-10, breakpoints=[0.5, 1.25], legs=2)
     assert np.allclose(val, 1.0)
     (ts,) = seen
-    assert ts.shape == (len(ts), 2) and len(ts) == 4 * 72
+    assert ts.shape == (len(ts), 2) and len(ts) == 4 * 49
     leg, s = ts[:, 0], ts[:, 1]
     assert set(leg) == {0.0, 1.0}
     assert ((0.0 < s) & (s < 1.0)).all()
     # the initial panels of leg 0 meet at s = 0.5, those of leg 1 at 0.25
     for lg, cut in ((0, 0.5), (1, 0.25)):
         mine = s[leg == lg]
-        assert (mine < cut).sum() == (mine > cut).sum() == 72
+        assert (mine < cut).sum() == (mine > cut).sum() == 49
 
 
 def test_rounds_evaluate_in_blocks_of_panels(monkeypatch):
@@ -85,8 +85,8 @@ def test_rounds_evaluate_in_blocks_of_panels(monkeypatch):
     blocked = integrate_panels(recording(peaks(centers)), 1e-11,
                                breakpoints=breakpoints, legs=40)
     # the first round has 40 + 14 panels
-    assert rows[:2] == [_quad.PANEL_BLOCK * 72, 22 * 72]
-    assert max(rows) == _quad.PANEL_BLOCK * 72
+    assert rows[:2] == [_quad.PANEL_BLOCK * 49, 7 * 49]
+    assert max(rows) == _quad.PANEL_BLOCK * 49
     monkeypatch.setattr(_quad, "PANEL_BLOCK", 10 ** 6)
     whole = integrate_panels(peaks(centers), 1e-11, breakpoints=breakpoints, legs=40)
     assert blocked[0].tobytes() == whole[0].tobytes()
@@ -97,8 +97,7 @@ def reference_integrate_panels(f, tol, *, breakpoints=None, legs):
     """integrate_panels as it refined before its flat panel table: a Python
     loop of np.argmax over the bad legs, then np.insert per array.  The
     oracle of test_flat_panel_table_matches_the_insert_loop."""
-    x = np.concatenate([_quad.gauss_legendre(n)[0] for n in _quad._RULES])
-    coarse_w, fine_w = (_quad.gauss_legendre(n)[1] for n in _quad._RULES)
+    x, fine_w, coarse_w = _quad.gauss_kronrod(24)
 
     def panel_values(leg, lo, hi):
         width = (hi - lo)[:, None]
@@ -108,8 +107,8 @@ def reference_integrate_panels(f, tol, *, breakpoints=None, legs):
         vals = np.concatenate([f(ts[i:i + _quad.PANEL_BLOCK].reshape(-1, 2))
                                for i in range(0, len(lo), _quad.PANEL_BLOCK)])
         vals = vals.reshape(len(lo), len(x), -1)
-        coarse = width * np.einsum("pnm,n->pm", vals[:, :_quad._RULES[0]], coarse_w)
-        fine = width * np.einsum("pnm,n->pm", vals[:, _quad._RULES[0]:], fine_w)
+        coarse = width * np.einsum("pnm,n->pm", vals[:, 1::2], coarse_w)
+        fine = width * np.einsum("pnm,n->pm", vals, fine_w)
         return fine, np.abs(fine - coarse).max(axis=1)
 
     pts = np.array(sorted({*map(float, range(legs + 1)),
@@ -188,6 +187,43 @@ def test_flat_panel_table_matches_the_insert_loop():
     # the tied panels of leg 2 are bisected first to last, one a round
     firsts = [ts[ts[:, 0] == 2, 1].min() for ts in ref_nodes[1:5]]
     assert np.floor(np.array(firsts) * 4.0).tolist() == [0.0, 1.0, 2.0, 3.0]
+
+
+# QUADPACK's dqk15 on [-1, 1]: the Kronrod nodes from the outermost to the
+# centre and their weights
+DQK15_NODES = [0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+               0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+               0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+               0.207784955007898467600689403773245, 0.0]
+DQK15_WEIGHTS = [0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+                 0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+                 0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+                 0.204432940075298892414161999234649, 0.209482141084727828012999174891714]
+
+
+def test_gauss_kronrod_rule():
+    # Laurie's construction reproduces QUADPACK's 15-node table
+    x, w, _ = gauss_kronrod(7)
+    assert np.abs(1.0 - 2.0 * x[:8] - DQK15_NODES).max() <= 2e-15
+    assert np.abs(2.0 * w[:8] - DQK15_WEIGHTS).max() <= 2e-15
+    # the 49-node rule of the panels embeds the 24-node Gauss rule
+    x, wk, wg = gauss_kronrod(24)
+    assert len(x) == 49 and np.all(np.diff(x) > 0.0)
+    assert np.abs(x[1::2] - gauss_legendre(24)[0]).max() <= 2 * np.spacing(1.0)
+    assert wk.min() > 0.0 and wg.min() > 0.0
+    # degree 73 and 47, and not one more: int_0^1 t^d dt = 1 / (d + 1), and
+    # the shifted Legendre polynomial P_d(2t - 1) integrates to 0 for d > 0
+    for d in range(74):
+        assert abs(wk @ x ** d - 1.0 / (d + 1.0)) <= 1e-13 / (d + 1.0), d
+    for d in range(48):
+        assert abs(wg @ x[1::2] ** d - 1.0 / (d + 1.0)) <= 1e-13 / (d + 1.0), d
+
+    def legendre(d, t):
+        return np.polynomial.legendre.legval(2.0 * t - 1.0, [0.0] * d + [1.0])
+
+    assert max(abs(wk @ legendre(d, x)) for d in range(1, 74)) <= 1e-14
+    assert max(abs(wg @ legendre(d, x[1::2])) for d in range(1, 48)) <= 1e-14
+    assert abs(wk @ legendre(74, x)) > 1e-6 and abs(wg @ legendre(48, x[1::2])) > 1e-3
 
 
 @pytest.mark.parametrize("beta", [-0.998, -0.99, -0.9, -0.6, 0.0, 0.37, 2.5])

@@ -24,6 +24,14 @@ def k_quadrature_oracle(m):
     return val
 
 
+# u of a tight pair, at 1e-3 of the diameter from fluxon 0, and of a near
+# tie: the three heights lie within 3e-4 of the diameter, the order the 1e-4
+# rotation of contour_in_canonical_frame resolves keeps the canonical one,
+# and the leg from fluxon 1 to u passes 1.7e-4 above fluxon 0
+TIGHT_PAIR = 6e-4 + 8e-4j
+NEAR_TIE = -0.8 + 3e-4j
+
+
 def contour_in_canonical_frame(fluxes, u, tol):
     """primitive_matrix of (0, 1, u) and its error estimate: the contour
     matrix of the configuration rotated by 1e-4, whose cut order is
@@ -144,21 +152,28 @@ class TestThreeFluxonClosedForm:
         assert abs(abs(m[1, 0]) - abs(2.0 / np.sqrt(u) * elliptic_k(1.0 / u))) < 1e-10
         assert abs(abs(m[2, 0]) - abs(2.0 * elliptic_k(u))) < 1e-10
 
-    @pytest.mark.parametrize("u", [0.3 + 0.2j, -0.8 + 0.5j, 1.7 + 0.9j, 0.3 - 0.2j])
+    @pytest.mark.parametrize("u", [0.3 + 0.2j, -0.8 + 0.5j, 1.7 + 0.9j, 0.3 - 0.2j,
+                                   TIGHT_PAIR, NEAR_TIE])
     @pytest.mark.parametrize("fluxes", [[0.4, 0.5, 0.6], [0.9, 0.9, 0.9],
                                         [0.5, 0.995, 0.7], [0.5, 0.999, 0.7],
                                         [0.1, 0.3, 0.75], [0.2, 0.15, 0.9],
-                                        [0.45, 0.05, 0.6]])
+                                        [0.45, 0.05, 0.6], [0.999, 0.5, 0.7]])
     def test_matches_contour_integration(self, u, fluxes):
         # near-critical and weak fluxes (arms graded twice as hard below
-        # phi' = 1/2) alike stay at round-off
+        # phi' = 1/2) alike stay at round-off, also on a tight pair and a
+        # near tie; the interior fluxon of the cut order is fluxon 1 when
+        # Im u > 0 and fluxon 0 when Im u < 0, so phi' = 0.999 sits there
+        # in [0.5, 0.999, 0.7] and [0.999, 0.5, 0.7] respectively
         contour, _ = contour_in_canonical_frame(fluxes, u, tol=1e-13)
         closed = three_fluxon_primitive_matrix(fluxes, u)
         assert np.abs(closed - contour).max() < 1e-13 * np.abs(contour).max()
 
     def test_error_estimate_bounds_the_error(self, rng):
         # the reported quadrature estimate against the closed form, over
-        # weak, generic and near-critical fluxes at two tolerances
+        # weak, generic and near-critical fluxes at two tolerances, then on
+        # a tight pair, a near tie and phi' = 0.999 on the interior fluxon
+        # of the cut order (fluxon 0, as Im u < 0)
+        cases = []
         for i in range(16):
             while True:
                 fluxes = rng.uniform(0.02, 0.98, 3)
@@ -173,8 +188,12 @@ class TestThreeFluxonClosedForm:
                 u = complex(rng.uniform(-1.5, 2.5), rng.uniform(0.1, 1.5) * rng.choice([-1, 1]))
                 if min(abs(u), abs(u - 1.0)) > 0.2:
                     break
-            fluxes = fluxes.tolist()
-            contour, estimate = contour_in_canonical_frame(fluxes, u, tol=(1e-8, 1e-11)[i % 2])
+            cases.append((fluxes.tolist(), u, (1e-8, 1e-11)[i % 2]))
+        for tol in (1e-8, 1e-11):
+            cases += [([0.4, 0.5, 0.6], TIGHT_PAIR, tol), ([0.9, 0.9, 0.9], NEAR_TIE, tol),
+                      ([0.999, 0.5, 0.7], 0.3 - 0.2j, tol)]
+        for fluxes, u, tol in cases:
+            contour, estimate = contour_in_canonical_frame(fluxes, u, tol=tol)
             error = np.abs(three_fluxon_primitive_matrix(fluxes, u) - contour).max()
             assert error <= estimate + 1e-13 * np.abs(contour).max(), (fluxes, u)
 
