@@ -165,14 +165,14 @@ class _Legs:
         p = np.where(graded, 2.0, 1.0) / (1.0 - ph)
         self.start, self.d, self.p = start.ravel(), d.ravel(), p.ravel()
         self.graded = graded.ravel()
-        self.factor = (p * d * np.exp(log_psi0(d[..., None], ph[..., None]))).ravel()
+        self.log_factor = (np.log(d) + np.log(p) + log_psi0(d[..., None], ph[..., None])).ravel()
         self.offsets = (start[..., None] - zetas[:, None, :]).reshape(-1, len(phis))
         self.sing = sing.ravel()
 
     def integrate(self, n_cols, tol):
         """Every arm's integral, shape (B, K, n_cols), and error estimate,
         shape (B, K)."""
-        start, d, p, graded, factor = self.start, self.d, self.p, self.graded, self.factor
+        start, d, p, graded, log_factor = self.start, self.d, self.p, self.graded, self.log_factor
         offsets, sing, phis = self.offsets, self.sing, self.phis
 
         def values(ts):
@@ -183,8 +183,12 @@ class _Legs:
             w += step[:, None]
             # an arm's start fluxon leaves the sum: its w is exactly 1
             w[np.arange(len(w)), sing.take(leg)] = 1.0
-            base = (np.exp(log_psi0(w, phis)) * factor.take(leg)
-                    * np.where(graded.take(leg), s, 1.0))
+            # the arm factor joins inside the exponent: at extreme scales
+            # psi_0 and the factor leave the float range apart, not together
+            base = log_psi0(w, phis)
+            base += log_factor.take(leg)
+            np.exp(base, out=base)
+            base *= np.where(graded.take(leg), s, 1.0)
             if n_cols == 1:
                 return base[:, None]
             # cumprod keeps the multiplication order of the powers xi^k

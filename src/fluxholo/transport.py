@@ -17,7 +17,8 @@ and the Gauss-Manin connection d_a Psi = Psi D_a^T of the contour matrix
 algebraic in Psi and its derivatives.  Transport continues Psi along the
 path with the same connection, so a whole holonomy costs one contour
 quadrature at the start, and a cell of the curvature map one contour
-quadrature for its five stencil points.  Psi starts in the frame of
+quadrature for its five stencil points; both continue Psi by Gauss
+collocation (_collocate).  Psi starts in the frame of
 metric._contour_frame, the rigid rotation that best separates the
 imaginary parts, since U does not depend on the row basis; G stays fixed
 in that frame's cut order because continuation changes Psi only by
@@ -53,6 +54,7 @@ from .errors import (
     NumericalError,
     ODEStepUnderflow,
 )
+from ._quad import gauss_legendre
 from .metric import _contour_frame, _contour_frames, _frame_metrics, _gauss_manin
 from .modes import ModeVector
 
@@ -373,59 +375,55 @@ def _collocation(stages: int):
     Lagrange polynomial of c_j, taken by the Gauss rule on [0, c_i] with
     the polynomial in product form, so each coefficient holds to rounding;
     the weights are the same integrals from 0 to 1."""
-    x, w = np.polynomial.legendre.leggauss(stages)
-    c = 0.5 * (x + 1.0)
+    c, w = gauss_legendre(stages)
     upper = np.append(c, 1.0)
     t = upper[:, None] * c                                   # t[i, k] = upper_i c_k
     off = ~np.eye(stages, dtype=bool)
     ratio = (t[..., None, None] - c) / np.where(off, c[:, None] - c, 1.0)
     lagrange = np.where(off, ratio, 1.0).prod(axis=-1)      # [i, k, j]: l_j(t[i, k])
-    integrals = upper[:, None] * np.einsum("k,ikj->ij", 0.5 * w, lagrange)
+    integrals = upper[:, None] * np.einsum("k,ikj->ij", w, lagrange)
     return c, integrals[:-1], integrals[-1]
 
 
-def _step_rules():
-    """The _STAGES-stage Gauss collocation rule and its (_STAGES - 1)-stage
-    companion as one system on their 2 _STAGES - 1 nodes: the nodes, the
-    block-diagonal Butcher matrix and the weights of each rule (rows)."""
-    rules = [_collocation(_STAGES), _collocation(_STAGES - 1)]
+def _rules(*stages: int):
+    """Gauss-Legendre collocation rules of the given stage counts as one
+    system on all their nodes: the nodes, the block-diagonal Butcher matrix
+    and the weights of each rule (one row per rule)."""
+    rules = [_collocation(s) for s in stages]
     nodes = np.concatenate([c for c, _, _ in rules])
-    butcher, weights = np.zeros((len(nodes), len(nodes))), np.zeros((2, len(nodes)))
-    butcher[:_STAGES, :_STAGES], butcher[_STAGES:, _STAGES:] = rules[0][1], rules[1][1]
-    weights[0, :_STAGES], weights[1, _STAGES:] = rules[0][2], rules[1][2]
+    butcher, weights = np.zeros((len(nodes), len(nodes))), np.zeros((len(rules), len(nodes)))
+    end = np.cumsum(stages)
+    for r, (_, a, w) in enumerate(rules):
+        block = slice(end[r] - stages[r], end[r])
+        butcher[block, block], weights[r, block] = a, w
     return nodes, butcher, weights
 
 
-_STEP_NODES, _BUTCHER, _WEIGHTS = _step_rules()
+#: The transport's step, of order 10 with its order-8 companion, and the
+#: curvature map's, of order 6 on the three Gauss nodes.
+_STEP_RULE, _MAP_RULE = _rules(_STAGES, _STAGES - 1), _rules(3)
 
 
-def _collocate(y0, b, h: float):
-    """Y(h) for Y' = Y B(t), Y(0) = y0, by the step's rule and by its
-    companion (shape (2, *y0.shape)), with the stage values Y_i and slopes
-    Y_i B_i, from B at _STEP_NODES (shape (2 _STAGES - 1, m, m)).  The
-    stages of both rules come from one linear solve:
-    Y_i = y0 + h sum_j a_ij Y_j B_j."""
-    s, m = b.shape[0], b.shape[-1]
-    blocks = h * _BUTCHER.T[:, :, None, None] * b[:, None]   # (j, i): h a_ij B_j
-    lhs = np.eye(s * m) - blocks.transpose(0, 2, 1, 3).reshape(s * m, s * m)
-    stages = np.linalg.solve(lhs.T, np.tile(y0, s).T).T
-    stages = stages.reshape(len(y0), s, m).transpose(1, 0, 2)
+def _collocate(y0, b, h: float, rule):
+    """The change Y(h) - y0 for Y' = Y B(t), Y(0) = y0, by each rule of a
+    _rules system (shape (..., rules, n, m)), summed from the slopes, so it
+    carries no rounding of y0; with the stage values Y_i and slopes Y_i B_i,
+    from B at the system's nodes (shape (..., nodes, m, m)).  Leading axes
+    of b are a batch of steps of length h, against which y0 (..., n, m)
+    broadcasts; each row equals the single call bit for bit.  The stages of
+    all rules come from one linear solve: Y_i = y0 + h sum_j a_ij Y_j B_j."""
+    _, butcher, weights = rule
+    s, m = b.shape[-3], b.shape[-1]
+    # block (j, i) is h a_ij B_j; the stages side by side solve
+    # (Y_1 ... Y_s) (I - blocks) = (y0 ... y0), taken transposed
+    blocks = (h * butcher.T[:, :, None, None] * b[..., None, :, :]).swapaxes(-3, -2)
+    lhs = np.eye(s * m) - blocks.reshape(*b.shape[:-3], s * m, s * m)
+    stages = np.linalg.solve(lhs.swapaxes(-1, -2), np.tile(y0, s).swapaxes(-1, -2))
+    stages = stages.reshape(*stages.shape[:-2], s, m, -1).swapaxes(-1, -2)
     slopes = stages @ b
-    return y0 + h * np.einsum("ri,ikl->rkl", _WEIGHTS, slopes), stages, slopes
+    return h * np.einsum("ri,...ikl->...rkl", weights, slopes), stages, slopes
 
 
-_R15 = math.sqrt(15.0)
-#: The three Gauss-Legendre nodes on [0, 1] of _magnus.
-_GAUSS3 = np.array([0.5 - _R15 / 10.0, 0.5, 0.5 + _R15 / 10.0])
-#: The rows a1, a2, a3 of _magnus (divided by h): the univariate moments
-#: of A at the Gauss nodes.
-_MOMENTS = np.array([[0.0, 1.0, 0.0],
-                     [-_R15 / 3.0, 0.0, _R15 / 3.0],
-                     [10.0 / 3.0, -20.0 / 3.0, 10.0 / 3.0]])
-#: Coefficients of the [6/6] Pade approximant of exp on I, x^2, x^4, x^6:
-#: the even part (row 0) and the odd part divided by x (row 1).
-_PADE6 = np.array([[1.0, 5.0 / 44.0, 1.0 / 792.0, 1.0 / 665280.0],
-                   [1.0 / 2.0, 1.0 / 66.0, 1.0 / 15840.0, 0.0]])
 #: A step never claims less than the rounding of the Gauss-Manin matrices
 #: it rests on, about 32 eps relative on the encircle loop.
 _ROUNDOFF = 64.0 * float(np.finfo(float).eps)
@@ -433,54 +431,6 @@ _ROUNDOFF = 64.0 * float(np.finfo(float).eps)
 _MIN_STEP = 1e-10
 #: Share of ode_tol that one step may spend.
 _LOCAL_SHARE = 0.1
-
-
-def _magnus(a, h: float):
-    """Omega_6 for Y' = A(t) Y over one step of length h (the curvature
-    map's continuation step), from A at the step's three Gauss nodes
-    _GAUSS3 (shape (..., 3, m, m): any leading axes are a batch of steps
-    of that length, each row equal to the single call bit for bit): the
-    6th-order Magnus formula of Blanes, Casas, Oteo
-    and Ros, Phys. Rep. 470 (2009) 151, sec. 5.4 (after Iserles and
-    Norsett, Phil. Trans. R. Soc. A 357 (1999) 983):
-      Omega_6 = a1 + a3/12 + [-20 a1 - a3 + c1, a2 + c2] / 240,
-      c1 = [a1, a2],  c2 = -[a1, 2 a3 + c1] / 60."""
-    m = a.shape[-1]
-    batch = a.shape[:-3]
-    moments = (_MOMENTS @ a.reshape(*batch, 3, m * m)).reshape(*batch, 3, m, m)
-    a1, a2, a3 = (h * moments[..., k, :, :] for k in range(3))
-    c1 = a1 @ a2 - a2 @ a1
-    b = 2.0 * a3 + c1
-    c2 = (b @ a1 - a1 @ b) / 60.0
-    x, y = c1 - a3 - 20.0 * a1, a2 + c2
-    tail = (x @ y - y @ x) / 240.0 + c1 / 12.0
-    return a1 + (a3 - c1) / 12.0 + tail
-
-
-def _expm(a):
-    """exp(a) of small square matrices a (..., m, m), each row of a batch
-    equal to the single call bit for bit: the [6/6] Pade approximant of
-    a / 2^s, with the 1-norm of a / 2^s at most 1/2, squared s times (s per
-    matrix).  There the approximant is exact to about 2e-17 relative
-    (Higham, SIAM J. Matrix Anal. Appl. 26 (2005) 1179)."""
-    m = a.shape[-1]
-    norm = np.abs(a).sum(axis=-2).max(axis=-1)
-    s = np.zeros(norm.shape, dtype=int)
-    for i in np.flatnonzero(norm > 0.5):
-        s.flat[i] = math.ceil(math.log2(2.0 * norm.flat[i]))
-    x = a / (2.0 ** s)[..., None, None]
-    powers = np.empty((*a.shape[:-2], 4, m, m), dtype=complex)
-    powers[..., 0, :, :] = np.eye(m)
-    powers[..., 1, :, :] = x2 = x @ x
-    powers[..., 2, :, :] = x4 = x2 @ x2
-    powers[..., 3, :, :] = x4 @ x2
-    pade = (_PADE6 @ powers.reshape(*a.shape[:-2], 4, m * m)).reshape(*a.shape[:-2], 2, m, m)
-    even, odd = pade[..., 0, :, :], x @ pade[..., 1, :, :]
-    r = np.linalg.solve(even - odd, even + odd)
-    for k in range(s.max(initial=0)):
-        more = s > k
-        r[more] = r[more] @ r[more]
-    return r
 
 
 def _relative(x, scale) -> float:
@@ -523,7 +473,7 @@ class _TransportProblem:
     integrated.  Otherwise U advances by the same step.
 
     nfev counts the Gauss-Manin evaluations, nine per attempted step (at
-    _STEP_NODES); n_steps counts the accepted steps."""
+    the step's nodes); n_steps counts the accepted steps."""
 
     def __init__(self, vc: ValidatedConfig, path: ControlPath,
                  quad_tol: float, collision_guard: float | None):
@@ -557,13 +507,13 @@ class _TransportProblem:
                 f"fluxons within {self.guard:g} of each other at t = {t:.4f}")
 
     def generators(self, index: int, s: float, h: float) -> np.ndarray:
-        """A^T at the nodes _STEP_NODES of [s, s + h] on segment index, from
+        """A^T at the nodes of _STEP_RULE on [s, s + h] of segment index, from
         one _gauss_manin batch.  The collision guard is checked at each node
         and at the step's end, which needs its position alone."""
-        nodes = s + h * np.append(_STEP_NODES, 1.0)
+        nodes = s + h * np.append(_STEP_RULE[0], 1.0)
         z, v = self.path.segments[index].states(nodes)
         self.check_guard(index, nodes, z)
-        self.nfev += len(_STEP_NODES)
+        self.nfev += len(nodes) - 1
         return np.einsum("ia,iakj->ijk", v[:-1], _gauss_manin(z[:-1], self.phis))
 
     def step(self, index: int, s: float, h: float, psi, u):
@@ -572,14 +522,15 @@ class _TransportProblem:
         from the companion's, relative to max(1, ||Psi||) and max(1, ||U||).
         K at a stage comes from Psi's stage value Y_i and slope Y_i A_i^T,
         so the U^T equation, (U^T)' = U^T K^T, steps on the same nodes."""
-        ends, stages, slopes = _collocate(psi, self.generators(index, s, h), h)
+        change, stages, slopes = _collocate(psi, self.generators(index, s, h), h, _STEP_RULE)
+        ends = psi + change
         err = _relative(ends[0] - ends[1], psi)
         if u is None:
             return ends[0], None, err
         f = stages[:, :, :self.dim]
         left = f.conj().transpose(0, 2, 1) @ self.G
         k = -np.linalg.solve(left @ f, left @ slopes[:, :, :self.dim])
-        u_ends = _collocate(u.T, k.transpose(0, 2, 1), h)[0]
+        u_ends = u.T + _collocate(u.T, k.transpose(0, 2, 1), h, _STEP_RULE)[0]
         return ends[0], u_ends[0].T, max(err, _relative(u_ends[0] - u_ends[1], u))
 
     def solve(self, ode_tol: float):
@@ -720,7 +671,7 @@ _STENCIL_MOVES = np.array([1.0, -1.0, 1j, -1j])
 
 def _laplacian(g, h2: float) -> complex:
     """d dbar log g from the five stencil values of g (right, left, up,
-    down, centre)."""
+    down, centre): the metric_fn route of curvature_abelian."""
     right, left, up, down, centre = (math.log(v) for v in g)
     return complex(0.25 * ((right + left + up + down - 4.0 * centre) / h2))
 
@@ -731,32 +682,34 @@ def curvature_abelians(vcs, moving: int, quad_tol: float = 1e-11) -> list:
     cell.
 
     _contour_frames evaluates every cell's contour matrix Psi, with all
-    monomial columns, in one batch at quad_tol * 1e-2.  Psi at the four
-    off-centre stencil points comes from continuing it along the straight
-    step to each: d Psi / dt = Psi A(t)^T with A = dz D_moving, the
-    Gauss-Manin matrix (metric._gauss_manin) of the moving fluxon times
-    the step dz, in one 6th-order Magnus step (_magnus, _expm) on the
-    step's three Gauss nodes, batched over the cells and the four steps.
-    |dz D| is about 2e-3, so the truncation, O(|dz D|^7), is far below
-    round-off.  The five metrics g = Psi_f^* G Psi_f then go to the
-    five-point Laplacian.  Positions are not validated again: a step of
-    2e-3 x the closest distance cannot make two fluxons coincide.  Every
-    step is row by row, so a batch row equals the single call bit for
-    bit."""
+    monomial columns, in one batch at quad_tol * 1e-2.  Psi is continued
+    along the straight step dz to each off-centre stencil point,
+    d Psi / dt = Psi A(t)^T with A = dz D_moving (metric._gauss_manin), by
+    one 3-stage Gauss collocation step of order 6 (_collocate, _MAP_RULE),
+    batched over the cells and the four steps; |dz D| is about 2e-3, so
+    its truncation, O(|dz D|^7), is far below round-off.  The Laplacian
+    sums log1p((g_k - g) / g), with g = Psi_f^* G Psi_f at the centre
+    (checked for positivity) and g_k - g = 2 Re(d^* G Psi_f) + d^* G d from
+    the change d of Psi_f that _collocate returns, so no rounding of Psi or
+    g enters the differences.  Positions are not validated again: a step
+    of 2e-3 x the closest distance cannot make two fluxons coincide.  A
+    batch row equals the single call bit for bit."""
     if len({vc.config.fluxes for vc in vcs}) > 1:
         raise ValueError("a batch of curvature cells needs one flux assignment")
     h, h2 = np.array([_stencil_step(vc, moving) for vc in vcs]).T
     zetas = np.array([vc.zeta for vc in vcs])
     psi, G, err = _contour_frames(vcs[0], zetas, quad_tol * 1e-2)
     dz = h[:, None] * _STENCIL_MOVES
-    z = np.tile(zetas[:, None, None], (1, len(_STENCIL_MOVES), len(_GAUSS3), 1))
-    z[..., moving] += _GAUSS3 * dz[..., None]
-    a = dz[..., None, None, None] * _gauss_manin(z, vcs[0].phi_reduced)[..., moving, :, :]
-    moved = psi[:, None] @ _expm(_magnus(a, 1.0)).swapaxes(-1, -2)
-    frames = np.concatenate([moved, psi[:, None]], axis=1)[..., :1]
-    g = _frame_metrics(frames.reshape(-1, *frames.shape[2:]), np.repeat(G, 5, axis=0),
-                       np.repeat(err, 5))[0][:, 0, 0].real.tolist()
-    return [_laplacian(g[5 * i:5 * i + 5], step2) for i, step2 in enumerate(h2.tolist())]
+    nodes = _MAP_RULE[0]
+    z = np.tile(zetas[:, None, None], (1, len(_STENCIL_MOVES), len(nodes), 1))
+    z[..., moving] += nodes * dz[..., None]
+    gm = _gauss_manin(z, vcs[0].phi_reduced)[..., moving, :, :]
+    b = dz[..., None, None, None] * gm.swapaxes(-1, -2)
+    dpsi = _collocate(psi[:, None], b, 1.0, _MAP_RULE)[0][..., 0, :, :1]
+    left = dpsi.conj().swapaxes(-1, -2) @ G[:, None]
+    dg = (2.0 * (left @ psi[:, None, :, :1]).real + (left @ dpsi).real)[..., 0, 0]
+    g = _frame_metrics(psi[..., :1], G, err)[0][:, 0, 0].real
+    return (0.25 * np.log1p(dg / g[:, None]).sum(axis=1) / h2 + 0j).tolist()
 
 
 def curvature_abelian(vc: ValidatedConfig, moving: int, quad_tol: float = 1e-11,
@@ -767,9 +720,10 @@ def curvature_abelian(vc: ValidatedConfig, moving: int, quad_tol: float = 1e-11,
 
     By default this is curvature_abelians of a batch of one: one contour
     quadrature at quad_tol * 1e-2, continued to the four off-centre points
-    by the Gauss-Manin connection.  metric_fn optionally replaces that by
-    any positions -> scalar g callable (e.g. a closed form), called once
-    per stencil point: the moving fluxon moved by h, -h, ih, -ih and 0."""
+    by one collocation step of the Gauss-Manin connection.  metric_fn
+    optionally replaces that by any positions -> scalar g callable (e.g. a
+    closed form), called once per stencil point: the moving fluxon moved
+    by h, -h, ih, -ih and 0."""
     if metric_fn is None:
         return curvature_abelians([vc], moving, quad_tol)[0]
     h, h2 = _stencil_step(vc, moving)

@@ -464,11 +464,6 @@ def two_fluxon_metric(fluxes, delta):
             * abs(delta) ** (2.0 - 2.0 * (f1 + f2)))
 
 
-FACTORIZED_OUT_OF_RANGE = pytest.mark.xfail(
-    strict=True, reason="ROADMAP item 4, extreme scales: the factorized metric at N = 3 and "
-                        "diameter 1e+-300")
-
-
 class TestScaleLadder:
     # [0, s (1 + 1j)] with fluxes [0.5, 0.7]: g_00 scales as s^-0.4
     @pytest.mark.parametrize("s", [1e-300, 1e-150, 1.0, 1e150, 1e300])
@@ -491,13 +486,12 @@ class TestScaleLadder:
 
     # [0, 0.9 + 0.7j, 0.2 + 1.9j] s with fluxes [0.4, 0.5, 0.6]: g_00 scales
     # as s^-1
-    @pytest.mark.parametrize("s", [pytest.param(1e-300, marks=FACTORIZED_OUT_OF_RANGE),
-                                   1e-150, 1e150,
-                                   pytest.param(1e300, marks=FACTORIZED_OUT_OF_RANGE)])
+    @pytest.mark.parametrize("s", [1e-300, 1e-150, 1e150, 1e300])
     def test_factorized_follows_the_scaling_law_at_three_fluxons(self, s):
-        # 1e-300 raises after an overflow warning in exp; 1e300 returns g
-        # 32% low (8.40e-300 against 1.231e-299) with an estimate of 4.7e-12
-        # relative
+        # at 1e+-300 psi_0 and an arm's factor p d^(1 - phi'_a) each leave
+        # the float range (psi_0 is about 1e-330 on the arm from fluxon 0 at
+        # 1e300), but not their product, which the integrand takes as exp
+        # of the summed logs
         pos, fluxes = np.array([0.0, 0.9 + 0.7j, 0.2 + 1.9j]), [0.4, 0.5, 0.6]
         unit = metric_factorized(validate(FluxConfig(pos, fluxes)), tol=1e-12)
         m = metric_factorized(validate(FluxConfig(s * pos, fluxes)))

@@ -60,10 +60,13 @@ def test_removed_names_stay_gone():
     assert not hasattr(monodromy, "encircle_block")
     assert not hasattr(errors, "ExchangeOnDistinctFluxes")
     assert not hasattr(monodromy, "FLUX_EQUALITY_TOL")
-    # the transport steps by Gauss collocation with its own error estimate;
-    # the 6th-order Magnus step is the curvature map's alone, on three nodes
+    # Gauss collocation (_collocate) is the one integrator of the
+    # Gauss-Manin system: the transport steps with its 5- and 4-stage rules,
+    # the curvature map with the 3-stage rule, and no Magnus step or matrix
+    # exponential is left
     for name in ("_QUADRATURE_CHECK", "_UNIT_STEP", "_NODES", "_GAUSS", "_COLLOCATION",
-                 "_integrated_lagrange"):
+                 "_integrated_lagrange", "_step_rules", "_BUTCHER", "_WEIGHTS",
+                 "_magnus", "_expm", "_R15", "_GAUSS3", "_MOMENTS", "_PADE6"):
         assert not hasattr(transport, name)
     assert not hasattr(transport._TransportProblem, "coefficient_generators")
 

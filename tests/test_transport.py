@@ -1,10 +1,10 @@
 import math
 import time
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from fluxholo import (
     BraidWord,
@@ -31,7 +31,6 @@ from fluxholo.errors import (
     ODEStepUnderflow,
 )
 from fluxholo.metric import _contour_frame, _gauss_manin
-from fluxholo.transport import _expm
 from conftest import assert_within_tolerance, factorized_metric
 
 
@@ -362,6 +361,27 @@ class TestCurvature:
                 ref = curvature_abelian(vc, moving=2, metric_fn=metric_fn)
                 assert abs(r - ref) <= 1e-7 * abs(ref)
 
+    def test_map_matches_the_exact_stencil(self):
+        # the map sums log(g_k / g) from the change of Psi over each step,
+        # so against the same stencil on the closed form in 40 digits it
+        # errs at the quadrature's level (measured 6e-12 relative); the
+        # stencil on five rounded metrics, the closed form's included, errs
+        # by about 2e-8 relative
+        cells = [-0.4 + 0.2j, 0.35 + 0.45j, 0.9 + 1.3j, 1.4 + 0.7j]
+        vcs = [validate(FluxConfig([0.0, 1.0, u], [0.5, 0.5, 0.5])) for u in cells]
+        values = transport.curvature_abelians(vcs, moving=2, quad_tol=1e-8)
+
+        def log_g(u):
+            return mpmath.log(8 * mpmath.re(mpmath.ellipk(u) * mpmath.conj(mpmath.ellipk(1 - u))))
+
+        with mpmath.workdps(40):
+            for vc, u, r in zip(vcs, cells, values):
+                h = transport._stencil_step(vc, 2)[0]
+                centre = mpmath.mpc(u.real, u.imag)
+                ring = sum(log_g(centre + mpmath.mpf(h) * move) for move in (1, -1, 1j, -1j))
+                exact = float((ring - 4 * log_g(centre)) / (4 * mpmath.mpf(h) ** 2))
+                assert abs(r - exact) <= 1e-10 * abs(exact)
+
     def test_map_makes_one_contour_quadrature_per_cell(self, monkeypatch):
         # the four off-centre stencil metrics are continued from the
         # centre's contour matrix, not integrated again
@@ -490,29 +510,23 @@ def test_stepper_matches_dop853(name, ode_tol):
     assert np.abs(res.u - _ORACLE[name]).max() <= ode_tol
 
 
-@pytest.mark.parametrize("scale", [1e-3, 0.3, 1.0, 7.0, 30.0])
-def test_expm_matches_scipy(scale):
-    # the Pade approximant holds to rounding at 1-norm 1/2; the squarings
-    # and the reference itself lose accuracy in proportion to the norm
-    rng = np.random.default_rng(11)
-    for m in (1, 2, 4):
-        a = scale * (rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
-        ref = expm(a)
-        norm = np.abs(a).sum(axis=0).max()
-        assert np.abs(_expm(a) - ref).max() <= 1e-14 * max(1.0, norm) * np.abs(ref).max()
-
-
-def test_batched_magnus_and_expm_rows_equal_single_calls():
+@pytest.mark.parametrize("stages", [(3,), (transport._STAGES, transport._STAGES - 1)],
+                         ids=["map", "step"])
+def test_batched_collocation_rows_equal_single_calls(stages):
     # the curvature map steps a batch of cells and directions at once, and
-    # a map row must not depend on the rest of its batch
+    # a map row must not depend on the rest of its batch; y0 broadcasts
+    # against the batch
+    rule = transport._rules(*stages)
     rng = np.random.default_rng(5)
-    for m, scale in ((1, 0.2), (2, 1e-3), (3, 0.5), (4, 3.0)):
-        a = scale * (rng.normal(size=(3, 2, 3, m, m)) + 1j * rng.normal(size=(3, 2, 3, m, m)))
-        omega = transport._magnus(a, 0.3)
-        step = _expm(omega)
+    for n, m, scale in ((1, 1, 0.2), (3, 2, 1e-3), (2, 3, 0.5), (4, 4, 3.0)):
+        b = scale * (rng.normal(size=(3, 2, len(rule[0]), m, m))
+                     + 1j * rng.normal(size=(3, 2, len(rule[0]), m, m)))
+        y0 = rng.normal(size=(3, 1, n, m)) + 1j * rng.normal(size=(3, 1, n, m))
+        batched = transport._collocate(y0, b, 0.3, rule)
         for i, j in np.ndindex(3, 2):
-            assert np.array_equal(transport._magnus(a[i, j], 0.3), omega[i, j])
-            assert np.array_equal(_expm(omega[i, j]), step[i, j])
+            single = transport._collocate(y0[i, 0], b[i, j], 0.3, rule)
+            for whole, row in zip(batched, single):
+                assert np.array_equal(whole[i, j], row)
 
 
 class TestStepper:
