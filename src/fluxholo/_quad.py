@@ -2,7 +2,8 @@
 
 Gauss-Legendre, Gauss-Kronrod and Gauss-Jacobi rules with node caching,
 plus a small adaptive panel integrator that refines a batch of
-vector-valued complex line integrals together.
+vector-valued complex line integrals together, each starting as one
+panel.
 Everything here is deterministic for given inputs: panels are refined in
 a fixed worst-first order and sums run in fixed order, so repeated runs
 produce identical bits.
@@ -102,7 +103,7 @@ def gauss_jacobi01(n: int, beta: float):
     return _GJ_CACHE[key]
 
 
-def integrate_panels(f, tol: float, *, breakpoints=None, legs: int):
+def integrate_panels(f, tol: float, *, legs: int):
     """Adaptive panel integration of vector-valued line integrals, all legs
     at once.
 
@@ -110,27 +111,24 @@ def integrate_panels(f, tol: float, *, breakpoints=None, legs: int):
     l < legs.  f(ts) takes an (n, 2) float array of rows (l, s), one per
     node, and returns an array of shape (n, m).  Each node reaches f as its
     leg index and its leg-local s, so every leg sees the same nodes
-    whatever its index: the stacked parameter t = l + s would round s to
-    the spacing of the floats near l (about 1e-12 at l = 5000).
+    whatever its index.
 
-    Panels start at the leg ends and at the breakpoints, a flat list of
-    floats on the stacked axis t = l + s (a breakpoint t splits leg
-    floor(t) at s = t - floor(t), exactly when s is a multiple of 2^-32 and
-    l < 2^21).  Each panel is evaluated on one 49-node Gauss-Kronrod rule
-    (gauss_kronrod(24)), whose every other node is a 24-node Gauss rule.
+    Each leg starts as the one panel [0, 1].  Each panel is evaluated on
+    one 49-node Gauss-Kronrod rule (gauss_kronrod(24)), whose every other
+    node is a 24-node Gauss rule.
     A round evaluates the new panels of every leg in calls of f on at most
     PANEL_BLOCK panels each, then bisects the worst panel of each leg
     whose summed discrepancy still exceeds tol * max(1, |its result|), for
     at most 2000 rounds.  f must treat its rows independently: the blocks
     then give the bits of one call.
 
-    The panels form one flat table in t order, so a leg's sums run over
-    its panels in order, and a round has no loop over legs: the worst
-    panel of every bad leg comes from one np.maximum.reduceat and a
-    first-hit searchsorted (the panel np.argmax picks: the first maximum,
-    a NaN counting as largest), the left halves overwrite the bisected
-    panels in place and one stable permutation puts each right half
-    behind its left half.
+    The panels form one flat table, grouped by leg and in s order within
+    a leg, so a leg's sums run over its panels in order, and a round has
+    no loop over legs: the worst panel of every bad leg comes from one
+    np.maximum.reduceat and a first-hit searchsorted (the panel np.argmax
+    picks: the first maximum, a NaN counting as largest), the left halves
+    overwrite the bisected panels in place and one stable permutation
+    puts each right half behind its left half.
 
     The returned value of a leg is the sum of its 49-node values.  Its
     error estimate is that summed discrepancy, the sum over its panels of
@@ -160,13 +158,10 @@ def integrate_panels(f, tol: float, *, breakpoints=None, legs: int):
         return fine, np.abs(fine - coarse).max(axis=1)
 
     # the panel table: leg, leg-local ends, fine value and error of each
-    # panel, in t order and hence grouped by leg
-    pts = np.array(sorted({*map(float, range(legs + 1)),
-                           *(float(b) for b in breakpoints or () if 0.0 < b < legs)}))
-    leg = pts[:-1].astype(np.intp)
-    lo, hi = pts[:-1] - leg, pts[1:] - leg
-    fine, err = panel_values(leg, lo, hi)
+    # panel, grouped by leg
     first = np.arange(legs)
+    leg, lo, hi = np.arange(legs), np.zeros(legs), np.ones(legs)
+    fine, err = panel_values(leg, lo, hi)
     for _ in range(2000):
         starts = np.searchsorted(leg, first)
         total = np.add.reduceat(fine, starts, axis=0)

@@ -157,7 +157,6 @@ class ValidatedConfig:
 
     config: FluxConfig
     counts: ModeCounts
-    strict: bool
 
     @property
     def zeta(self) -> np.ndarray:
@@ -239,7 +238,7 @@ def validate(config: FluxConfig, *, strict: bool = True) -> ValidatedConfig:
             if r != 0 and abs(f - r) < EPS_THRESHOLD:
                 raise NearIntegerFluxon(
                     f"flux {a} = {f:.6g} lies within {EPS_THRESHOLD:g} of the integer {r}")
-    return ValidatedConfig(config=config, counts=count_modes(fluxes), strict=strict)
+    return ValidatedConfig(config=config, counts=count_modes(fluxes))
 
 
 def cut_order(vc: ValidatedConfig) -> tuple:

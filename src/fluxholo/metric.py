@@ -31,7 +31,9 @@ order.
 The rows are partial sums of the N - 1 legs, each split at its midpoint
 into two arms, so N fluxons cost 2N - 2 line integrals (_primitive_raw),
 refined together on one panel queue (_Legs) of 49-node Gauss-Kronrod
-panels (_quad.integrate_panels).
+panels (_quad.integrate_panels).  Each arm starts as one panel: it runs
+between two fluxons adjacent in cut order, so every other fluxon lies
+above or below its band of heights.
 _contour_frames is the one place that turns configurations into
 (Psi, G) and the one place that picks the frame: the rigid rotation that
 best separates the fluxons' imaginary parts.  It takes one validated
@@ -157,7 +159,6 @@ class _Legs:
 
     def __init__(self, zetas, phis, start, end, sing):
         self.shape = start.shape
-        self.zetas = zetas
         self.phis = phis
         d = end - start
         ph = phis[sing]
@@ -197,21 +198,8 @@ class _Legs:
                                 axis=1)
             return powers * base[:, None]
 
-        vals, errs = integrate_panels(values, tol, breakpoints=self._breakpoints(),
-                                      legs=len(start))
+        vals, errs = integrate_panels(values, tol, legs=len(start))
         return vals.reshape(*self.shape, n_cols), errs.reshape(self.shape)
-
-    def _breakpoints(self):
-        """Values of t = arm + s where an arm passes a fluxon's real part
-        (candidate spots for integrand spikes).  s is rounded to a multiple
-        of 2^-32, so that t - arm gives it back exactly and an arm's panels
-        do not depend on its place in the batch."""
-        legs = np.flatnonzero(np.abs(self.d.real) >= 1e-300)
-        zetas = np.repeat(self.zetas, self.shape[1], axis=0)[legs]
-        s = (zetas.real - self.start.real[legs, None]) / self.d.real[legs, None]
-        leg, fluxon = np.nonzero((s > 1e-12) & (s < 1.0 - 1e-12))
-        s = s[leg, fluxon] ** (1.0 / self.p[legs[leg]])
-        return (legs[leg] + np.round(s * 2.0 ** 32) * 2.0 ** -32).tolist()
 
 
 def _primitive_raw(zetas, phis, order, n_cols, tol):
@@ -347,12 +335,13 @@ def _contour_frames(vc: ValidatedConfig, zetas, tol: float, columns: int | None 
     row order, built once per distinct cut order of the batch, and
     psi_f^* G psi_f over the first D_f columns is the metric.
 
-    The rotation, cut order, arms and breakpoints are array operations
-    over the batch: the rotated positions and the gaps of the tie check
-    are rows of the one sorted rotation table of _best_rotations, which
-    is not sorted again.  All arms of all rows share one panel queue;
-    each arm is integrated at its own local parameter, so a row does not
-    depend on the rest of the batch, bit for bit.
+    The rotation, cut order and arms are array operations over the
+    batch: the rotated positions and the gaps of the tie check are rows
+    of the one sorted rotation table of _best_rotations, which is not
+    sorted again.  All arms of all rows share one panel queue, each
+    starting as one panel; each arm is integrated at its own local
+    parameter, so a row does not depend on the rest of the batch, bit for
+    bit.
     """
     _free_mode_counts(vc)
     phis = vc.phi_reduced
@@ -380,14 +369,6 @@ def _contour_frame(vc: ValidatedConfig, tol: float, columns: int | None = None):
     return psi[0], G[0], float(err[0])
 
 
-def _factorized_metrics(vc: ValidatedConfig, zetas, tol: float):
-    """g = Psi^* G Psi and its error estimate at the positions zetas
-    (B, N), with the fluxes of vc: arrays (B, D_f, D_f) and (B,).  Psi and
-    G come from _contour_frames at tol * 1e-2.  Raises
-    QuadratureNotConverged if any g is not positive definite."""
-    return _frame_metrics(*_contour_frames(vc, zetas, tol * 1e-2, vc.counts.D_f))
-
-
 def _frame_metrics(psi, G, psi_err):
     """g = psi^* G psi, made hermitian, and its error estimate from the
     free columns psi (B, n, D_f) of contour matrices, their coupling
@@ -409,10 +390,11 @@ def metric_factorized(vc: ValidatedConfig, tol: float = 1e-8,
                       auto_rotate: bool = False) -> Metric:
     """Metric via g = Psi^* G Psi.
 
-    Psi and G come from _contour_frames, in the best-separated rotation
-    frame, so ties and near ties of the given configuration cost nothing
-    extra.  auto_rotate=False only adds a check that the given
-    configuration has an unambiguous cut order (AmbiguousOrdering if not).
+    Psi and G come from _contour_frames at tol * 1e-2, in the
+    best-separated rotation frame, so ties and near ties of the given
+    configuration cost nothing extra.  auto_rotate=False only adds a check
+    that the given configuration has an unambiguous cut order
+    (AmbiguousOrdering if not).
 
     error_estimate propagates the contour estimate of _quad.integrate_panels,
     which bounds the error of its embedded 24-node Gauss rule; it
@@ -420,7 +402,7 @@ def metric_factorized(vc: ValidatedConfig, tol: float = 1e-8,
     """
     if not auto_rotate:
         cut_order(vc)
-    g, err = _factorized_metrics(vc, vc.zeta[None], tol)
+    g, err = _frame_metrics(*_contour_frames(vc, vc.zeta[None], tol * 1e-2, vc.counts.D_f))
     return Metric(g=g[0], method="factorized", error_estimate=float(err[0]))
 
 
@@ -437,24 +419,17 @@ def _best_rotations(zetas):
     argsort of the chosen row alone."""
     table = zetas[:, None, :] * _ROTATIONS[:, None]
     gaps = np.diff(np.sort(table.imag, axis=2), axis=2)
-    picks = []
-    for smallest in gaps.min(axis=2, initial=np.inf).tolist():
-        best, pick = -1.0, 0
-        for k, gap in enumerate(smallest):
-            if gap > best * (1.0 + 1e-12):
-                best, pick = gap, k
-        picks.append(pick)
+    picks = np.argmax(gaps.min(axis=2, initial=np.inf), axis=1)
     rows = np.arange(len(zetas))
     rotated = table[rows, picks]
     order = np.argsort(rotated.imag, axis=1, kind="stable")
-    return np.array(picks), rotated, order, gaps[rows, picks]
+    return picks, rotated, order, gaps[rows, picks]
 
 
 def best_rotation_angle(zetas) -> float:
     """Deterministic rigid-rotation angle separating the imaginary parts
-    as much as possible: the angle k pi / 32, k = 0..31, at which a scan in
-    increasing k last finds a smallest gap more than 1e-12 relative above
-    the best one so far."""
+    as much as possible: the angle k pi / 32, k = 0..31, of the largest
+    smallest gap, the first such k on a tie."""
     picks = _best_rotations(np.asarray(zetas, dtype=complex)[None])[0]
     return float(_ROTATION_ANGLES[picks[0]])
 

@@ -119,9 +119,10 @@ class TestBatchedFrames:
                 assert err[b] == one[2]
 
     def test_cut_order_comes_from_the_rotation_table(self):
-        # the chosen row of the rotation table is zetas * lambda bit for
-        # bit, its stable argsort is the cut order, and the tie check
-        # accepts it: the best rotation leaves no ties
+        # the chosen row of the rotation table is the first of largest
+        # smallest gap and is zetas * lambda bit for bit, its stable
+        # argsort is the cut order, and the tie check accepts it: the best
+        # rotation leaves no ties
         rng = np.random.default_rng(20)
         for n in (2, 3, 4, 5, 8):
             zetas = rng.normal(size=(24, n)) + 1j * rng.normal(size=(24, n))
@@ -130,6 +131,9 @@ class TestBatchedFrames:
             if n == 4:
                 zetas[8:12] = self.POSITIONS
             picks, rotated, order, gaps = metric_module._best_rotations(zetas)
+            table = zetas[:, None, :] * metric_module._ROTATIONS[:, None]
+            smallest = np.diff(np.sort(table.imag, axis=2), axis=2).min(axis=2)
+            assert np.array_equal(picks, np.argmax(smallest, axis=1))
             lam = metric_module._ROTATIONS[picks]
             assert rotated.tobytes() == (zetas * lam[:, None]).tobytes()
             diameters = np.abs(rotated[:, :, None] - rotated[:, None, :]).max(axis=(1, 2))
@@ -189,31 +193,27 @@ class TestBatchedFrames:
                              axis=1) * base[:, None]
             assert f(ts).tobytes() == ref.tobytes(), n_cols
 
-    def test_integrand_and_breakpoints_keep_the_tracer_contract(self, monkeypatch):
+    def test_integrand_keeps_the_tracer_contract(self, monkeypatch):
         # a benchmark tracer wraps integrate_panels with a one-argument
-        # integrand, counts nodes as len() of its argument and reads the
-        # breakpoints as flat floats on the stacked axis t = leg + s
+        # integrand and counts nodes as len() of its argument
         integrate = metric_module.integrate_panels
         seen = {}
 
-        def recording(f, tol, *, breakpoints, legs):
-            seen.update(breakpoints=breakpoints, legs=legs, shapes=[])
+        def recording(f, tol, *, legs):
+            seen.update(legs=legs, shapes=[])
 
             def integrand(ts):
-                seen["shapes"].append((len(ts), ts.shape))
+                seen["shapes"].append((len(ts), ts.shape, ts.dtype))
                 return f(ts)
-            return integrate(integrand, tol, breakpoints=breakpoints, legs=legs)
+            return integrate(integrand, tol, legs=legs)
 
         monkeypatch.setattr(metric_module, "integrate_panels", recording)
         vc = validate(FluxConfig(self.POSITIONS[0], self.FLUXES))
         metric_factorized(vc, tol=1e-10)
         # N = 4: two arms on each of the three legs between neighbours
         assert seen["legs"] == 6
-        assert isinstance(seen["breakpoints"], list) and seen["breakpoints"]
-        for b in seen["breakpoints"]:
-            assert type(b) is float and 0.0 < b < seen["legs"]
-            assert (b - math.floor(b)) * 2.0 ** 32 == round((b - math.floor(b)) * 2.0 ** 32)
-        assert all(shape == (n, 2) for n, shape in seen["shapes"])
+        assert seen["shapes"]
+        assert all(shape == (n, 2) and dtype == float for n, shape, dtype in seen["shapes"])
 
 
 # the unjittered N = 3, 4 and 6 configurations of the cli-session benchmark

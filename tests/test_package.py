@@ -1,10 +1,12 @@
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
 import sys
 
 import fluxholo
-from fluxholo import cli, errors, metric, monodromy, special, transport
+from fluxholo import _quad, cli, config, errors, metric, monodromy, special, transport
 from fluxholo.cli import main
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(fluxholo.__file__)))
@@ -69,6 +71,13 @@ def test_removed_names_stay_gone():
                  "_magnus", "_expm", "_R15", "_GAUSS3", "_MOMENTS", "_PADE6"):
         assert not hasattr(transport, name)
     assert not hasattr(transport._TransportProblem, "coefficient_generators")
+    # every contour arm runs between fluxons adjacent in cut order and
+    # starts as one panel: no breakpoints; the metric of one configuration
+    # is its frame's batch of one, and the validation mode is not kept
+    assert "breakpoints" not in inspect.signature(_quad.integrate_panels).parameters
+    assert not hasattr(metric._Legs, "_breakpoints")
+    assert not hasattr(metric, "_factorized_metrics")
+    assert "strict" not in {f.name for f in dataclasses.fields(config.ValidatedConfig)}
 
 
 # Prints, as JSON, the scipy modules loaded after each step.  The steps

@@ -28,10 +28,9 @@ def test_batched_legs_match_each_leg_alone():
     # legs share rounds but not panels: each converges to what it gets
     # alone, within its estimate
     centers = np.array([0.3, 0.71, 0.5, 0.02, 0.9])
-    together, err = integrate_panels(peaks(centers), 1e-11, breakpoints=[2.5], legs=5)
+    together, err = integrate_panels(peaks(centers), 1e-11, legs=5)
     for leg, c in enumerate(centers):
-        alone, _ = integrate_panels(peaks(centers[leg:]), 1e-11,
-                                    breakpoints=[0.5] if leg == 2 else [], legs=1)
+        alone, _ = integrate_panels(peaks(centers[leg:]), 1e-11, legs=1)
         ref = exact(c)
         assert np.abs(together[leg] - alone[0]).max() < 1e-13 * np.abs(ref).max()
         assert np.abs(together[leg] - ref).max() <= err[leg] + 1e-14 * np.abs(ref).max()
@@ -46,34 +45,30 @@ def test_identical_legs_agree_wherever_they_sit():
     assert np.abs(together - together[0]).max() <= 2e-15 * scale
 
 
-def test_integrand_and_breakpoint_contract():
-    # f takes one array whose len() is the node count (rows (l, s)), and
-    # breakpoints are flat floats on the stacked axis t = l + s: benchmark
-    # tracers count nodes and initial panels from exactly these
+def test_integrand_contract():
+    # f takes one array whose len() is the node count, of rows (l, s):
+    # benchmark tracers count nodes from exactly this, and each leg starts
+    # as the one panel [0, 1]
     seen = []
 
     def f(ts):
         seen.append(ts)
         return np.ones((len(ts), 1), dtype=complex)
 
-    val, _ = integrate_panels(f, 1e-10, breakpoints=[0.5, 1.25], legs=2)
+    val, _ = integrate_panels(f, 1e-10, legs=2)
     assert np.allclose(val, 1.0)
     (ts,) = seen
-    assert ts.shape == (len(ts), 2) and len(ts) == 4 * 49
+    assert ts.shape == (len(ts), 2) and len(ts) == 2 * 49
     leg, s = ts[:, 0], ts[:, 1]
     assert set(leg) == {0.0, 1.0}
     assert ((0.0 < s) & (s < 1.0)).all()
-    # the initial panels of leg 0 meet at s = 0.5, those of leg 1 at 0.25
-    for lg, cut in ((0, 0.5), (1, 0.25)):
-        mine = s[leg == lg]
-        assert (mine < cut).sum() == (mine > cut).sum() == 49
+    assert np.array_equal(s[leg == 0], s[leg == 1])
 
 
 def test_rounds_evaluate_in_blocks_of_panels(monkeypatch):
     # f never sees more than PANEL_BLOCK panels, and the blocks give the
     # bytes of one call on all of a round's panels
-    centers = np.linspace(0.05, 0.95, 40)
-    breakpoints = [leg + 0.5 for leg in range(0, 40, 3)]
+    centers = np.linspace(0.05, 0.95, 54)
     rows = []
 
     def recording(f):
@@ -82,18 +77,17 @@ def test_rounds_evaluate_in_blocks_of_panels(monkeypatch):
             return f(ts)
         return g
 
-    blocked = integrate_panels(recording(peaks(centers)), 1e-11,
-                               breakpoints=breakpoints, legs=40)
-    # the first round has 40 + 14 panels
+    blocked = integrate_panels(recording(peaks(centers)), 1e-11, legs=54)
+    # the first round has one panel per leg
     assert rows[:2] == [_quad.PANEL_BLOCK * 49, 7 * 49]
     assert max(rows) == _quad.PANEL_BLOCK * 49
     monkeypatch.setattr(_quad, "PANEL_BLOCK", 10 ** 6)
-    whole = integrate_panels(peaks(centers), 1e-11, breakpoints=breakpoints, legs=40)
+    whole = integrate_panels(peaks(centers), 1e-11, legs=54)
     assert blocked[0].tobytes() == whole[0].tobytes()
     assert blocked[1].tobytes() == whole[1].tobytes()
 
 
-def reference_integrate_panels(f, tol, *, breakpoints=None, legs):
+def reference_integrate_panels(f, tol, *, legs):
     """integrate_panels as it refined before its flat panel table: a Python
     loop of np.argmax over the bad legs, then np.insert per array.  The
     oracle of test_flat_panel_table_matches_the_insert_loop."""
@@ -111,10 +105,7 @@ def reference_integrate_panels(f, tol, *, breakpoints=None, legs):
         fine = width * np.einsum("pnm,n->pm", vals, fine_w)
         return fine, np.abs(fine - coarse).max(axis=1)
 
-    pts = np.array(sorted({*map(float, range(legs + 1)),
-                           *(float(b) for b in breakpoints or () if 0.0 < b < legs)}))
-    leg = pts[:-1].astype(np.intp)
-    lo, hi = pts[:-1] - leg, pts[1:] - leg
+    leg, lo, hi = np.arange(legs), np.zeros(legs), np.ones(legs)
     fine, err = panel_values(leg, lo, hi)
     for _ in range(2000):
         starts = np.searchsorted(leg, np.arange(legs))
@@ -145,11 +136,11 @@ def reference_integrate_panels(f, tol, *, breakpoints=None, legs):
 
 def mixed_legs():
     """An integrand on four legs that refine over several rounds: legs 0
-    and 1 carry peaks, leg 2 a unit step at s = 0.1, 0.35, 0.6 and 0.85,
-    and leg 3 a peak whose first call returns NaN on [0.5, 0.75).  The
-    steps sit at the same place in leg 2's four initial panels, whose
-    nodes then take the same values, so their errors tie exactly; each
-    call appends its node array to the returned list."""
+    and 1 carry peaks, leg 2 a unit step at s = 0.2 and 0.7, and leg 3 a
+    peak at s = 0.4 whose second call returns NaN on [0.5, 1].  The steps
+    sit at the same place in the two halves of leg 2, whose nodes then
+    take the same values, so their errors tie exactly; each call appends
+    its node array to the returned list."""
     seen = []
     smooth = peaks(np.array([0.3, 0.62, 0.5, 0.4]))
 
@@ -158,35 +149,46 @@ def mixed_legs():
         leg, s = ts[:, 0], ts[:, 1]
         out = smooth(ts)
         step = (leg == 2)
-        out[step] = (s[step] * 4.0 % 1.0 > 0.4)[:, None]
-        if len(seen) == 1:
-            out[(leg == 3) & (s >= 0.5) & (s < 0.75)] = np.nan
+        out[step] = (s[step] * 2.0 % 1.0 > 0.4)[:, None]
+        if len(seen) == 2:
+            out[(leg == 3) & (s >= 0.5)] = np.nan
         return out
 
     return f, seen
 
 
 def test_flat_panel_table_matches_the_insert_loop():
-    # several legs bisect in one round, leg 2's panel errors tie exactly,
-    # and a panel of leg 3 starts with a NaN estimate: the flat table
-    # picks the same panel as np.argmax in each case and keeps t order
-    breakpoints = [2.25, 2.5, 2.75, 3.5, 3.75]
+    # several legs bisect in one round, the two halves of leg 2 tie
+    # exactly, and the right half of leg 3 starts with a NaN estimate: the
+    # flat table picks the same panel as np.argmax in each case and keeps
+    # each leg's panels in order
     f, seen = mixed_legs()
-    ref = reference_integrate_panels(f, 1e-9, breakpoints=breakpoints, legs=4)
+    ref = reference_integrate_panels(f, 1e-9, legs=4)
     ref_nodes = list(seen)
     f, seen = mixed_legs()
-    new = integrate_panels(f, 1e-9, breakpoints=breakpoints, legs=4)
+    new = integrate_panels(f, 1e-9, legs=4)
     assert len(seen) == len(ref_nodes) > 5
     assert all(a.tobytes() == b.tobytes() for a, b in zip(seen, ref_nodes))
     assert new[0].tobytes() == ref[0].tobytes()
     assert new[1].tobytes() == ref[1].tobytes()
-    # what the input is meant to exercise did happen
-    assert np.isnan(mixed_legs()[0](ref_nodes[0])).any()
-    second = ref_nodes[1][:, 0]
-    assert len(set(second.tolist())) >= 3
-    # the tied panels of leg 2 are bisected first to last, one a round
-    firsts = [ts[ts[:, 0] == 2, 1].min() for ts in ref_nodes[1:5]]
-    assert np.floor(np.array(firsts) * 4.0).tolist() == [0.0, 1.0, 2.0, 3.0]
+    # what the input is meant to exercise did happen: every leg bisects
+    # in the first round, ...
+    second = ref_nodes[1]
+    assert set(second[:, 0].tolist()) == {0.0, 1.0, 2.0, 3.0}
+    # ... the halves of leg 2 take the same values and the first of them
+    # is bisected next, ...
+    f = mixed_legs()[0]
+    f(ref_nodes[0])
+    values = f(second)
+    halves = [values[(second[:, 0] == 2) & (cut(second[:, 1], 0.5))]
+              for cut in (np.less, np.greater_equal)]
+    assert halves[0].tobytes() == halves[1].tobytes()
+    third = ref_nodes[2]
+    assert (third[third[:, 0] == 2, 1] < 0.5).all()
+    # ... and the NaN right half of leg 3 is bisected before its finite
+    # left half, which holds the peak
+    assert np.isnan(values[second[:, 0] == 3]).any()
+    assert (third[third[:, 0] == 3, 1] >= 0.5).all()
 
 
 # QUADPACK's dqk15 on [-1, 1]: the Kronrod nodes from the outermost to the
