@@ -145,17 +145,22 @@ def integrate_panels(f, tol: float, *, legs: int):
     fine_w, coarse_w = fine_w.astype(complex), coarse_w.astype(complex)
 
     def panel_values(leg, lo, hi):
-        """Fine value and |fine - coarse| of each panel [lo, hi] of its leg."""
-        width = (hi - lo)[:, None]
-        ts = np.empty((len(lo), len(x), 2))
-        ts[:, :, 0] = leg[:, None]
-        ts[:, :, 1] = lo[:, None] + width * x
-        vals = np.concatenate([f(ts[i:i + PANEL_BLOCK].reshape(-1, 2))
-                               for i in range(0, len(lo), PANEL_BLOCK)])
-        vals = vals.reshape(len(lo), len(x), -1)
-        coarse = width * np.einsum("pnm,n->pm", vals[:, 1::2], coarse_w)
-        fine = width * np.einsum("pnm,n->pm", vals, fine_w)
-        return fine, np.abs(fine - coarse).max(axis=1)
+        """Fine value and |fine - coarse| of each panel [lo, hi] of its leg.
+        Each block of PANEL_BLOCK panels is reduced to its panel sums as
+        soon as f returns, so no more than one block's node values live at
+        once."""
+        fine, coarse = [], []
+        for i in range(0, len(lo), PANEL_BLOCK):
+            block = slice(i, i + PANEL_BLOCK)
+            width = (hi[block] - lo[block])[:, None]
+            ts = np.empty((len(width), len(x), 2))
+            ts[:, :, 0] = leg[block, None]
+            ts[:, :, 1] = lo[block, None] + width * x
+            vals = f(ts.reshape(-1, 2)).reshape(len(width), len(x), -1)
+            coarse.append(width * np.einsum("pnm,n->pm", vals[:, 1::2], coarse_w))
+            fine.append(width * np.einsum("pnm,n->pm", vals, fine_w))
+        fine = np.concatenate(fine)
+        return fine, np.abs(fine - np.concatenate(coarse)).max(axis=1)
 
     # the panel table: leg, leg-local ends, fine value and error of each
     # panel, grouped by leg

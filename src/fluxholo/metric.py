@@ -501,8 +501,10 @@ class _BruteForce:
     """One quadrature session: geometry, refinement state, piece sums.
 
     The pieces are each disk, the far field and each radial panel of the
-    middle; each has its own refinement level (run), so a piece is refined
-    only while its level difference is the largest one left.  The pieces
+    middle; each has its own refinement level (run), a middle panel one for
+    its radii and one for its angles, so a piece is refined only while its
+    level differences are the largest ones left, and a panel only along
+    its unresolved axis.  The pieces
     run over their grids in chunks of up to ANGULAR_CHUNK angles, on one
     set of work arrays (_Work) that the session grows only when a chunk is
     larger than every chunk before it."""
@@ -667,20 +669,25 @@ class _BruteForce:
                       * np.einsum("i,it,t->", wv, smooth, wt))
         return out
 
-    def middle_piece(self, i, nr, nt):
+    def middle_piece(self, i, nr, nt, half=False):
         """Smooth remainder (1 - sum chi) * weight on radial panel i of the
         disk |z - c| <= R0, in polar coordinates; the panel tests only the
-        bump rings it meets, which self.panels lists."""
+        bump rings it meets, which self.panels lists.
+
+        With half, only the odd angles of the nt-angle grid are summed, at
+        its weights 2 pi / nt: the periodic trapezoid rule is nested, so the
+        nt-angle sum is half the (nt / 2)-angle sum plus this one."""
         lo_r, hi_r, rings = self.panels[i]
         th = trapezoid_angles(nt)
+        if half:
+            th = th[1::2]
         eith = np.exp(1j * th)
-        wt = np.full(nt, TWO_PI / nt)
         x, w = gauss_legendre(nr)
         r = lo_r + (hi_r - lo_r) * x
         rwr = r * (w * (hi_r - lo_r))
         total = np.zeros(len(self.jk), dtype=complex)
-        for lo in range(0, nt, self.ANGULAR_CHUNK):
-            sl = slice(lo, min(lo + self.ANGULAR_CHUNK, nt))
+        for lo in range(0, len(th), self.ANGULAR_CHUNK):
+            sl = slice(lo, min(lo + self.ANGULAR_CHUNK, len(th)))
             work = self._chunk((nr, sl.stop - lo))
             np.multiply(r[:, None], eith[sl], out=work.z)
             work.z += self.center
@@ -691,77 +698,105 @@ class _BruteForce:
                 work.chi *= weights
                 weights = work.chi
             weights *= rwr[:, None]
-            weights *= wt[sl]
+            weights *= TWO_PI / nt
             total += self._contract(work, weights)
         return total
 
     # -- assembly ----------------------------------------------------------
 
-    def piece(self, lab, level):
+    def piece(self, lab, level, lt=None, prev=None):
         """Sum of piece lab, ("disk", a), ("far", None) or ("mid", i) for
         radial panel i of the remainder, on the grids of refinement level
-        `level`."""
+        `level`.  A middle panel has 24 x 2^level Gauss-Legendre radii and
+        128 x nt_boost x 2^lt trapezoid angles, lt = level by default; prev,
+        its sum at (level, lt - 1), is reused: only the odd angles are
+        evaluated."""
         kind, a = lab
         nr = 24 * 2 ** level
-        nt = 64 * 2 ** level
         if kind == "disk":
             return self.disk_piece(a, nr, self.DISK_ANGLES)
         if kind == "far":
-            return self.far_piece(min(nr, 96), nt)
-        return self.middle_piece(a, nr, 2 * nt * self.nt_boost)
+            return self.far_piece(min(nr, 96), 64 * 2 ** level)
+        nt = 128 * self.nt_boost * 2 ** (level if lt is None else lt)
+        if prev is None:
+            return self.middle_piece(a, nr, nt)
+        return 0.5 * prev + self.middle_piece(a, nr, nt, half=True)
 
-    def run(self, tol):
-        """Piece sums refined one piece at a time until the last level
-        differences, summed over the pieces, fall below tol x the largest
-        entry.
+    def run(self, tol, weights=1.0):
+        """Piece sums refined one axis of one piece at a time until the last
+        level differences, summed over the pieces and axes, fall below tol x
+        the largest entry.  Entries and differences are compared after
+        multiplying them by weights, the entries' relative scales in the
+        caller's units (one per entry, at most 1), so that the bound holds
+        there entry by entry.
 
-        Each disk first runs levels 0, 1 and 2: on the disk of an edge
-        flux 0.999 the difference L1 - L0 under-reads the next one (4.6e-7
+        A disk and the far field have one axis, a middle panel two: its
+        radial and its angular level, each with its own last difference.
+        Each disk first runs levels 0, 1 and 2: on the disk of an edge flux
+        0.999 the difference L1 - L0 under-reads the next one (4.6e-7
         against 1.7e-6), so a disk's first difference is not trusted.  The
-        far field and each middle panel start from their level-1
-        difference; for the whole middle it over-read the next one by at
-        least 8x on 45 probed configurations (the far field's differences
-        are at round-off), and the periodic trapezoid rule converges
-        geometrically on a smooth panel.  Then, of the pieces below
-        MAX_LEVEL, the one with the largest last difference moves up one
-        level, so a piece that is already resolved is not refined to
-        certify the others.  When no piece is left below
-        MAX_LEVEL, or the pieces at MAX_LEVEL alone exceed the target,
+        far field starts from its level-1 difference (it is at round-off
+        on 45 probed configurations).  A middle panel runs (0, 0), (1, 0)
+        and (1, 1), the last from the odd angles alone: the grid and the
+        work of one level-1 step of both axes, whose difference over-read
+        the next one by at least 8x for the whole middle on those
+        configurations, and by the triangle inequality the two axes'
+        differences sum to at least that one difference.  Then, of the
+        pieces with an axis below MAX_LEVEL, the one whose differences on
+        those axes sum largest moves up one level on the axis of the
+        larger one: the errors of a panel add by axis, and most panels are
+        at round-off radially with 24 nodes and need only more angles,
+        which cost only the odd ones.  A piece that is already resolved is
+        not refined to certify the others.  When no axis is left below
+        MAX_LEVEL, or the axes at MAX_LEVEL alone exceed the target,
         QuadratureNotConverged is raised.
 
-        Returns the entries, each piece at its latest level, and, per
-        entry, the sum over the pieces of its last level difference."""
+        Returns the entries, each piece at its latest levels, and, per
+        entry, the sum over the pieces and axes of its last level
+        difference."""
         labels = ([("disk", a) for a in range(len(self.zetas))] + [("far", None)]
                   + [("mid", i) for i in range(len(self.panels))])
         level, value, diff = {}, {}, {}
+
+        def step(lab, axis):
+            # axis 1 is a middle panel's angles, which are nested
+            level[lab][axis] += 1
+            cur = self.piece(lab, *level[lab], prev=value[lab] if axis else None)
+            diff[lab][axis] = np.abs(cur - value[lab])
+            value[lab] = cur
+
         for lab in labels:
-            level[lab] = 2 if lab[0] == "disk" else 1
-            value[lab] = self.piece(lab, 0)
-            for lev in range(1, level[lab] + 1):
-                cur = self.piece(lab, lev)
-                diff[lab] = np.abs(cur - value[lab])
-                value[lab] = cur
+            # the axes of the first steps: a disk to level 2, the far field
+            # to level 1, a middle panel to (1, 0) and then (1, 1)
+            start = {"disk": (0, 0), "far": (0,), "mid": (0, 1)}[lab[0]]
+            level[lab] = [0] * (2 if lab[0] == "mid" else 1)
+            diff[lab] = [None] * len(level[lab])
+            value[lab] = self.piece(lab, *level[lab])
+            for axis in start:
+                step(lab, axis)
         while True:
             est = sum(value.values())
-            scale = max(float(np.abs(est).max()), 1e-300)
-            # a NaN difference counts as unresolved
-            largest = {lab: float(np.fmin(diff[lab].max(), np.inf)) for lab in labels}
-            total_err = math.fsum(largest.values())
+            scale = max(float((np.abs(est) * weights).max()), 1e-300)
+            # a NaN difference counts as unresolved on its axis
+            largest = {lab: [float(np.fmin((d * weights).max(), np.inf)) for d in diff[lab]]
+                       for lab in labels}
+            total_err = math.fsum(e for lab in labels for e in largest[lab])
             if total_err <= tol * scale:
-                return est, sum(diff.values())
-            # refining the other pieces leaves the differences of the pieces
-            # at MAX_LEVEL where they are
-            left = [lab for lab in labels if level[lab] < self.MAX_LEVEL]
-            stuck = math.fsum(largest[lab] for lab in labels if level[lab] == self.MAX_LEVEL)
+                return est, sum(d for lab in labels for d in diff[lab])
+            # refining the other axes leaves the differences of the axes at
+            # MAX_LEVEL where they are
+            stuck = math.fsum(e for lab in labels for e, lev in zip(largest[lab], level[lab])
+                              if lev == self.MAX_LEVEL)
+            open_axes = {lab: [axis for axis, lev in enumerate(level[lab])
+                               if lev < self.MAX_LEVEL] for lab in labels}
+            left = [lab for lab in labels if open_axes[lab]]
             if not left or stuck > tol * scale:
                 raise QuadratureNotConverged(
                     f"plane quadrature stalled at relative error {total_err / scale:.3g} "
                     f"(target {tol:g})", attained=total_err / scale)
-            lab = max(left, key=largest.get)
-            level[lab] += 1
-            cur = self.piece(lab, level[lab])
-            diff[lab] = np.abs(cur - value[lab])
-            value[lab] = cur
+            lab = max(left, key=lambda lab: math.fsum(largest[lab][axis]
+                                                      for axis in open_axes[lab]))
+            step(lab, max(open_axes[lab], key=largest[lab].__getitem__))
 
 
 def metric_bruteforce(vc: ValidatedConfig, tol: float = 1e-6) -> Metric:
@@ -769,24 +804,29 @@ def metric_bruteforce(vc: ValidatedConfig, tol: float = 1e-6) -> Metric:
 
     Entries with j <= k are integrated on shared grids and mirrored, so
     the result is hermitian by construction.  Each piece of the plane is
-    refined on its own (_BruteForce.run): each disk to level 2 and the far
-    field and each radial panel of the middle to level 1, then the piece
-    with the largest last level difference, one level at a time, until the
-    differences summed over the pieces are at most tol x the largest
-    entry.  The grids are laid out at unit diameter; entry (j, k) and its
-    error, the sum over the pieces of its last level difference, are
-    scaled back by the
-    diameter's power lam^(j + k + 2 - 2 Phi'_T), and error_estimate is the
-    largest scaled error.  An entry that leaves the float range raises
-    NumericalError; a configuration whose differences levels up to
-    _BruteForce.MAX_LEVEL cannot bring under the target raises
-    QuadratureNotConverged.
+    refined on its own (_BruteForce.run): each disk to level 2, the far
+    field to level 1 and each radial panel of the middle to level 1 in its
+    radii and its angles; then the piece with the largest last level
+    differences, one level of one axis at a time (a middle panel's radii
+    or angles, whichever difference is larger), until the differences
+    summed over the pieces and axes are at most tol x the largest entry.
+    The grids are laid out at unit diameter; entry (j, k) and its error,
+    the sum over the pieces and axes of its last level difference, are
+    scaled back by the diameter's power lam^(j + k + 2 - 2 Phi'_T), and
+    error_estimate is the largest scaled error.  The stop rule weighs each
+    entry by that power too, so error_estimate is at most tol x max|g|.
+    An entry that leaves the float range raises NumericalError; a
+    configuration whose differences levels up to _BruteForce.MAX_LEVEL
+    cannot bring under the target raises QuadratureNotConverged.
     """
     counts = _free_mode_counts(vc)
     lam = vc.diameter
     session = _BruteForce(vc.zeta / lam, vc.phi_reduced, counts.D_f)
-    flat, err = session.run(tol)
     power = np.array([j + k + 2.0 for j, k in session.jk]) - 2.0 * session.total_flux
+    # each entry's scale lam^power relative to the largest one, without
+    # leaving the float range
+    log_scale = power * math.log(lam)
+    flat, err = session.run(tol, np.exp(log_scale - log_scale.max()))
     with np.errstate(over="ignore", invalid="ignore"):
         scale = lam ** power
         flat = flat * scale

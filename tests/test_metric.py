@@ -246,22 +246,23 @@ class TestBruteForceWork:
         assert t.min() > 0.0 and t.max() < 1.0
 
     def test_refinement_schedule(self, monkeypatch):
-        # the same grids give the same per-piece schedule: the number of
+        # the same grids give the same per-axis schedule: the number of
         # middle-panel evaluations at the CLI tolerance is pinned (it was
+        # [25, 32, 43] while both axes of a panel moved up together, and
         # [4, 3, 3] whole-middle evaluations while the remainder was one
         # piece)
         middle = metric_module._BruteForce.middle_piece
         calls = []
 
-        def counting(self, *args):
+        def counting(self, *args, **kwargs):
             calls[-1] += 1
-            return middle(self, *args)
+            return middle(self, *args, **kwargs)
 
         monkeypatch.setattr(metric_module._BruteForce, "middle_piece", counting)
         for pos, fluxes in BRUTE_FORCE_BASE:
             calls.append(0)
             metric_bruteforce(validate(FluxConfig(pos, fluxes)), tol=1e-8)
-        assert calls == [25, 32, 43]
+        assert calls == [37, 45, 62]
 
     @pytest.mark.parametrize("pos, fluxes", [
         ([0.0, 1e-3, 0.2 + 0.98j], [0.4, 0.5, 0.6]),        # a tight pair
@@ -339,26 +340,92 @@ class TestBruteForceWork:
 
     def test_piece_at_max_level_leaves_the_others_to_refine(self):
         # disk 0 reaches MAX_LEVEL with the largest difference (6e-7) but
-        # under the target on its own; the middle piece's 5e-7 at level 2
-        # is refined away, so the run converges instead of raising
+        # under the target on its own; the middle panel's angular 5e-7 at
+        # lt = 2 is refined away, so the run converges instead of raising
         session = metric_module._BruteForce(np.array([0.0, 1.0]), np.array([0.4, 0.5]), 1)
-        steps = {("disk", 0): [0.0, 1e-3, 1e-4, 1e-5, 6e-7],
-                 ("mid", 0): [0.0, 1e-3, 5e-7, 1e-12, 0.0]}
+        steps = {("disk", 0): [[0.0, 1e-3, 1e-4, 1e-5, 6e-7]],
+                 ("mid", 0): [[0.0, 1e-13, 0.0, 0.0, 0.0], [0.0, 1e-3, 5e-7, 1e-12, 0.0]]}
         levels = []
 
-        def piece(lab, level):
+        def piece(lab, *level, prev=None):
             levels.append((lab, level))
             base = 1.0 if lab == ("mid", 0) else 0.0
-            return np.array([base + sum(steps.get(lab, [0.0])[:level + 1])], dtype=complex)
+            axes = steps.get(lab, [[0.0] * 5] * len(level))
+            return np.array([base + sum(sum(axis[:lev + 1]) for axis, lev in zip(axes, level))],
+                            dtype=complex)
 
         session.piece = piece
         est, err = session.run(1e-6)
-        assert (("disk", 0), 4) in levels and (("mid", 0), 3) in levels
-        assert err[0] == pytest.approx(6e-7 + 1e-12, rel=1e-6)
-        # with the middle piece stuck as well the target cannot be met
-        steps[("mid", 0)][3:] = [5e-7] * 2
+        assert (("disk", 0), (4,)) in levels and (("mid", 0), (1, 3)) in levels
+        assert err[0] == pytest.approx(6e-7 + 1e-13 + 1e-12, rel=1e-6)
+        # with the middle panel's angles stuck as well the target cannot be
+        # met, and the run refuses once lt reaches MAX_LEVEL, not after
+        # refining the radius as far
+        steps[("mid", 0)][1][3:] = [5e-7] * 2
+        levels.clear()
         with pytest.raises(QuadratureNotConverged):
             session.run(1e-6)
+        assert (("mid", 0), (1, 4)) in levels and (("mid", 0), (2, 4)) not in levels
+
+    def test_each_panel_moves_its_unresolved_axis(self):
+        # the panel whose angular difference dominates moves only lt, the
+        # one whose radial difference dominates only lr, and a NaN
+        # difference counts as unresolved on its axis
+        session = metric_module._BruteForce(np.array([0.0, 1.0]), np.array([0.4, 0.5]), 1)
+        nan = float("nan")
+        steps = {("mid", 0): [[0.0, 1e-9, 0.0, 0.0, 0.0], [0.0, 1e-4, 1e-6, 1e-12, 0.0]],
+                 ("mid", 1): [[0.0, 1e-4, 1e-6, 1e-12, 0.0], [0.0, 1e-9, 0.0, 0.0, 0.0]]}
+        levels = []
+
+        def piece(lab, *level, prev=None):
+            levels.append((lab, level))
+            axes = steps.get(lab, [[0.0] * 5] * len(level))
+            return np.array([1.0 + sum(sum(axis[:lev + 1]) for axis, lev in zip(axes, level))],
+                            dtype=complex)
+
+        def reached(lab):
+            return max(level for seen, level in levels if seen == lab)
+
+        session.piece = piece
+        session.run(1e-8)
+        # both start on (0, 0), (1, 0) and (1, 1)
+        assert reached(("mid", 0)) == (1, 3) and reached(("mid", 1)) == (3, 1)
+        assert all(level[0] <= 1 for lab, level in levels if lab == ("mid", 0))
+        assert all(level[1] <= 1 for lab, level in levels if lab == ("mid", 1))
+        # a NaN radial difference wins over any finite angular one
+        steps[("mid", 0)][0][1] = nan
+        levels.clear()
+        with pytest.raises(QuadratureNotConverged):
+            session.run(1e-8)
+        assert (("mid", 0), (2, 1)) in levels
+
+    @pytest.mark.parametrize("pos, fluxes", BRUTE_FORCE_BASE)
+    def test_angles_are_nested(self, pos, fluxes):
+        # the periodic trapezoid rule on 2 nt angles is half the rule on nt
+        # plus the sum over the odd angles, which is all a step of lt costs;
+        # the two sides add the same terms in another order, which moves
+        # the N = 6 panels' entries by up to 1.6e-15 of the largest one
+        vc = validate(FluxConfig(pos, fluxes))
+        session = metric_module._BruteForce(vc.zeta / vc.diameter, vc.phi_reduced,
+                                            vc.counts.D_f)
+        nt = 128 * session.nt_boost
+        for i in range(len(session.panels)):
+            for nr in (24, 48):
+                ref = session.middle_piece(i, nr, 2 * nt)
+                got = 0.5 * session.middle_piece(i, nr, nt) + session.middle_piece(
+                    i, nr, 2 * nt, half=True)
+                assert np.abs(got - ref).max() <= 5e-15 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("tol", [1e-7, 1e-8])
+    @pytest.mark.parametrize("pos, fluxes", BRUTE_FORCE_BASE)
+    def test_error_estimate_bounds_the_error_on_the_cli_configurations(self, pos, fluxes,
+                                                                        tol):
+        # each panel's estimate is the sum of its two axes' last
+        # differences, and the reported one is at most tol x max|g|
+        vc = validate(FluxConfig(pos, fluxes))
+        bf = metric_bruteforce(vc, tol=tol)
+        ref = metric_factorized(vc, tol=1e-12).g
+        assert np.abs(bf.g - ref).max() <= bf.error_estimate <= tol * np.abs(bf.g).max()
 
     @pytest.mark.parametrize("pos, fluxes", BRUTE_FORCE_BASE)
     def test_middle_panels_sum_to_the_whole_middle(self, pos, fluxes):
