@@ -225,6 +225,24 @@ BRUTE_FORCE_BASE = [
 ]
 
 
+def mock_pieces(session, steps):
+    """Replace session.piece by per-axis steps: piece lab at levels
+    (l0, l1, ...) sums steps[lab][axis][:l + 1] over its axes, plus 1 for
+    ("mid", 0); a label without steps has none.  Returns the list of the
+    (lab, levels) it is called with."""
+    levels = []
+
+    def piece(lab, *level, prev=None):
+        levels.append((lab, level))
+        base = 1.0 if lab == ("mid", 0) else 0.0
+        axes = steps.get(lab, [[0.0] * 5] * len(level))
+        return np.array([base + sum(sum(axis[:lev + 1]) for axis, lev in zip(axes, level))],
+                        dtype=complex)
+
+    session.piece = piece
+    return levels
+
+
 class TestBruteForceWork:
     def test_bump_runs_only_on_its_ring(self, monkeypatch):
         # each bump is exactly 1 inside r_in and 0 outside r_out, so the
@@ -345,16 +363,7 @@ class TestBruteForceWork:
         session = metric_module._BruteForce(np.array([0.0, 1.0]), np.array([0.4, 0.5]), 1)
         steps = {("disk", 0): [[0.0, 1e-3, 1e-4, 1e-5, 6e-7]],
                  ("mid", 0): [[0.0, 1e-13, 0.0, 0.0, 0.0], [0.0, 1e-3, 5e-7, 1e-12, 0.0]]}
-        levels = []
-
-        def piece(lab, *level, prev=None):
-            levels.append((lab, level))
-            base = 1.0 if lab == ("mid", 0) else 0.0
-            axes = steps.get(lab, [[0.0] * 5] * len(level))
-            return np.array([base + sum(sum(axis[:lev + 1]) for axis, lev in zip(axes, level))],
-                            dtype=complex)
-
-        session.piece = piece
+        levels = mock_pieces(session, steps)
         est, err = session.run(1e-6)
         assert (("disk", 0), (4,)) in levels and (("mid", 0), (1, 3)) in levels
         assert err[0] == pytest.approx(6e-7 + 1e-13 + 1e-12, rel=1e-6)
@@ -375,18 +384,11 @@ class TestBruteForceWork:
         nan = float("nan")
         steps = {("mid", 0): [[0.0, 1e-9, 0.0, 0.0, 0.0], [0.0, 1e-4, 1e-6, 1e-12, 0.0]],
                  ("mid", 1): [[0.0, 1e-4, 1e-6, 1e-12, 0.0], [0.0, 1e-9, 0.0, 0.0, 0.0]]}
-        levels = []
-
-        def piece(lab, *level, prev=None):
-            levels.append((lab, level))
-            axes = steps.get(lab, [[0.0] * 5] * len(level))
-            return np.array([1.0 + sum(sum(axis[:lev + 1]) for axis, lev in zip(axes, level))],
-                            dtype=complex)
+        levels = mock_pieces(session, steps)
 
         def reached(lab):
             return max(level for seen, level in levels if seen == lab)
 
-        session.piece = piece
         session.run(1e-8)
         # both start on (0, 0), (1, 0) and (1, 1)
         assert reached(("mid", 0)) == (1, 3) and reached(("mid", 1)) == (3, 1)
