@@ -8,10 +8,11 @@ Brute force evaluates the plane integral directly.  The plane is split
 with a smooth partition of unity into (i) a neighborhood of each fluxon,
 integrated in local polar coordinates with a Gauss-Jacobi radial rule
 that absorbs the r^(1 - 2 phi') power, (ii) a far field mapped by
-v = R0 / r onto [0, 1] with the power-law tail absorbed the same way,
-and (iii) the smooth remainder on panelled polar grids.  Every piece
-then has a smooth integrand on a simple domain, so refinement converges
-fast and the cross-validation below is meaningful.  The pieces are
+v = R0 / r onto [0, 1], where one Gauss-Jacobi weight, the decay of the
+largest entry, leaves each entry an integer power of v, and (iii) the
+smooth remainder on radial panels.  Every piece is then one polar grid
+with a smooth integrand, so refinement converges fast and the
+cross-validation below is meaningful.  The pieces are
 integrated at unit diameter and scaled back exactly, by
 g_jk(lam zeta) = lam^(j + k + 2 - 2 Phi'_T) g_jk(zeta) for real lam > 0,
 so no scale of the configuration can overflow a grid weight.
@@ -497,20 +498,36 @@ class _Work:
         return self
 
 
+@dataclass(frozen=True)
+class _Piece:
+    """One polar grid of the brute-force plane: radii lo to hi about
+    centre (_BruteForce.radii: Gauss-Jacobi of weight t^beta, or
+    Gauss-Legendre where beta is None), the fluxons whose bump rings it
+    meets, its own fluxon (or None), and its fixed number of angles (or
+    None where the angles refine)."""
+
+    centre: complex
+    lo: float
+    hi: float
+    beta: float | None
+    rings: tuple
+    own: int | None
+    nt: int | None
+
+
 class _BruteForce:
     """One quadrature session: geometry, refinement state, piece sums.
 
-    The pieces are each disk, the far field and each radial panel of the
-    middle; each has its own refinement level (run), a middle panel one for
-    its radii and one for its angles, so a piece is refined only while its
-    level differences are the largest ones left, and a panel only along
-    its unresolved axis.  The pieces
-    run over their grids in chunks of up to ANGULAR_CHUNK angles, on one
-    set of work arrays (_Work) that the session grows only when a chunk is
-    larger than every chunk before it."""
+    The pieces are each disk, each radial panel of the remainder out to R0
+    and the far field as the last panel, each a polar grid (_Piece) summed
+    by grid.  A disk and the far field run at FIXED_ANGLES angles and
+    refine their radii; a remainder panel refines its radii and its angles
+    (run).  The pieces run over their grids in chunks of up to
+    ANGULAR_CHUNK angles, on one set of work arrays (_Work) that the
+    session grows only when a chunk is larger than every chunk before it."""
 
     ANGULAR_CHUNK = 128
-    DISK_ANGLES = 64
+    FIXED_ANGLES = 64
     MAX_LEVEL = 4
 
     def __init__(self, zetas, phis, n_cols):
@@ -543,9 +560,17 @@ class _BruteForce:
             brk.update(float(x) for x in (reach[a][0], ra, reach[a][1])
                        if 1e-12 * self.R0 < x < self.R0)
         brk = sorted(brk)
-        self.panels = [(lo, hi, [b for b, (lo_b, hi_b) in enumerate(reach)
-                                 if lo < hi_b and hi > lo_b])
-                       for lo, hi in zip(brk[:-1], brk[1:])]
+        # the far field's Jacobi weight v^alpha, v = R0 / r, is the decay of
+        # its largest entry, j = k = D_f - 1, and > -1 since D_f < Phi'_T;
+        # entry (j, k) is left with the integer power v^(2 (D_f - 1) - j - k)
+        alpha = 2.0 * self.total_flux - 2.0 * (n_cols - 1) - 3.0
+        self.pieces = (
+            [_Piece(zetas[a], 0.0, self.r_out[a], 1.0 - 2.0 * phis[a], (a,), a,
+                    self.FIXED_ANGLES) for a in range(n)]
+            + [_Piece(self.center, lo, hi, None,
+                      tuple(b for b, (lo_b, hi_b) in enumerate(reach) if lo < hi_b and hi > lo_b),
+                      None, None) for lo, hi in zip(brk[:-1], brk[1:])]
+            + [_Piece(self.center, self.R0, math.inf, alpha, (), None, self.FIXED_ANGLES)])
         self._work = _Work(0, n_cols)
 
     def _chunk(self, shape):
@@ -622,105 +647,69 @@ class _BruteForce:
             out.extend(complex(*(row @ parts[d])) for d in range(1, self.n_cols - j))
         return np.array(out, dtype=complex)
 
-    def disk_piece(self, a, nr, nt):
-        """Bump-weighted neighborhood of fluxon a in local polar
-        coordinates; Jacobi weight absorbs r^(1 - 2 phi_a)."""
-        beta = 1.0 - 2.0 * self.phis[a]
-        r, wr = gauss_jacobi01(nr, beta)
-        r = r * self.r_out[a]
-        wr = wr * self.r_out[a] ** (beta + 1.0)
-        th = trapezoid_angles(nt)
-        eith = np.exp(1j * th)
-        wt = np.full(nt, TWO_PI / nt)
-        total = np.zeros(len(self.jk), dtype=complex)
-        for lo in range(0, nt, self.ANGULAR_CHUNK):
-            sl = slice(lo, min(lo + self.ANGULAR_CHUNK, nt))
-            w = self._chunk((nr, sl.stop - lo))
-            np.multiply(r[:, None], eith[sl], out=w.z)
-            w.z += self.zetas[a]
-            # the bump disks are disjoint (r_out < dnn / 2), so the bump
-            # sum on this disk is fluxon a's own bump
-            self._weight(w, (a,), skip=a)
-            w.chi *= np.exp(w.logw, out=w.logw)
-            w.chi *= wr[:, None]
-            w.chi *= wt[sl]
-            total += self._contract(w, w.chi)
-        return total
+    @staticmethod
+    def radii(p, nr):
+        """nr radii of piece p and their weights for r dr: Gauss-Legendre
+        on a remainder panel; on a disk Gauss-Jacobi in t = r / hi, which
+        absorbs the own fluxon's r^(1 - 2 phi'_a); on the far field
+        (hi = inf) Gauss-Jacobi in v = lo / r, r dr = lo^2 v^(-3) dv."""
+        if p.beta is None:
+            x, w = gauss_legendre(nr)
+            r = p.lo + (p.hi - p.lo) * x
+            return r, r * (w * (p.hi - p.lo))
+        t, w = gauss_jacobi01(nr, p.beta)
+        if p.hi == math.inf:
+            return p.lo / t, w * (p.lo ** 2 * t ** (-3.0 - p.beta))
+        return t * p.hi, w * p.hi ** (p.beta + 1.0)
 
-    def far_piece(self, nr, nt):
-        """r > R0 in polar coordinates about the centroid, radial variable
-        v = R0 / r, tail power absorbed into a Jacobi weight per entry."""
-        th = trapezoid_angles(nt)
-        wt = np.full(nt, TWO_PI / nt)
-        rel = (self.zetas - self.center) / self.R0
-        out = np.empty(len(self.jk), dtype=complex)
-        eith = np.exp(1j * th)
-        for i, (j, k) in enumerate(self.jk):
-            alpha = 2.0 * self.total_flux - j - k - 3.0
-            v, wv = gauss_jacobi01(nr, alpha)
-            rr = self.R0 / v
-            z = self.center + rr[:, None] * eith[None, :]
-            logw = np.zeros((nr, nt))
-            for zc, ph in zip(rel, self.phis):
-                if ph != 0.0:
-                    logw -= 2.0 * ph * np.log(np.abs(1.0 - zc * np.exp(-1j * th)[None, :] * v[:, None]))
-            smooth = np.exp(logw) * np.conj(z) ** j * z ** k / rr[:, None] ** (j + k)
-            out[i] = (self.R0 ** (j + k + 2.0 - 2.0 * self.total_flux)
-                      * np.einsum("i,it,t->", wv, smooth, wt))
-        return out
-
-    def middle_piece(self, i, nr, nt, half=False):
-        """Smooth remainder (1 - sum chi) * weight on radial panel i of the
-        disk |z - c| <= R0, in polar coordinates; the panel tests only the
-        bump rings it meets, which self.panels lists.
+    def grid(self, p, nr, nt, half=False):
+        """Sum of piece p on nr radii (radii) times nt trapezoid angles
+        about its centre: prod_{b != own} |z - zeta_b|^(-2 phi'_b) times
+        p's share of the partition of unity, its own fluxon's bump or else
+        1 - sum chi over the rings it meets, contracted by _contract.
 
         With half, only the odd angles of the nt-angle grid are summed, at
         its weights 2 pi / nt: the periodic trapezoid rule is nested, so the
         nt-angle sum is half the (nt / 2)-angle sum plus this one."""
-        lo_r, hi_r, rings = self.panels[i]
+        r, wr = self.radii(p, nr)
         th = trapezoid_angles(nt)
         if half:
             th = th[1::2]
         eith = np.exp(1j * th)
-        x, w = gauss_legendre(nr)
-        r = lo_r + (hi_r - lo_r) * x
-        rwr = r * (w * (hi_r - lo_r))
         total = np.zeros(len(self.jk), dtype=complex)
         for lo in range(0, len(th), self.ANGULAR_CHUNK):
             sl = slice(lo, min(lo + self.ANGULAR_CHUNK, len(th)))
-            work = self._chunk((nr, sl.stop - lo))
-            np.multiply(r[:, None], eith[sl], out=work.z)
-            work.z += self.center
-            self._weight(work, rings)
-            weights = np.exp(work.logw, out=work.logw)
-            if rings:
-                np.subtract(1.0, work.chi, out=work.chi)
-                work.chi *= weights
-                weights = work.chi
-            weights *= rwr[:, None]
+            w = self._chunk((nr, sl.stop - lo))
+            np.multiply(r[:, None], eith[sl], out=w.z)
+            w.z += p.centre
+            self._weight(w, p.rings, skip=p.own)
+            weights = np.exp(w.logw, out=w.logw)
+            # the bump disks are disjoint (r_out < dnn / 2), so the bump
+            # sum on a disk is its own fluxon's bump
+            if p.rings:
+                if p.own is None:
+                    np.subtract(1.0, w.chi, out=w.chi)
+                w.chi *= weights
+                weights = w.chi
+            weights *= wr[:, None]
             weights *= TWO_PI / nt
-            total += self._contract(work, weights)
+            total += self._contract(w, weights)
         return total
 
     # -- assembly ----------------------------------------------------------
 
-    def piece(self, lab, level, lt=None, prev=None):
-        """Sum of piece lab, ("disk", a), ("far", None) or ("mid", i) for
-        radial panel i of the remainder, on the grids of refinement level
-        `level`.  A middle panel has 24 x 2^level Gauss-Legendre radii and
-        128 x nt_boost x 2^lt trapezoid angles, lt = level by default; prev,
-        its sum at (level, lt - 1), is reused: only the odd angles are
-        evaluated."""
-        kind, a = lab
-        nr = 24 * 2 ** level
-        if kind == "disk":
-            return self.disk_piece(a, nr, self.DISK_ANGLES)
-        if kind == "far":
-            return self.far_piece(min(nr, 96), 64 * 2 ** level)
-        nt = 128 * self.nt_boost * 2 ** (level if lt is None else lt)
+    def piece(self, i, lr, lt=0, prev=None):
+        """Sum of piece i on the grids of radial level lr, 24 x 2^lr radii,
+        and of angular level lt: a remainder panel has
+        128 x nt_boost x 2^lt angles, the other pieces their fixed nt.
+        prev, a panel's sum at (lr, lt - 1), is reused: only the odd angles
+        are evaluated."""
+        p = self.pieces[i]
+        nr = 24 * 2 ** lr
+        nt = p.nt or 128 * self.nt_boost * 2 ** lt
         if prev is None:
-            return self.middle_piece(a, nr, nt)
-        return 0.5 * prev + self.middle_piece(a, nr, nt, half=True)
+            return self.grid(p, nr, nt)
+        return 0.5 * prev + self.grid(p, nr, nt, half=True)
 
     def run(self, tol, weights=1.0):
         """Piece sums refined one axis of one piece at a time until the last
@@ -730,18 +719,19 @@ class _BruteForce:
         caller's units (one per entry, at most 1), so that the bound holds
         there entry by entry.
 
-        A disk and the far field have one axis, a middle panel two: its
-        radial and its angular level, each with its own last difference.
-        Each disk first runs levels 0, 1 and 2: on the disk of an edge flux
-        0.999 the difference L1 - L0 under-reads the next one (4.6e-7
-        against 1.7e-6), so a disk's first difference is not trusted.  The
-        far field starts from its level-1 difference (it is at round-off
-        on 45 probed configurations).  A middle panel runs (0, 0), (1, 0)
-        and (1, 1), the last from the odd angles alone: the grid and the
-        work of one level-1 step of both axes, whose difference over-read
-        the next one by at least 8x for the whole middle on those
-        configurations, and by the triangle inequality the two axes'
-        differences sum to at least that one difference.  Then, of the
+        A fixed-angle piece (a disk or the far field) has one axis, its
+        radii; a remainder panel two: its radial and its angular level,
+        each with its own last difference.  A fixed-angle piece first runs
+        levels 0, 1 and 2: on the disk of an edge flux 0.999 the difference
+        L1 - L0 under-reads the next one (4.6e-7 against 1.7e-6), so its
+        first difference is not trusted; the far field, near round-off from
+        its first grid, costs 96 x 64 points at level 2.  A panel runs
+        (0, 0), (1, 0) and (1, 1), the last from the odd angles alone: the
+        grid and the work of one level-1 step of both axes, whose difference
+        over-read the next one by at least 8x for the whole remainder on 45
+        probed configurations with edge fluxes, and by the triangle
+        inequality the two axes' differences sum to at least that one
+        difference.  Then, of the
         pieces with an axis below MAX_LEVEL, the one whose differences on
         those axes sum largest moves up one level on the axis of the
         larger one: the errors of a panel add by axis, and most panels are
@@ -754,49 +744,43 @@ class _BruteForce:
         Returns the entries, each piece at its latest levels, and, per
         entry, the sum over the pieces and axes of its last level
         difference."""
-        labels = ([("disk", a) for a in range(len(self.zetas))] + [("far", None)]
-                  + [("mid", i) for i in range(len(self.panels))])
-        level, value, diff = {}, {}, {}
+        level = [[0] * (1 if p.nt else 2) for p in self.pieces]
+        diff = [[None] * len(lev) for lev in level]
+        value = [self.piece(i, *lev) for i, lev in enumerate(level)]
 
-        def step(lab, axis):
-            # axis 1 is a middle panel's angles, which are nested
-            level[lab][axis] += 1
-            cur = self.piece(lab, *level[lab], prev=value[lab] if axis else None)
-            diff[lab][axis] = np.abs(cur - value[lab])
-            value[lab] = cur
+        def step(i, axis):
+            # axis 1 is a panel's angles, which are nested
+            level[i][axis] += 1
+            cur = self.piece(i, *level[i], prev=value[i] if axis else None)
+            diff[i][axis] = np.abs(cur - value[i])
+            value[i] = cur
 
-        for lab in labels:
-            # the axes of the first steps: a disk to level 2, the far field
-            # to level 1, a middle panel to (1, 0) and then (1, 1)
-            start = {"disk": (0, 0), "far": (0,), "mid": (0, 1)}[lab[0]]
-            level[lab] = [0] * (2 if lab[0] == "mid" else 1)
-            diff[lab] = [None] * len(level[lab])
-            value[lab] = self.piece(lab, *level[lab])
-            for axis in start:
-                step(lab, axis)
+        for i, lev in enumerate(level):
+            # the axes of the first steps: one axis to level 2, two axes to
+            # (1, 0) and then (1, 1)
+            for axis in {1: (0, 0), 2: (0, 1)}[len(lev)]:
+                step(i, axis)
         while True:
-            est = sum(value.values())
+            est = sum(value)
             scale = max(float((np.abs(est) * weights).max()), 1e-300)
             # a NaN difference counts as unresolved on its axis
-            largest = {lab: [float(np.fmin((d * weights).max(), np.inf)) for d in diff[lab]]
-                       for lab in labels}
-            total_err = math.fsum(e for lab in labels for e in largest[lab])
+            largest = [[float(np.fmin((d * weights).max(), np.inf)) for d in ds] for ds in diff]
+            total_err = math.fsum(e for row in largest for e in row)
             if total_err <= tol * scale:
-                return est, sum(d for lab in labels for d in diff[lab])
+                return est, sum(d for ds in diff for d in ds)
             # refining the other axes leaves the differences of the axes at
             # MAX_LEVEL where they are
-            stuck = math.fsum(e for lab in labels for e, lev in zip(largest[lab], level[lab])
-                              if lev == self.MAX_LEVEL)
-            open_axes = {lab: [axis for axis, lev in enumerate(level[lab])
-                               if lev < self.MAX_LEVEL] for lab in labels}
-            left = [lab for lab in labels if open_axes[lab]]
+            stuck = math.fsum(e for row, lev in zip(largest, level)
+                              for e, at in zip(row, lev) if at == self.MAX_LEVEL)
+            open_axes = [[axis for axis, at in enumerate(lev) if at < self.MAX_LEVEL]
+                         for lev in level]
+            left = [i for i, axes in enumerate(open_axes) if axes]
             if not left or stuck > tol * scale:
                 raise QuadratureNotConverged(
                     f"plane quadrature stalled at relative error {total_err / scale:.3g} "
                     f"(target {tol:g})", attained=total_err / scale)
-            lab = max(left, key=lambda lab: math.fsum(largest[lab][axis]
-                                                      for axis in open_axes[lab]))
-            step(lab, max(open_axes[lab], key=largest[lab].__getitem__))
+            i = max(left, key=lambda i: math.fsum(largest[i][axis] for axis in open_axes[i]))
+            step(i, max(open_axes[i], key=largest[i].__getitem__))
 
 
 def metric_bruteforce(vc: ValidatedConfig, tol: float = 1e-6) -> Metric:
@@ -804,11 +788,11 @@ def metric_bruteforce(vc: ValidatedConfig, tol: float = 1e-6) -> Metric:
 
     Entries with j <= k are integrated on shared grids and mirrored, so
     the result is hermitian by construction.  Each piece of the plane is
-    refined on its own (_BruteForce.run): each disk to level 2, the far
-    field to level 1 and each radial panel of the middle to level 1 in its
-    radii and its angles; then the piece with the largest last level
-    differences, one level of one axis at a time (a middle panel's radii
-    or angles, whichever difference is larger), until the differences
+    refined on its own (_BruteForce.run): each disk and the far field to
+    level 2 in its radii, each radial panel of the remainder to level 1 in
+    its radii and its angles; then the piece with the largest last level
+    differences, one level of one axis at a time (a panel's radii or
+    angles, whichever difference is larger), until the differences
     summed over the pieces and axes are at most tol x the largest entry.
     The grids are laid out at unit diameter; entry (j, k) and its error,
     the sum over the pieces and axes of its last level difference, are

@@ -225,17 +225,48 @@ BRUTE_FORCE_BASE = [
 ]
 
 
+# the far field's one Jacobi exponent on the cli-session N = 6 base
+# (D_f = 2), at D_f = 4 and near the threshold Phi'_T = D_f
+FAR_CASES = [
+    BRUTE_FORCE_BASE[2],
+    ([0.0, 1 + 0.3j, 0.4 + 1.2j, -0.7 + 0.8j, 0.9 + 1.9j], [0.9] * 5),
+    ([0.0, 1.0, 0.3 + 0.8j], [0.7, 0.7, 0.6011]),
+]
+
+
+def per_entry_far_field(session, nr, nt):
+    """The far field r > R0 with a Gauss-Jacobi rule in v = R0 / r per
+    entry (j, k), of weight v^(2 Phi'_T - j - k - 3), which absorbs that
+    entry's own decay, and each fluxon's factor relative to the centre."""
+    th = 2.0 * np.pi * np.arange(nt) / nt
+    eith = np.exp(1j * th)
+    rel = (session.zetas - session.center) / session.R0
+    out = np.empty(len(session.jk), dtype=complex)
+    for i, (j, k) in enumerate(session.jk):
+        v, wv = metric_module.gauss_jacobi01(nr, 2.0 * session.total_flux - j - k - 3.0)
+        rr = session.R0 / v
+        z = session.center + rr[:, None] * eith
+        logw = np.zeros((nr, nt))
+        for zc, ph in zip(rel, session.phis):
+            logw -= 2.0 * ph * np.log(np.abs(1.0 - zc * np.conj(eith) * v[:, None]))
+        smooth = np.exp(logw) * np.conj(z) ** j * z ** k / rr[:, None] ** (j + k)
+        out[i] = (session.R0 ** (j + k + 2.0 - 2.0 * session.total_flux)
+                  * (wv @ (smooth @ np.full(nt, 2.0 * np.pi / nt))))
+    return out
+
+
 def mock_pieces(session, steps):
-    """Replace session.piece by per-axis steps: piece lab at levels
-    (l0, l1, ...) sums steps[lab][axis][:l + 1] over its axes, plus 1 for
-    ("mid", 0); a label without steps has none.  Returns the list of the
-    (lab, levels) it is called with."""
+    """Replace session.piece by per-axis steps: piece i at levels
+    (l0, l1, ...) sums steps[i][axis][:l + 1] over its axes, plus 1 for
+    the first remainder panel, piece len(session.zetas); a piece without
+    steps has none.  Returns the list of the (i, levels) it is called
+    with."""
     levels = []
 
-    def piece(lab, *level, prev=None):
-        levels.append((lab, level))
-        base = 1.0 if lab == ("mid", 0) else 0.0
-        axes = steps.get(lab, [[0.0] * 5] * len(level))
+    def piece(i, *level, prev=None):
+        levels.append((i, level))
+        base = 1.0 if i == len(session.zetas) else 0.0
+        axes = steps.get(i, [[0.0] * 5] * len(level))
         return np.array([base + sum(sum(axis[:lev + 1]) for axis, lev in zip(axes, level))],
                         dtype=complex)
 
@@ -265,18 +296,15 @@ class TestBruteForceWork:
 
     def test_refinement_schedule(self, monkeypatch):
         # the same grids give the same per-axis schedule: the number of
-        # middle-panel evaluations at the CLI tolerance is pinned (it was
-        # [25, 32, 43] while both axes of a panel moved up together, and
-        # [4, 3, 3] whole-middle evaluations while the remainder was one
-        # piece)
-        middle = metric_module._BruteForce.middle_piece
+        # remainder-panel evaluations at the CLI tolerance is pinned
+        grid = metric_module._BruteForce.grid
         calls = []
 
-        def counting(self, *args, **kwargs):
-            calls[-1] += 1
-            return middle(self, *args, **kwargs)
+        def counting(self, p, *args, **kwargs):
+            calls[-1] += p.nt is None
+            return grid(self, p, *args, **kwargs)
 
-        monkeypatch.setattr(metric_module._BruteForce, "middle_piece", counting)
+        monkeypatch.setattr(metric_module._BruteForce, "grid", counting)
         for pos, fluxes in BRUTE_FORCE_BASE:
             calls.append(0)
             metric_bruteforce(validate(FluxConfig(pos, fluxes)), tol=1e-8)
@@ -285,18 +313,37 @@ class TestBruteForceWork:
     @pytest.mark.parametrize("pos, fluxes", [
         ([0.0, 1e-3, 0.2 + 0.98j], [0.4, 0.5, 0.6]),        # a tight pair
         ([0.0, 0.3 + 1.0j, -0.2 + 2.2j], [0.999, 0.4, 0.3]),  # an edge flux
-    ])
-    def test_disk_angles_are_converged(self, pos, fluxes):
+    ] + FAR_CASES)
+    def test_fixed_angle_pieces_are_converged(self, pos, fluxes):
         # on its disk a fluxon's bump is radial and the other fluxons lie
-        # beyond r_out / 0.45, so the periodic trapezoid rule in the angle
-        # converges like 0.45^n: 64 angles agree with 512 to round-off
+        # beyond r_out / 0.45, and beyond R0 every |zeta_b - c| / r is at
+        # most 1/2, so the periodic trapezoid rule in the angle converges
+        # like 0.45^n and 2^-n: 64 angles agree with 512 to round-off
         vc = validate(FluxConfig(pos, fluxes))
         session = metric_module._BruteForce(vc.zeta / vc.diameter, vc.phi_reduced,
                                             vc.counts.D_f)
-        for a in range(len(pos)):
-            for nr in (24, 96):
-                d64, d512 = session.disk_piece(a, nr, 64), session.disk_piece(a, nr, 512)
+        fixed = [p for p in session.pieces if p.nt is not None]
+        assert len(fixed) == len(pos) + 1
+        for p in fixed:
+            for nr in (24, 48, 96):
+                d64, d512 = session.grid(p, nr, 64), session.grid(p, nr, 512)
                 assert np.abs(d64 - d512).max() <= 1e-14 * np.abs(d512).max()
+
+    @pytest.mark.parametrize("pos, fluxes", FAR_CASES)
+    def test_far_panel_matches_the_per_entry_jacobi_rule(self, pos, fluxes):
+        # the far field's one Jacobi exponent leaves entry (j, k) an integer
+        # power of v = R0 / r; the reference gives each entry the exponent
+        # of its own decay.  The grid takes the weight as exp of a log sum
+        # of size 2 Phi'_T log(r), which rounds to 6.7e-15 near the threshold
+        vc = validate(FluxConfig(pos, fluxes))
+        session = metric_module._BruteForce(vc.zeta / vc.diameter, vc.phi_reduced,
+                                            vc.counts.D_f)
+        far = session.pieces[-1]
+        assert far.hi == math.inf and far.beta > -1.0
+        for nr in (48, 96):
+            ref = per_entry_far_field(session, nr, 64)
+            got = session.grid(far, nr, 64)
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_sessions_share_no_buffer_state(self):
         # each session grows its own work arrays; runs in either order give
@@ -361,20 +408,21 @@ class TestBruteForceWork:
         # under the target on its own; the middle panel's angular 5e-7 at
         # lt = 2 is refined away, so the run converges instead of raising
         session = metric_module._BruteForce(np.array([0.0, 1.0]), np.array([0.4, 0.5]), 1)
-        steps = {("disk", 0): [[0.0, 1e-3, 1e-4, 1e-5, 6e-7]],
-                 ("mid", 0): [[0.0, 1e-13, 0.0, 0.0, 0.0], [0.0, 1e-3, 5e-7, 1e-12, 0.0]]}
+        mid = len(session.zetas)
+        steps = {0: [[0.0, 1e-3, 1e-4, 1e-5, 6e-7]],
+                 mid: [[0.0, 1e-13, 0.0, 0.0, 0.0], [0.0, 1e-3, 5e-7, 1e-12, 0.0]]}
         levels = mock_pieces(session, steps)
         est, err = session.run(1e-6)
-        assert (("disk", 0), (4,)) in levels and (("mid", 0), (1, 3)) in levels
+        assert (0, (4,)) in levels and (mid, (1, 3)) in levels
         assert err[0] == pytest.approx(6e-7 + 1e-13 + 1e-12, rel=1e-6)
         # with the middle panel's angles stuck as well the target cannot be
         # met, and the run refuses once lt reaches MAX_LEVEL, not after
         # refining the radius as far
-        steps[("mid", 0)][1][3:] = [5e-7] * 2
+        steps[mid][1][3:] = [5e-7] * 2
         levels.clear()
         with pytest.raises(QuadratureNotConverged):
             session.run(1e-6)
-        assert (("mid", 0), (1, 4)) in levels and (("mid", 0), (2, 4)) not in levels
+        assert (mid, (1, 4)) in levels and (mid, (2, 4)) not in levels
 
     def test_each_panel_moves_its_unresolved_axis(self):
         # the panel whose angular difference dominates moves only lt, the
@@ -382,24 +430,25 @@ class TestBruteForceWork:
         # difference counts as unresolved on its axis
         session = metric_module._BruteForce(np.array([0.0, 1.0]), np.array([0.4, 0.5]), 1)
         nan = float("nan")
-        steps = {("mid", 0): [[0.0, 1e-9, 0.0, 0.0, 0.0], [0.0, 1e-4, 1e-6, 1e-12, 0.0]],
-                 ("mid", 1): [[0.0, 1e-4, 1e-6, 1e-12, 0.0], [0.0, 1e-9, 0.0, 0.0, 0.0]]}
+        mid0, mid1 = len(session.zetas), len(session.zetas) + 1
+        steps = {mid0: [[0.0, 1e-9, 0.0, 0.0, 0.0], [0.0, 1e-4, 1e-6, 1e-12, 0.0]],
+                 mid1: [[0.0, 1e-4, 1e-6, 1e-12, 0.0], [0.0, 1e-9, 0.0, 0.0, 0.0]]}
         levels = mock_pieces(session, steps)
 
-        def reached(lab):
-            return max(level for seen, level in levels if seen == lab)
+        def reached(i):
+            return max(level for seen, level in levels if seen == i)
 
         session.run(1e-8)
         # both start on (0, 0), (1, 0) and (1, 1)
-        assert reached(("mid", 0)) == (1, 3) and reached(("mid", 1)) == (3, 1)
-        assert all(level[0] <= 1 for lab, level in levels if lab == ("mid", 0))
-        assert all(level[1] <= 1 for lab, level in levels if lab == ("mid", 1))
+        assert reached(mid0) == (1, 3) and reached(mid1) == (3, 1)
+        assert all(level[0] <= 1 for i, level in levels if i == mid0)
+        assert all(level[1] <= 1 for i, level in levels if i == mid1)
         # a NaN radial difference wins over any finite angular one
-        steps[("mid", 0)][0][1] = nan
+        steps[mid0][0][1] = nan
         levels.clear()
         with pytest.raises(QuadratureNotConverged):
             session.run(1e-8)
-        assert (("mid", 0), (2, 1)) in levels
+        assert (mid0, (2, 1)) in levels
 
     @pytest.mark.parametrize("pos, fluxes", BRUTE_FORCE_BASE)
     def test_angles_are_nested(self, pos, fluxes):
@@ -411,11 +460,12 @@ class TestBruteForceWork:
         session = metric_module._BruteForce(vc.zeta / vc.diameter, vc.phi_reduced,
                                             vc.counts.D_f)
         nt = 128 * session.nt_boost
-        for i in range(len(session.panels)):
+        for p in session.pieces:
+            if p.nt is not None:
+                continue
             for nr in (24, 48):
-                ref = session.middle_piece(i, nr, 2 * nt)
-                got = 0.5 * session.middle_piece(i, nr, nt) + session.middle_piece(
-                    i, nr, 2 * nt, half=True)
+                ref = session.grid(p, nr, 2 * nt)
+                got = 0.5 * session.grid(p, nr, nt) + session.grid(p, nr, 2 * nt, half=True)
                 assert np.abs(got - ref).max() <= 5e-15 * np.abs(ref).max()
 
     @pytest.mark.parametrize("tol", [1e-7, 1e-8])
@@ -467,7 +517,8 @@ class TestBruteForceWork:
         for level in (0, 1):
             nr, nt = 24 * 2 ** level, 128 * 2 ** level * session.nt_boost
             ref = whole_middle(session, nr, nt)
-            got = sum(session.piece(("mid", i), level) for i in range(len(session.panels)))
+            got = sum(session.piece(i, level, level) for i, p in enumerate(session.pieces)
+                      if p.nt is None)
             assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
 
     def test_tight_pair_refuses(self):

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+import numpy as np
+
 import fluxholo
 from fluxholo import _quad, cli, config, errors, metric, monodromy, special, transport
 from fluxholo.cli import main
@@ -78,6 +80,12 @@ def test_removed_names_stay_gone():
     assert not hasattr(metric._Legs, "_breakpoints")
     assert not hasattr(metric, "_factorized_metrics")
     assert "strict" not in {f.name for f in dataclasses.fields(config.ValidatedConfig)}
+    # every brute-force piece is a polar grid (_BruteForce.grid): the disks,
+    # the remainder panels and the far field, the last panel
+    for name in ("disk_piece", "far_piece", "middle_piece", "DISK_ANGLES"):
+        assert not hasattr(metric._BruteForce, name)
+    session = metric._BruteForce(np.array([0.0, 1.0]), np.array([0.4, 0.5]), 1)
+    assert not hasattr(session, "panels")
 
 
 # Prints, as JSON, the scipy modules loaded after each step.  The steps
