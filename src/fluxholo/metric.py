@@ -4,16 +4,17 @@ The metric in the monomial basis z^j psi_0 is
 
     g_jk = int zbar^j z^k prod_a |z - zeta_a|^(-2 phi'_a) d^2 z .
 
-Brute force evaluates the plane integral directly.  The plane is split
-with a smooth partition of unity into (i) a neighborhood of each fluxon,
-integrated in local polar coordinates with a Gauss-Jacobi radial rule
-that absorbs the r^(1 - 2 phi') power, (ii) a far field mapped by
-v = R0 / r onto [0, 1], where one Gauss-Jacobi weight, the decay of the
-largest entry, leaves each entry an integer power of v, and (iii) the
-smooth remainder on radial panels.  Every piece is then one polar grid
-with a smooth integrand, so refinement converges fast and the
-cross-validation below is meaningful.  The pieces are
-integrated at unit diameter and scaled back exactly, by
+Brute force evaluates the plane integral directly.  The plane is cut
+with hard edges into (i) a disk about each fluxon, integrated in local
+polar coordinates with a Gauss-Jacobi radial rule that absorbs the
+r^(1 - 2 phi') power, (ii) a far field mapped by v = R0 / r onto [0, 1],
+where one Gauss-Jacobi weight, the decay of the largest entry, leaves
+each entry an integer power of v, and (iii) the remainder between them,
+on a polar mesh graded geometrically toward every fluxon, with
+Gauss-Legendre nodes on each radial sub-panel and each sub-arc.  The
+integrand is analytic on every piece, so refinement converges
+geometrically and the cross-validation below is meaningful.  The pieces
+are integrated at unit diameter and scaled back exactly, by
 g_jk(lam zeta) = lam^(j + k + 2 - 2 Phi'_T) g_jk(zeta) for real lam > 0,
 so no scale of the configuration can overflow a grid weight.
 
@@ -458,33 +459,19 @@ class MetricEvaluator:
 # brute-force quadrature
 # --------------------------------------------------------------------------
 
-def _bump(t):
-    """C^infinity step f2 / (f1 + f2), f1 = exp(-1/t), f2 = exp(-1/(1 - t)),
-    from 1 at t = 0 to 0 at t = 1.  Callers pass only 0 < t < 1."""
-    f1 = np.divide(-1.0, t)
-    np.exp(f1, out=f1)
-    f2 = np.subtract(1.0, t)
-    np.divide(-1.0, f2, out=f2)
-    np.exp(f2, out=f2)
-    f1 += f2
-    f2 /= f1
-    return f2
-
-
 class _Work:
-    """Work arrays of the brute-force pieces for chunks of up to `size` grid
+    """Work arrays of the brute-force sweeps for chunks of up to `size`
     points: flat buffers, viewed in the shape of the current chunk.  The
-    chunk's points z with contiguous copies x and y of their parts, its
-    bump sum chi, log weight logw, squared distance d2 with its scratch
-    dy, the ring mask near, and the powers p = [z^2, ..., z^(n-1)] that
-    the contraction needs beyond z itself."""
+    chunk's points z with contiguous copies x and y of their parts, their
+    quadrature weights q, the log weight logw, squared distance d2 with
+    its scratch dy, and the powers p = [z^2, ..., z^(n-1)] that the
+    contraction needs beyond z itself."""
 
     def __init__(self, size, n_cols):
         self.size, self.rows, self.shape = size, max(n_cols - 2, 0), None
         self._z = np.empty(size, dtype=complex)
         self._p = np.empty(self.rows * size, dtype=complex)
         self._real = np.empty((6, size))
-        self._near = np.empty(size, dtype=bool)
 
     def view(self, shape):
         if shape != self.shape:
@@ -492,43 +479,51 @@ class _Work:
             self.shape = shape
             self.z = self._z[:n].reshape(shape)
             self.p = self._p[:self.rows * n].reshape(self.rows, n)
-            self.x, self.y, self.chi, self.logw, self.d2, self.dy = (
+            self.x, self.y, self.q, self.logw, self.d2, self.dy = (
                 buf[:n].reshape(shape) for buf in self._real)
-            self.near = self._near[:n].reshape(shape)
         return self
 
 
 @dataclass(frozen=True)
 class _Piece:
-    """One polar grid of the brute-force plane: radii lo to hi about
-    centre (_BruteForce.radii: Gauss-Jacobi of weight t^beta, or
-    Gauss-Legendre where beta is None), the fluxons whose bump rings it
-    meets, its own fluxon (or None), and its fixed number of angles (or
-    None where the angles refine)."""
+    """One piece of the brute-force plane about centre: the disk r < hi
+    about its own fluxon, on Gauss-Jacobi radii of weight t^beta; the far
+    field r > lo (hi = inf), Gauss-Jacobi in v = lo / r; or, where beta
+    is None, the remainder: the disk r < hi about the centre minus the
+    fluxons' disks (_BruteForce.mesh)."""
 
     centre: complex
     lo: float
     hi: float
     beta: float | None
-    rings: tuple
     own: int | None
-    nt: int | None
 
 
 class _BruteForce:
     """One quadrature session: geometry, refinement state, piece sums.
 
-    The pieces are each disk, each radial panel of the remainder out to R0
-    and the far field as the last panel, each a polar grid (_Piece) summed
-    by grid.  A disk and the far field run at FIXED_ANGLES angles and
-    refine their radii; a remainder panel refines its radii and its angles
-    (run).  The pieces run over their grids in chunks of up to
-    ANGULAR_CHUNK angles, on one set of work arrays (_Work) that the
-    session grows only when a chunk is larger than every chunk before it."""
+    The plane is cut with hard edges into disjoint pieces (_Piece): a disk
+    of radius R_a = 0.45 d_nn(a) about each fluxon, the far field beyond
+    R0, and the remainder, the rest of the disk r < R0 about the centre.
+    Each piece is a table of rows, each row a circle or an arc at one
+    radius with its radial weight, and one routine (sweep) sums every
+    table.  A disk and the far field have a row per radius, the whole
+    circle on FIXED_ANGLES trapezoid angles, and refine their RADII; the
+    remainder has a row per sub-arc of its graded mesh (mesh) and refines
+    the Gauss-Legendre nodes of its radial sub-panels (RADII) and of its
+    sub-arcs (ANGLES).  The pieces meet only at their edges, so the
+    integrand is analytic on every row and every sub-panel and each rule
+    converges geometrically (Trefethen and Weideman, SIAM Rev. 56, 2014).
+    Rows are summed in chunks of at most CHUNK points on one set of work
+    arrays (_Work) per session."""
 
-    ANGULAR_CHUNK = 128
+    CHUNK = 4096
     FIXED_ANGLES = 64
     MAX_LEVEL = 4
+    RADII = (12, 16, 24, 32, 48)
+    ANGLES = (8, 12, 16, 24, 32)
+    GRADE = 5.0
+    ARC_CAP = 0.25 * np.pi
 
     def __init__(self, zetas, phis, n_cols):
         self.zetas = zetas
@@ -537,85 +532,168 @@ class _BruteForce:
         self.n_cols = n_cols
         self.jk = [(j, k) for j in range(n_cols) for k in range(n_cols) if j <= k]
         n = len(zetas)
-        self.dnn = separations(zetas).min(axis=1) if n > 1 else np.array([1.0])
-        self.r_in = 0.20 * self.dnn
-        self.r_out = 0.45 * self.dnn
+        dnn = separations(zetas).min(axis=1) if n > 1 else np.array([1.0])
+        self.radius = 0.45 * dnn
         self.center = zetas.mean()
-        self.R0 = 2.0 * float(np.abs(zetas - self.center).max() + self.r_out.max())
-        # base angular resolution of the remainder piece: the bump around a
-        # fluxon near radius rho subtends ~ r_out / rho, which the periodic
-        # trapezoid grid must resolve from the start
-        feature = 1.0
-        for a in range(n):
-            rho = max(abs(zetas[a] - self.center), self.r_out[a])
-            feature = min(feature, self.r_out[a] / rho)
-        self.nt_boost = int(min(32, max(1, np.ceil(0.5 / feature))))
-        # the remainder's radial panels, split at the bump radii: a panel
-        # meets the ring of fluxon b only between the radii
-        # |zeta_b - c| -+ r_out, so each panel keeps the rings it meets
-        brk, reach = {0.0, self.R0}, []
-        for a in range(n):
-            ra = abs(zetas[a] - self.center)
-            reach.append((ra - self.r_out[a], ra + self.r_out[a]))
-            brk.update(float(x) for x in (reach[a][0], ra, reach[a][1])
-                       if 1e-12 * self.R0 < x < self.R0)
-        brk = sorted(brk)
+        rel = zetas - self.center
+        self.rho, self.theta = np.abs(rel), np.angle(rel)
+        self.R0 = 2.0 * float(self.rho.max() + self.radius.max())
+        # the steps R_b GRADE^k, k < steps, reach past R0, and so past the
+        # largest angle that mesh grades, GRADE ARC_CAP / (GRADE - 1) < 1,
+        # once divided by a radius r < R0
+        self.steps = 1 + int(np.ceil(np.log(self.R0 / self.radius.min()) / np.log(self.GRADE)))
+        self.breaks = self._radial_breaks()
         # the far field's Jacobi weight v^alpha, v = R0 / r, is the decay of
         # its largest entry, j = k = D_f - 1, and > -1 since D_f < Phi'_T;
         # entry (j, k) is left with the integer power v^(2 (D_f - 1) - j - k)
         alpha = 2.0 * self.total_flux - 2.0 * (n_cols - 1) - 3.0
         self.pieces = (
-            [_Piece(zetas[a], 0.0, self.r_out[a], 1.0 - 2.0 * phis[a], (a,), a,
-                    self.FIXED_ANGLES) for a in range(n)]
-            + [_Piece(self.center, lo, hi, None,
-                      tuple(b for b, (lo_b, hi_b) in enumerate(reach) if lo < hi_b and hi > lo_b),
-                      None, None) for lo, hi in zip(brk[:-1], brk[1:])]
-            + [_Piece(self.center, self.R0, math.inf, alpha, (), None, self.FIXED_ANGLES)])
+            [_Piece(zetas[a], 0.0, self.radius[a], 1.0 - 2.0 * phis[a], a) for a in range(n)]
+            + [_Piece(self.center, 0.0, self.R0, None, None),
+               _Piece(self.center, self.R0, math.inf, alpha, None)])
         self._work = _Work(0, n_cols)
+        self._arcs_at = {}
 
     def _chunk(self, shape):
-        """The work arrays, viewed for one chunk of grid points of this shape."""
+        """The work arrays, viewed for one chunk of points of this shape."""
         if shape[0] * shape[1] > self._work.size:
             self._work = _Work(shape[0] * shape[1], self.n_cols)
         return self._work.view(shape)
 
-    # -- pieces ------------------------------------------------------------
+    # -- the remainder's mesh ----------------------------------------------
 
-    def _weight(self, w, rings, skip=None):
-        """Log weight (into w.logw) on the chunk of grid points w.z, and
-        the bump sum (into w.chi) when rings is not empty.
+    def _radial_breaks(self):
+        """The remainder's radial breakpoints from 0 to R0: each fluxon's
+        tangency radii |rho_b -+ R_b|, between which the circles cross its
+        disk, rho_b itself and rho_b +- R_b GRADE^k, and the grading toward
+        the tangency radii.  The arcs outside a disk behave like square
+        roots of the distance to its tangency radii, which the cosine map
+        of mesh smooths only at a sub-panel's own ends, so a sub-panel
+        longer than GRADE + 1 times its distance e to the nearest tangency
+        radius t outside it is cut at t +- e GRADE^k: each piece is then at
+        most GRADE - 1 times its distance to t.  Breakpoints and tangency
+        radii within 1e-12 R0 of each other count as one."""
+        rho, R, R0 = self.rho, self.radius, self.R0
+        reach = R[:, None] * self.GRADE ** np.arange(1, self.steps)
+        tangent = np.concatenate([np.abs(rho - R), rho + R])
+        brk = np.concatenate([tangent, rho, (rho[:, None] - reach).ravel(),
+                              (rho[:, None] + reach).ravel()])
+        brk = np.unique(brk[(brk > 1e-12 * R0) & (brk < (1.0 - 1e-12) * R0)])
+        brk = np.concatenate([[0.0], brk[np.diff(brk, prepend=0.0) > 1e-12 * R0], [R0]])
+        tangent = np.concatenate([[-np.inf], np.sort(tangent), [np.inf]])
+        while True:
+            lo, hi = brk[:-1], brk[1:]
+            # the nearest tangency radius below and above each sub-panel
+            t = np.concatenate([tangent[np.searchsorted(tangent, lo) - 1],
+                                tangent[np.searchsorted(tangent, hi, side="right")]])
+            lo, hi = np.tile(lo, 2), np.tile(hi, 2)
+            e = np.maximum(lo - t, t - hi)
+            bad = (e > 1e-12 * R0) & ((self.GRADE + 1.0) * e < hi - lo)
+            if not bad.any():
+                return brk
+            t, e, lo, hi = t[bad], e[bad], lo[bad], hi[bad]
+            k = np.arange(1, 2 + int(np.log(((hi - lo) / e).max() + 1.0) / np.log(self.GRADE)))
+            cut = t[:, None] + np.copysign(e, lo - t)[:, None] * self.GRADE ** k
+            # a cut can leave a piece next to the tangency radius at the
+            # other end of its sub-panel, so the pieces are checked again
+            brk = np.unique(np.concatenate(
+                [brk, cut[(cut > lo[:, None]) & (cut < hi[:, None])]]))
 
-        One pass per fluxon b forms d^2 = |z - zeta_b|^2.  The log weight
-        sums -phi'_b log d^2 over b != skip.  Each bump is 1 for
-        d <= r_in and 0 for d >= r_out, so _bump runs only on the ring in
-        between, and only for the fluxons in rings: the callers leave out
-        those whose ring the chunk cannot meet."""
-        x, y, chi, logw, d2, dy, near = w.x, w.y, w.chi, w.logw, w.d2, w.dy, w.near
-        np.copyto(x, w.z.real)
-        np.copyto(y, w.z.imag)
-        if rings:
-            chi.fill(0.0)
+    def mesh(self, nr):
+        """The remainder's rows on nr radii per radial sub-panel: the
+        radius of each row, its weight for r dr, and the start angle and
+        length of its sub-arc.
+
+        (rho_b, theta_b) is the polar position of fluxon b about the centre.
+        A radial sub-panel [lo, hi] between two breakpoints (_radial_breaks)
+        takes the radii r = lo + (hi - lo) (1 - cos pi s) / 2 at
+        Gauss-Legendre s: the arcs outside a disk behave like square roots
+        of the distance to its tangency radii, and the map makes them
+        smooth at a sub-panel's ends.  On the circle of radius r the disk
+        of b covers the arc where
+        cos(theta - theta_b) > (r^2 + rho_b^2 - R_b^2) / (2 r rho_b).  The
+        circle is cut at those arcs' ends and at
+        theta_b +- delta_b GRADE^k, delta_b = max(|r - rho_b|, R_b) / r,
+        while delta_b GRADE^k < GRADE ARC_CAP / (GRADE - 1), and the arcs
+        outside every disk are split evenly into sub-arcs of at most
+        ARC_CAP.  The mesh is graded geometrically toward every fluxon (the
+        hp mesh, Schwab, p- and hp-Finite Element Methods, 1998): each
+        sub-panel is at most GRADE - 1 times its distance to each fluxon
+        b, max(|rho_b - [lo, hi]|, R_b), and each sub-arc at most GRADE - 1
+        times its angle from each fluxon, max(its gap to theta_b,
+        delta_b).  The rows are built as arrays over all radii at once."""
+        s, ws = gauss_legendre(nr)
+        lo, span = self.breaks[:-1, None], np.diff(self.breaks)[:, None]
+        r = (lo + span * (0.5 - 0.5 * np.cos(np.pi * s))).ravel()
+        wr = r * (span * (0.5 * np.pi * np.sin(np.pi * s) * ws)).ravel()
+        rc, rho, R, theta = r[:, None], self.rho, self.radius, self.theta
+        num, den = rc * rc + (rho * rho - R * R), 2.0 * rc * rho
+        # a disk about the centre itself (rho_b = 0) covers all of the
+        # circle or none of it
+        cut = np.divide(num, den, out=np.copysign(np.full(num.shape, np.inf), num),
+                        where=den > 0.0)
+        crossed = np.abs(cut) < 1.0
+        # each circle's cuts, built in place between its ends 0 and 2 pi:
+        # theta_b -+ half_b and theta_b -+ delta_b GRADE^k; a cut that does
+        # not apply is NaN, which sorts last and bounds no arc
+        half = np.arccos(np.where(crossed, cut, np.nan))
+        bounds = np.empty((len(r), 2 + 2 * len(rho) * (self.steps + 1)))
+        bounds[:, 0], bounds[:, -1] = 0.0, TWO_PI
+        cuts = bounds[:, 1:-1].reshape(len(r), len(rho), 2, self.steps + 1)
+        steps = cuts[:, :, 0, 1:]
+        np.multiply((np.maximum(np.abs(rc - rho), R) / rc)[..., None],
+                    self.GRADE ** np.arange(self.steps), out=steps)
+        steps[steps >= self.GRADE / (self.GRADE - 1.0) * self.ARC_CAP] = np.nan
+        cuts[:, :, 0, 0] = half
+        np.negative(cuts[:, :, 0], out=cuts[:, :, 1])
+        cuts += theta[:, None, None]
+        np.add(cuts, TWO_PI, out=cuts, where=cuts < 0.0)
+        bounds.sort(axis=1)
+        bounds = bounds[:, :np.count_nonzero(bounds == bounds, axis=1).max()]
+        start, length = bounds[:, :-1], np.diff(bounds, axis=1)
+        # each arc between two cuts lies inside a disk or outside it; a
+        # circle inside a disk keeps no arc
+        keep = (length > 0.0) & (cut > -1.0).all(axis=1)[:, None]
+        for b, centre in enumerate(np.mod(theta, TWO_PI)):
+            at = np.flatnonzero(crossed[:, b])
+            gap = np.abs(start[at] + 0.5 * length[at] - centre)
+            keep[at] &= np.minimum(gap, TWO_PI - gap) >= half[at, b, None]
+        rows, cols = np.nonzero(keep)
+        start, length = start[rows, cols], length[rows, cols]
+        split = np.ceil(length / self.ARC_CAP).astype(np.intp)
+        offset = np.arange(split.sum()) - np.repeat(np.cumsum(split) - split, split)
+        length = np.repeat(length / split, split)
+        rows = np.repeat(rows, split)
+        return r[rows], wr[rows], np.repeat(start, split) + offset * length, length
+
+    def _arcs(self, nr):
+        """The rows of mesh(nr) as sweep takes them, kept until another nr:
+        u = r exp(i (start + length / 2)), the weight for r dr times
+        tan(length / 4), and tan(length / 4)."""
+        if nr not in self._arcs_at:
+            r, wr, start, length = self.mesh(nr)
+            tan = np.tan(0.25 * length)
+            self._arcs_at = {nr: (r * np.exp(1j * (start + 0.5 * length)), wr * tan, tan)}
+        return self._arcs_at[nr]
+
+    # -- sums --------------------------------------------------------------
+
+    def _weight(self, w, skip):
+        """Log weight sum_{b != skip} -phi'_b log |z - zeta_b|^2 (into w.logw)
+        on the chunk of points w.x + i w.y."""
+        x, y, logw, d2, dy = w.x, w.y, w.logw, w.d2, w.dy
         logw.fill(0.0)
         for b, (zc, ph) in enumerate(zip(self.zetas, self.phis)):
+            if b == skip or ph == 0.0:
+                continue
             np.subtract(x, zc.real, out=d2)
             d2 *= d2
             np.subtract(y, zc.imag, out=dy)
             dy *= dy
             d2 += dy
-            if b in rings:
-                np.less(d2, self.r_out[b] ** 2, out=near)
-                if near.any():
-                    t = np.sqrt(d2[near])
-                    t -= self.r_in[b]
-                    t /= self.r_out[b] - self.r_in[b]
-                    ring = (t > 0.0) & (t < 1.0)
-                    chi[near] += t <= 0.0
-                    near[near] = ring
-                    chi[near] += _bump(t[ring])
-            if b != skip and ph != 0.0:
-                np.log(d2, out=d2)
-                d2 *= ph
-                logw -= d2
+            np.log(d2, out=d2)
+            d2 *= ph
+            logw -= d2
 
     def _contract(self, w, weights):
         """sum over the chunk of weights zbar^j z^k, one value per (j, k)
@@ -647,69 +725,92 @@ class _BruteForce:
             out.extend(complex(*(row @ parts[d])) for d in range(1, self.n_cols - j))
         return np.array(out, dtype=complex)
 
+    def sweep(self, centre, own, u, wu, tan, x, wx):
+        """Sum over rows i and columns l of
+        wu_i wx_l prod_{b != own} |z - zeta_b|^(-2 phi'_b) zbar^j z^k
+        times a row's angular Jacobian at z = centre + u_i e_il, one value
+        per (j, k) pair with j <= k (_contract), in chunks of whole rows of
+        at most CHUNK points.
+
+        Where tan is None each row is a whole circle of radius u_i > 0:
+        e_il = exp(i x_l) at the angles x with weights wx.  Otherwise
+        row i is the arc of half-width 2 arctan(tan_i) about the direction
+        of u_i in its half-angle tangent t = tan_i x_l, x in [-1, 1]:
+        e_il = (1 - t^2 + 2 i t) / (1 + t^2), the point at angle 2 arctan t,
+        with Jacobian 2 / (1 + t^2) (wu_i carries tan_i).  The map is
+        analytic on each arc of at most ARC_CAP and spares each point a
+        cosine and a sine."""
+        total = np.zeros(len(self.jk), dtype=complex)
+        step = max(1, self.CHUNK // len(x))
+        if tan is None:
+            cos, sin = np.cos(x), np.sin(x)
+        else:
+            # an arc chunk is laid out column by column, so that every
+            # operation runs along its rows, not along its few nodes
+            x, wx = x[:, None], wx[:, None]
+        for lo in range(0, len(u), step):
+            sl = slice(lo, lo + step)
+            if tan is None:
+                w = self._chunk((len(u[sl]), len(x)))
+                r = u.real[sl, None]
+                np.multiply(r, cos, out=w.x)
+                np.multiply(r, sin, out=w.y)
+                np.multiply(wu[sl, None], wx, out=w.q)
+            else:
+                w = self._chunk((len(x), len(u[sl])))
+                ur, ui = u.real[sl], u.imag[sl]
+                t, a = np.multiply(tan[sl], x, out=w.d2), w.dy
+                q = np.multiply(t, t, out=w.q)
+                q += 1.0
+                np.divide(2.0, q, out=q)
+                np.subtract(q, 1.0, out=a)
+                b = np.multiply(t, q, out=t)
+                np.multiply(ur, a, out=w.x)
+                w.x -= np.multiply(ui, b, out=w.logw)
+                np.multiply(ur, b, out=w.y)
+                w.y += np.multiply(ui, a, out=w.logw)
+                q *= wu[sl]
+                q *= wx
+            w.x += centre.real
+            w.y += centre.imag
+            w.z.real, w.z.imag = w.x, w.y
+            self._weight(w, own)
+            weights = np.exp(w.logw, out=w.logw)
+            weights *= w.q
+            total += self._contract(w, weights)
+        return total
+
     @staticmethod
     def radii(p, nr):
-        """nr radii of piece p and their weights for r dr: Gauss-Legendre
-        on a remainder panel; on a disk Gauss-Jacobi in t = r / hi, which
-        absorbs the own fluxon's r^(1 - 2 phi'_a); on the far field
-        (hi = inf) Gauss-Jacobi in v = lo / r, r dr = lo^2 v^(-3) dv."""
-        if p.beta is None:
-            x, w = gauss_legendre(nr)
-            r = p.lo + (p.hi - p.lo) * x
-            return r, r * (w * (p.hi - p.lo))
+        """nr radii of a disk or the far field and their weights for r dr:
+        on a disk Gauss-Jacobi in t = r / hi, which absorbs the own
+        fluxon's r^(1 - 2 phi'_a); on the far field (hi = inf) Gauss-Jacobi
+        in v = lo / r, r dr = lo^2 v^(-3) dv."""
         t, w = gauss_jacobi01(nr, p.beta)
         if p.hi == math.inf:
             return p.lo / t, w * (p.lo ** 2 * t ** (-3.0 - p.beta))
         return t * p.hi, w * p.hi ** (p.beta + 1.0)
 
-    def grid(self, p, nr, nt, half=False):
-        """Sum of piece p on nr radii (radii) times nt trapezoid angles
-        about its centre: prod_{b != own} |z - zeta_b|^(-2 phi'_b) times
-        p's share of the partition of unity, its own fluxon's bump or else
-        1 - sum chi over the rings it meets, contracted by _contract.
-
-        With half, only the odd angles of the nt-angle grid are summed, at
-        its weights 2 pi / nt: the periodic trapezoid rule is nested, so the
-        nt-angle sum is half the (nt / 2)-angle sum plus this one."""
+    def grid(self, p, nr, nt):
+        """Sum of the disk or the far field p on nr radii (radii) times nt
+        trapezoid angles about its centre."""
         r, wr = self.radii(p, nr)
-        th = trapezoid_angles(nt)
-        if half:
-            th = th[1::2]
-        eith = np.exp(1j * th)
-        total = np.zeros(len(self.jk), dtype=complex)
-        for lo in range(0, len(th), self.ANGULAR_CHUNK):
-            sl = slice(lo, min(lo + self.ANGULAR_CHUNK, len(th)))
-            w = self._chunk((nr, sl.stop - lo))
-            np.multiply(r[:, None], eith[sl], out=w.z)
-            w.z += p.centre
-            self._weight(w, p.rings, skip=p.own)
-            weights = np.exp(w.logw, out=w.logw)
-            # the bump disks are disjoint (r_out < dnn / 2), so the bump
-            # sum on a disk is its own fluxon's bump
-            if p.rings:
-                if p.own is None:
-                    np.subtract(1.0, w.chi, out=w.chi)
-                w.chi *= weights
-                weights = w.chi
-            weights *= wr[:, None]
-            weights *= TWO_PI / nt
-            total += self._contract(w, weights)
-        return total
+        return self.sweep(p.centre, p.own, r, wr, None, trapezoid_angles(nt),
+                          np.full(nt, TWO_PI / nt))
 
     # -- assembly ----------------------------------------------------------
 
-    def piece(self, i, lr, lt=0, prev=None):
-        """Sum of piece i on the grids of radial level lr, 24 x 2^lr radii,
-        and of angular level lt: a remainder panel has
-        128 x nt_boost x 2^lt angles, the other pieces their fixed nt.
-        prev, a panel's sum at (lr, lt - 1), is reused: only the odd angles
-        are evaluated."""
+    def piece(self, i, lr, lt=0):
+        """Sum of piece i at radial level lr and angular level lt: a disk or
+        the far field on RADII[lr] radii of FIXED_ANGLES trapezoid angles,
+        the remainder on RADII[lr] radii per sub-panel and ANGLES[lt]
+        Gauss-Legendre angles per sub-arc."""
         p = self.pieces[i]
-        nr = 24 * 2 ** lr
-        nt = p.nt or 128 * self.nt_boost * 2 ** lt
-        if prev is None:
-            return self.grid(p, nr, nt)
-        return 0.5 * prev + self.grid(p, nr, nt, half=True)
+        if p.beta is None:
+            x, wx = gauss_legendre(self.ANGLES[lt])
+            return self.sweep(p.centre, None, *self._arcs(self.RADII[lr]), 2.0 * x - 1.0,
+                              2.0 * wx)
+        return self.grid(p, self.RADII[lr], self.FIXED_ANGLES)
 
     def run(self, tol, weights=1.0):
         """Piece sums refined one axis of one piece at a time until the last
@@ -719,46 +820,34 @@ class _BruteForce:
         caller's units (one per entry, at most 1), so that the bound holds
         there entry by entry.
 
-        A fixed-angle piece (a disk or the far field) has one axis, its
-        radii; a remainder panel two: its radial and its angular level,
-        each with its own last difference.  A fixed-angle piece first runs
-        levels 0, 1 and 2: on the disk of an edge flux 0.999 the difference
-        L1 - L0 under-reads the next one (4.6e-7 against 1.7e-6), so its
-        first difference is not trusted; the far field, near round-off from
-        its first grid, costs 96 x 64 points at level 2.  A panel runs
-        (0, 0), (1, 0) and (1, 1), the last from the odd angles alone: the
-        grid and the work of one level-1 step of both axes, whose difference
-        over-read the next one by at least 8x for the whole remainder on 45
-        probed configurations with edge fluxes, and by the triangle
-        inequality the two axes' differences sum to at least that one
-        difference.  Then, of the
-        pieces with an axis below MAX_LEVEL, the one whose differences on
-        those axes sum largest moves up one level on the axis of the
-        larger one: the errors of a panel add by axis, and most panels are
-        at round-off radially with 24 nodes and need only more angles,
-        which cost only the odd ones.  A piece that is already resolved is
-        not refined to certify the others.  When no axis is left below
-        MAX_LEVEL, or the axes at MAX_LEVEL alone exceed the target,
-        QuadratureNotConverged is raised.
+        A disk and the far field have one axis, their radii; the remainder
+        two: its radial and its angular level, each with its own last
+        difference.  Each axis of each piece first moves to level 1: a disk
+        and the far field run levels 0 and 1, the remainder (0, 0), (1, 0)
+        and (1, 1).  On every piece the integrand is analytic, so the
+        differences shrink geometrically from the start.  Then, of the
+        pieces with an
+        axis below MAX_LEVEL, the one whose differences on those axes sum
+        largest moves up one level on the axis of the larger one.  A piece
+        that is already resolved is not refined to certify the others.
+        When no axis is left below MAX_LEVEL, or the axes at MAX_LEVEL
+        alone exceed the target, QuadratureNotConverged is raised.
 
         Returns the entries, each piece at its latest levels, and, per
         entry, the sum over the pieces and axes of its last level
         difference."""
-        level = [[0] * (1 if p.nt else 2) for p in self.pieces]
+        level = [[0] * (1 if p.beta is not None else 2) for p in self.pieces]
         diff = [[None] * len(lev) for lev in level]
         value = [self.piece(i, *lev) for i, lev in enumerate(level)]
 
         def step(i, axis):
-            # axis 1 is a panel's angles, which are nested
             level[i][axis] += 1
-            cur = self.piece(i, *level[i], prev=value[i] if axis else None)
+            cur = self.piece(i, *level[i])
             diff[i][axis] = np.abs(cur - value[i])
             value[i] = cur
 
         for i, lev in enumerate(level):
-            # the axes of the first steps: one axis to level 2, two axes to
-            # (1, 0) and then (1, 1)
-            for axis in {1: (0, 0), 2: (0, 1)}[len(lev)]:
+            for axis in range(len(lev)):
                 step(i, axis)
         while True:
             est = sum(value)
@@ -787,11 +876,13 @@ def metric_bruteforce(vc: ValidatedConfig, tol: float = 1e-6) -> Metric:
     """Metric by direct two-dimensional quadrature (the expensive oracle).
 
     Entries with j <= k are integrated on shared grids and mirrored, so
-    the result is hermitian by construction.  Each piece of the plane is
-    refined on its own (_BruteForce.run): each disk and the far field to
-    level 2 in its radii, each radial panel of the remainder to level 1 in
+    the result is hermitian by construction.  The plane is cut with hard
+    edges into a disk about each fluxon, the far field and the remainder
+    between them, on a mesh graded toward the fluxons (_BruteForce).  Each
+    piece is refined on its own (_BruteForce.run): each axis first to
+    level 1, each disk and the far field in its radii, the remainder in
     its radii and its angles; then the piece with the largest last level
-    differences, one level of one axis at a time (a panel's radii or
+    differences, one level of one axis at a time (the remainder's radii or
     angles, whichever difference is larger), until the differences
     summed over the pieces and axes are at most tol x the largest entry.
     The grids are laid out at unit diameter; entry (j, k) and its error,

@@ -80,12 +80,21 @@ def test_removed_names_stay_gone():
     assert not hasattr(metric._Legs, "_breakpoints")
     assert not hasattr(metric, "_factorized_metrics")
     assert "strict" not in {f.name for f in dataclasses.fields(config.ValidatedConfig)}
-    # every brute-force piece is a polar grid (_BruteForce.grid): the disks,
-    # the remainder panels and the far field, the last panel
-    for name in ("disk_piece", "far_piece", "middle_piece", "DISK_ANGLES"):
+    # every brute-force piece is a table of rows summed by one routine
+    # (_BruteForce.sweep): the disks, the remainder and the far field
+    for name in ("disk_piece", "far_piece", "middle_piece", "DISK_ANGLES", "ANGULAR_CHUNK"):
         assert not hasattr(metric._BruteForce, name)
     session = metric._BruteForce(np.array([0.0, 1.0]), np.array([0.4, 0.5]), 1)
     assert not hasattr(session, "panels")
+    # the plane is cut with hard edges: no partition of unity, its bumps,
+    # their rings, the angular boost and the nested angles
+    assert not hasattr(metric, "_bump")
+    for name in ("r_in", "r_out", "nt_boost"):
+        assert not hasattr(session, name)
+    assert {f.name for f in dataclasses.fields(metric._Piece)}.isdisjoint({"rings", "nt"})
+    assert "half" not in inspect.signature(metric._BruteForce.grid).parameters
+    work = metric._Work(4, 1).view((2, 2))
+    assert not hasattr(work, "chi") and not hasattr(work, "near")
 
 
 # Prints, as JSON, the scipy modules loaded after each step.  The steps
