@@ -459,31 +459,6 @@ class MetricEvaluator:
 # brute-force quadrature
 # --------------------------------------------------------------------------
 
-class _Work:
-    """Work arrays of the brute-force sweeps for chunks of up to `size`
-    points: flat buffers, viewed in the shape of the current chunk.  The
-    chunk's points z with contiguous copies x and y of their parts, their
-    quadrature weights q, the log weight logw, squared distance d2 with
-    its scratch dy, and the powers p = [z^2, ..., z^(n-1)] that the
-    contraction needs beyond z itself."""
-
-    def __init__(self, size, n_cols):
-        self.size, self.rows, self.shape = size, max(n_cols - 2, 0), None
-        self._z = np.empty(size, dtype=complex)
-        self._p = np.empty(self.rows * size, dtype=complex)
-        self._real = np.empty((6, size))
-
-    def view(self, shape):
-        if shape != self.shape:
-            n = shape[0] * shape[1]
-            self.shape = shape
-            self.z = self._z[:n].reshape(shape)
-            self.p = self._p[:self.rows * n].reshape(self.rows, n)
-            self.x, self.y, self.q, self.logw, self.d2, self.dy = (
-                buf[:n].reshape(shape) for buf in self._real)
-        return self
-
-
 @dataclass(frozen=True)
 class _Piece:
     """One piece of the brute-force plane about centre: the disk r < hi
@@ -514,8 +489,10 @@ class _BruteForce:
     sub-arcs (ANGLES).  The pieces meet only at their edges, so the
     integrand is analytic on every row and every sub-panel and each rule
     converges geometrically (Trefethen and Weideman, SIAM Rev. 56, 2014).
-    Rows are summed in chunks of at most CHUNK points on one set of work
-    arrays (_Work) per session."""
+    Rows are summed in chunks of at most CHUNK points, which keeps every
+    temporary of a chunk at most 64 KB, below glibc's default mmap
+    threshold of 128 KB, so the temporaries are reused from the heap
+    instead of being mapped afresh, as in _quad.PANEL_BLOCK."""
 
     CHUNK = 4096
     FIXED_ANGLES = 64
@@ -551,14 +528,7 @@ class _BruteForce:
             [_Piece(zetas[a], 0.0, self.radius[a], 1.0 - 2.0 * phis[a], a) for a in range(n)]
             + [_Piece(self.center, 0.0, self.R0, None, None),
                _Piece(self.center, self.R0, math.inf, alpha, None)])
-        self._work = _Work(0, n_cols)
         self._arcs_at = {}
-
-    def _chunk(self, shape):
-        """The work arrays, viewed for one chunk of points of this shape."""
-        if shape[0] * shape[1] > self._work.size:
-            self._work = _Work(shape[0] * shape[1], self.n_cols)
-        return self._work.view(shape)
 
     # -- the remainder's mesh ----------------------------------------------
 
@@ -678,49 +648,45 @@ class _BruteForce:
 
     # -- sums --------------------------------------------------------------
 
-    def _weight(self, w, skip):
-        """Log weight sum_{b != skip} -phi'_b log |z - zeta_b|^2 (into w.logw)
-        on the chunk of points w.x + i w.y."""
-        x, y, logw, d2, dy = w.x, w.y, w.logw, w.d2, w.dy
-        logw.fill(0.0)
+    def _weight(self, x, y, skip):
+        """Log weight sum_{b != skip} -phi'_b log |z - zeta_b|^2 on the
+        points z = x + i y."""
+        logw = np.zeros(x.shape)
         for b, (zc, ph) in enumerate(zip(self.zetas, self.phis)):
             if b == skip or ph == 0.0:
                 continue
-            np.subtract(x, zc.real, out=d2)
+            # in place on its own temporaries: the loop is a third of brute force
+            d2, dy = x - zc.real, y - zc.imag
             d2 *= d2
-            np.subtract(y, zc.imag, out=dy)
             dy *= dy
             d2 += dy
-            np.log(d2, out=d2)
-            d2 *= ph
-            logw -= d2
+            logw -= ph * np.log(d2, out=d2)
+        return logw
 
-    def _contract(self, w, weights):
-        """sum over the chunk of weights zbar^j z^k, one value per (j, k)
-        pair with j <= k.  The weights are real and zbar^j z^k equals
-        |z|^(2j) z^(k - j), so entry (j, k) is the real row
+    def _contract(self, x, y, weights):
+        """sum over the points z = x + i y of weights zbar^j z^k, one value
+        per (j, k) pair with j <= k.  The weights are real and zbar^j z^k
+        equals |z|^(2j) z^(k - j), so entry (j, k) is the real row
         u_j = weights |z|^(2j) summed against the parts of z^(k - j);
         the weights and the points are never multiplied as complex
-        arrays.  The weight array is left as it was; d2 and dy are
-        overwritten."""
+        arrays."""
         row = weights.reshape(-1)
         if self.n_cols == 1:
             return np.array([row.sum()], dtype=complex)
-        n = row.size
-        x, y = w.x.reshape(-1), w.y.reshape(-1)
-        r2, u = w.d2.reshape(-1), w.dy.reshape(-1)
-        np.multiply(x, x, out=r2)
-        r2 += np.multiply(y, y, out=u)
-        # z^d, d = 1 .. n_cols - 1, as (n, 2) rows of real and imaginary parts
-        z = zd = w.z.reshape(-1)
-        parts = [None, z.view(float).reshape(n, 2)]
+        x, y = x.reshape(-1), y.reshape(-1)
+        r2 = x * x + y * y
+        # z^d, d = 1 .. n_cols - 1, as (n, 2) rows of real and imaginary
+        # parts; z itself is x and y side by side, viewed as complex
+        parts = [None, np.empty((len(x), 2))]
+        parts[1][:, 0], parts[1][:, 1] = x, y
+        z = zd = parts[1].view(complex).ravel()
         for d in range(2, self.n_cols):
-            zd = np.multiply(zd, z, out=w.p[d - 2])
-            parts.append(zd.view(float).reshape(n, 2))
+            zd = zd * z
+            parts.append(zd.view(float).reshape(-1, 2))
         out = []
         for j in range(self.n_cols):
             if j:
-                row = np.multiply(row, r2, out=u)
+                row = row * r2
             out.append(row.sum())
             out.extend(complex(*(row @ parts[d])) for d in range(1, self.n_cols - j))
         return np.array(out, dtype=complex)
@@ -751,33 +717,17 @@ class _BruteForce:
         for lo in range(0, len(u), step):
             sl = slice(lo, lo + step)
             if tan is None:
-                w = self._chunk((len(u[sl]), len(x)))
                 r = u.real[sl, None]
-                np.multiply(r, cos, out=w.x)
-                np.multiply(r, sin, out=w.y)
-                np.multiply(wu[sl, None], wx, out=w.q)
+                px, py, q = r * cos, r * sin, wu[sl, None] * wx
             else:
-                w = self._chunk((len(x), len(u[sl])))
                 ur, ui = u.real[sl], u.imag[sl]
-                t, a = np.multiply(tan[sl], x, out=w.d2), w.dy
-                q = np.multiply(t, t, out=w.q)
-                q += 1.0
-                np.divide(2.0, q, out=q)
-                np.subtract(q, 1.0, out=a)
-                b = np.multiply(t, q, out=t)
-                np.multiply(ur, a, out=w.x)
-                w.x -= np.multiply(ui, b, out=w.logw)
-                np.multiply(ur, b, out=w.y)
-                w.y += np.multiply(ui, a, out=w.logw)
-                q *= wu[sl]
-                q *= wx
-            w.x += centre.real
-            w.y += centre.imag
-            w.z.real, w.z.imag = w.x, w.y
-            self._weight(w, own)
-            weights = np.exp(w.logw, out=w.logw)
-            weights *= w.q
-            total += self._contract(w, weights)
+                t = tan[sl] * x
+                q = 2.0 / (t * t + 1.0)
+                a, b = q - 1.0, t * q
+                px, py = ur * a - ui * b, ur * b + ui * a
+                q = q * wu[sl] * wx
+            px, py = px + centre.real, py + centre.imag
+            total += self._contract(px, py, np.exp(self._weight(px, py, own)) * q)
         return total
 
     @staticmethod

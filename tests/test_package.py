@@ -93,8 +93,9 @@ def test_removed_names_stay_gone():
         assert not hasattr(session, name)
     assert {f.name for f in dataclasses.fields(metric._Piece)}.isdisjoint({"rings", "nt"})
     assert "half" not in inspect.signature(metric._BruteForce.grid).parameters
-    work = metric._Work(4, 1).view((2, 2))
-    assert not hasattr(work, "chi") and not hasattr(work, "near")
+    # the sums run on plain numpy temporaries: no work arrays
+    assert not hasattr(metric, "_Work") and not hasattr(metric._BruteForce, "_chunk")
+    assert not hasattr(session, "_work")
 
 
 # Prints, as JSON, the scipy modules loaded after each step.  The steps
