@@ -27,7 +27,8 @@ import numpy as np
 
 from . import monodromy as mono
 from . import transport as tr
-from .config import FluxConfig, count_modes, cut_factor, separations, validate
+from .config import (FluxConfig, count_modes, cut_factor, first_refused, separations,
+                     validate)
 from .errors import DomainError, FluxholoError, NumericalError, ValidationError
 from .metric import (
     coupling_matrix,
@@ -172,15 +173,14 @@ def _parse_grid(spec: str):
     return grid
 
 
-#: Cells per batch of the curvature map (one contour quadrature each).  The
-#: benchmark's 221-cell map in a fresh process (2-vCPU VM, resource.getrusage,
-#: median over PYTHONHASHSEED 0 to 7): 16 cells take 94 ms and add 0.1 MB of
-#: peak RSS to one cell per batch (300 ms); 4 cells take 147 ms, 8 cells
-#: 107 ms.  Larger batches save little time for more memory: 32 cells take
-#: 82 ms and add 0.9 MB, one batch for the whole map 84 ms and 8.6 MB.
-#: Minor page faults at 16 cells read 143 to 1,385 in runs made at
-#: different times, against about 110 for 1 to 8 cells.
-CURVATURE_CHUNK = 16
+#: Cells per block of the curvature map (one curvature_abelians call each).
+#: The benchmark's seed-1 17 x 13 map, in-process on a 2-vCPU VM, best of
+#: 12 interleaved runs: 48 cells take 14.1 to 15.8 ms over six sets, with
+#: about 20 minor faults a map and a tracemalloc peak of 0.72 MB; 32 cells
+#: are 0.6 ms slower (0.70 MB); 64 cells are no faster, with about 185
+#: faults and 0.92 MB; 16 cells take 19.4 ms (0.62 MB); one block for the
+#: whole map takes 14.0 ms, with about 520 faults and 2.83 MB.
+CURVATURE_CHUNK = 48
 
 
 def cmd_curvature_map(args) -> int:
@@ -191,38 +191,41 @@ def cmd_curvature_map(args) -> int:
     mover = args.mover
     if not 0 <= mover < vc.n_fluxons:
         raise ValidationError(f"--mover {mover} out of range for {vc.n_fluxons} fluxons")
-    (x0, x1, nx), (y0, y1, ny) = _parse_grid(args.grid)
-    guard = tr.guard_distance(vc, args.collision_guard)
-    others = [z for a, z in enumerate(vc.zeta) if a != mover]
-    base = vc.zeta.copy()
-    points, cells = [], []
-    for iy in range(ny):
-        y = y0 + (y1 - y0) * iy / max(ny - 1, 1)
-        for ix in range(nx):
-            x = x0 + (x1 - x0) * ix / max(nx - 1, 1)
-            u = complex(x, y)
-            points.append(f"{x:.10g},{y:.10g}")
-            if min(abs(u - z) for z in others) <= guard:
-                continue
-            pos = base.copy()
-            pos[mover] = u
-            cells.append((len(points) - 1, pos))
+    # the grid in the order of operations of Python floats, which neither
+    # warn nor raise on inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        xs, ys = (lo + (hi - lo) * np.arange(n) / max(n - 1, 1)
+                  for lo, hi, n in _parse_grid(args.grid))
+    xt, yt = ([f"{v:.10g}" for v in axis.tolist()] for axis in (xs, ys))
+    points = [f"{x},{y}" for y in yt for x in xt]
+    u = np.empty((len(ys), len(xs)), dtype=complex)
+    u.real, u.imag = xs, ys[:, None]
+    u = u.ravel()
+    # the guard on the distance to every other fluxon, by hypot: Python's
+    # abs of a complex number, bit for bit
+    d = u[:, None] - np.delete(vc.zeta, mover)
+    guarded = np.hypot(d.real, d.imag) <= tr.guard_distance(vc, args.collision_guard)
+    computed = np.flatnonzero(~guarded.any(axis=1))
+    cells = np.tile(vc.zeta, (len(computed), 1))
+    cells[:, mover] = u[computed]
+    # one validation of every cell; the map runs up to the first refused
+    # cell, which then raises what its own validation raises
+    stop = first_refused(cells.tolist())
 
     values = ["nan"] * len(points)
-    for lo in range(0, len(cells), CURVATURE_CHUNK):
-        chunk = cells[lo:lo + CURVATURE_CHUNK]
+    for lo in range(0, stop, CURVATURE_CHUNK):
+        block = cells[lo:min(lo + CURVATURE_CHUNK, stop)]
         try:
-            curv = tr.curvature_abelians(
-                [validate(FluxConfig(pos, cfg.fluxes)) for _, pos in chunk],
-                moving=mover, quad_tol=args.quad_tol)
+            curv = tr.curvature_abelians(vc, block, mover, args.quad_tol)
         except (FluxholoError, ValueError):
             # the first failing cell raises what it raises on its own
-            for _, pos in chunk:
-                moved = validate(FluxConfig(pos, cfg.fluxes))
-                tr.curvature_abelian(moved, moving=mover, quad_tol=args.quad_tol)
+            for row in block:
+                tr.curvature_abelians(vc, row[None], mover, args.quad_tol)
             raise
-        for (i, _), r in zip(chunk, curv):
-            values[i] = f"{r.real:.12g}"
+        for i, r in zip(computed[lo:lo + len(block)].tolist(), curv.real.tolist()):
+            values[i] = f"{r:.12g}"
+    if stop < len(cells):
+        validate(FluxConfig(cells[stop], cfg.fluxes))
     _write("".join(f"{p},{v}\n" for p, v in zip(["x,y"] + points, ["R"] + values)),
            args.output)
     return EXIT_OK

@@ -179,34 +179,49 @@ class ValidatedConfig:
 
 
 def separations(z) -> np.ndarray:
-    """|z_i - z_j| for every pair of points (complex or real), +inf on the
-    diagonal so that min() gives the closest pair.  Needs two points."""
+    """|z_i - z_j| for every pair of points (complex or real) of z (..., N),
+    shape (..., N, N), +inf on the diagonal so that min() gives the closest
+    pair.  Needs two points."""
     z = np.asarray(z)
-    sep = np.abs(z[:, None] - z[None, :])
-    np.fill_diagonal(sep, np.inf)
+    sep = np.abs(z[..., :, None] - z[..., None, :])
+    diagonal = np.arange(z.shape[-1])
+    sep[..., diagonal, diagonal] = np.inf
     return sep
 
 
-def _check_distinct(positions) -> None:
-    """CoincidentFluxons unless every pair of positions (complex numbers)
-    lies more than COINCIDENCE_TOL x the diameter apart.  The closest pair
-    named is the first in row-major order."""
+def _coincidence(positions):
+    """The error that refuses finite positions (complex numbers) because two
+    of them lie within COINCIDENCE_TOL x the diameter, or None.  The
+    closest pair named is the first in row-major order."""
     n = len(positions)
     if n == 1:
-        return
+        return None
     seps = [(abs(positions[i] - positions[j]), i, j) for i in range(n) for j in range(i + 1, n)]
     finite = [d for d, _, _ in seps if d < math.inf]
     if not finite:
-        raise ValueError("every separation of the positions overflows the float range")
+        return ValueError("every separation of the positions overflows the float range")
     diam = max(finite)
     if diam == 0.0:
-        raise CoincidentFluxons("all fluxons coincide")
+        return CoincidentFluxons("all fluxons coincide")
     closest, i, j = min(seps)
     if closest <= COINCIDENCE_TOL * diam:
-        raise CoincidentFluxons(
+        return CoincidentFluxons(
             f"fluxons {i} and {j} are separated by {closest:.3g} "
             f"(< {COINCIDENCE_TOL:g} x diameter {diam:.3g})"
         )
+    return None
+
+
+def first_refused(rows) -> int:
+    """validate's position rule on every row of positions (complex numbers)
+    in rows at once: the index of the first row it refuses, for a position
+    that is not finite or for a coincidence, or len(rows).  The rule runs
+    in plain Python, as validate runs it on its own single row: a numpy
+    version cost a command about 25 us per validate."""
+    for b, row in enumerate(rows):
+        if not all(cmath.isfinite(z) for z in row) or _coincidence(row) is not None:
+            return b
+    return len(rows)
 
 
 def validate(config: FluxConfig, *, strict: bool = True) -> ValidatedConfig:
@@ -224,7 +239,9 @@ def validate(config: FluxConfig, *, strict: bool = True) -> ValidatedConfig:
     fluxes = config.fluxes
     if not all(math.isfinite(f) for f in fluxes):
         raise ValueError("fluxes must be finite")
-    _check_distinct(config.positions)
+    error = _coincidence(config.positions)
+    if error is not None:
+        raise error
     if strict:
         total = math.fsum(fluxes)
         if total <= 0.0:

@@ -249,7 +249,7 @@ def primitive_matrix(vc: ValidatedConfig, tol: float = 1e-10,
                            fluxes=tuple(phis[list(order)]), error_estimate=float(err[0]))
 
 
-def _gauss_manin(zetas, phis) -> np.ndarray:
+def _gauss_manin(zetas, phis, only: int | None = None) -> np.ndarray:
     """Exact position derivatives of the contour matrix.
 
     Returns D with shape (N, m, m), m = (number of fluxons with phi' != 0)
@@ -258,7 +258,8 @@ def _gauss_manin(zetas, phis) -> np.ndarray:
     are the monomials xi^k Phi d xi, k < m.  zetas and phis (reduced) may be
     in any order; D[a] refers to the same index a.  zetas of shape (B, N),
     a batch of configurations with the same fluxes, give D of shape
-    (B, N, m, m), each row equal to the single call bit for bit.
+    (B, N, m, m), each row equal to the single call bit for bit.  With
+    only=a, just D[..., a, :, :] is built and returned, bit for bit.
 
     The rows are twisted cycles, so d_a of an integral is the integral of
     the cohomology class of d_a(xi^k Phi) = phi'_a xi^k Phi / (xi - zeta_a),
@@ -277,6 +278,8 @@ def _gauss_manin(zetas, phis) -> np.ndarray:
     zetas = np.asarray(zetas, dtype=complex)
     branch, p, lag, lower = _gauss_manin_layout(tuple(np.asarray(phis, dtype=float).tolist()))
     m = len(p) - 1
+    if only is not None and only not in branch:
+        return np.zeros((*zetas.shape[:-1], m, m), dtype=complex)
     batch = zetas.reshape(-1, zetas.shape[-1])
     z = batch[:, branch]
     powers = z[:, None, :] ** np.arange(m + 1)[:, None]   # powers[b, q, c] = zeta_c^q
@@ -296,6 +299,11 @@ def _gauss_manin(zetas, phis) -> np.ndarray:
             acc = acc + S[:, i - j, None] * rows[:, j]
         rows[:, i] = acc / den[:, i, None]
     B = np.linalg.inv(rows)[:, :, :m]            # omega_c = sum_k B[c, k] xi^k Phi
+    if only is not None:
+        c = int(np.searchsorted(branch, only))
+        tri = np.where(lower, powers[:, lag, c], 0.0)
+        d = p[c] * (tri + powers[:, :m, c, None] * B[:, c, None, :])
+        return d.reshape(*zetas.shape[:-1], m, m)
     tri = np.where(lower, powers[:, lag].transpose(0, 3, 1, 2), 0.0)
     d = p[:, None, None] * (tri + powers[:, :m].transpose(0, 2, 1)[..., None] * B[:, :, None, :])
     if len(branch) < zetas.shape[-1]:

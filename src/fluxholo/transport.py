@@ -317,10 +317,6 @@ class ControlPath:
 # metric derivatives and the connection
 # --------------------------------------------------------------------------
 
-def _min_distance(positions) -> float:
-    return float(separations(positions).min()) if len(positions) > 1 else 1.0
-
-
 def guard_distance(vc: ValidatedConfig, collision_guard: float | None) -> float:
     """The closest approach of two fluxons that transport and the curvature
     map accept: collision_guard, or 1e-2 x the diameter when it is None."""
@@ -648,20 +644,26 @@ def holonomy(vc: ValidatedConfig, loop: ControlPath,
 # curvature
 # --------------------------------------------------------------------------
 
-def _stencil_step(vc: ValidatedConfig, moving: int):
-    """The step h = 2e-3 x the closest fluxon distance of curvature_abelian's
-    stencil and its square; NumericalError when the square leaves the
-    float range."""
+def _stencil_steps(vc: ValidatedConfig, zetas):
+    """The step h = 2e-3 x the closest fluxon distance of the stencil at
+    each row of zetas (B, N), and its square, as arrays (B,);
+    NumericalError for the first row whose square leaves the float
+    range."""
     if vc.counts.D_f != 1:
         raise ValueError("abelian curvature requires exactly one free mode")
-    h = 2e-3 * _min_distance(vc.zeta)
-    try:
-        h2 = h ** 2
-    except OverflowError:
-        h2 = math.inf
-    if not 0.0 < h2 < math.inf:
-        raise NumericalError(f"curvature step {h:g} squared leaves the float range")
-    return h, h2
+    h = 2e-3 * separations(zetas).min(axis=(1, 2))
+    # Python's float power, which differs from h * h in the last bit for
+    # about one step in 1,200, so the printed map keeps its bytes
+    h2 = []
+    for step in h.tolist():
+        try:
+            square = step ** 2
+        except OverflowError:
+            square = math.inf
+        if not 0.0 < square < math.inf:
+            raise NumericalError(f"curvature step {step:g} squared leaves the float range")
+        h2.append(square)
+    return h, np.array(h2)
 
 
 #: The moves of the stencil's off-centre points in units of h, in the
@@ -676,40 +678,40 @@ def _laplacian(g, h2: float) -> complex:
     return complex(0.25 * ((right + left + up + down - 4.0 * centre) / h2))
 
 
-def curvature_abelians(vcs, moving: int, quad_tol: float = 1e-11) -> list:
-    """curvature_abelian of each configuration in vcs, one flux
-    assignment (ValueError otherwise), from one contour quadrature per
-    cell.
+def curvature_abelians(vc: ValidatedConfig, zetas, moving: int,
+                       quad_tol: float = 1e-11) -> np.ndarray:
+    """curvature_abelian at each row of the positions zetas (B, N), with the
+    fluxes and mode counts of vc, from one contour quadrature per row; an
+    array (B,).  The positions are not validated again.
 
-    _contour_frames evaluates every cell's contour matrix Psi, with all
+    _contour_frames evaluates every row's contour matrix Psi, with all
     monomial columns, in one batch at quad_tol * 1e-2.  Psi is continued
     along the straight step dz to each off-centre stencil point,
-    d Psi / dt = Psi A(t)^T with A = dz D_moving (metric._gauss_manin), by
-    one 3-stage Gauss collocation step of order 6 (_collocate, _MAP_RULE),
-    batched over the cells and the four steps; |dz D| is about 2e-3, so
-    its truncation, O(|dz D|^7), is far below round-off.  The Laplacian
-    sums log1p((g_k - g) / g), with g = Psi_f^* G Psi_f at the centre
-    (checked for positivity) and g_k - g = 2 Re(d^* G Psi_f) + d^* G d from
-    the change d of Psi_f that _collocate returns, so no rounding of Psi or
-    g enters the differences.  Positions are not validated again: a step
-    of 2e-3 x the closest distance cannot make two fluxons coincide.  A
-    batch row equals the single call bit for bit."""
-    if len({vc.config.fluxes for vc in vcs}) > 1:
-        raise ValueError("a batch of curvature cells needs one flux assignment")
-    h, h2 = np.array([_stencil_step(vc, moving) for vc in vcs]).T
-    zetas = np.array([vc.zeta for vc in vcs])
-    psi, G, err = _contour_frames(vcs[0], zetas, quad_tol * 1e-2)
+    d Psi / dt = Psi A(t)^T with A = dz D_moving (the mover's alone of
+    metric._gauss_manin), by one 3-stage Gauss collocation step of order 6
+    (_collocate, _MAP_RULE), batched over the rows and the four steps;
+    |dz D| is about 2e-3, so its truncation, O(|dz D|^7), is far below
+    round-off.  The Laplacian sums log1p((g_k - g) / g), with
+    g = Psi_f^* G Psi_f at the centre (checked for positivity) and
+    g_k - g = 2 Re(d^* G Psi_f) + d^* G d from the change d of Psi_f that
+    _collocate returns, so no rounding of Psi or g enters the differences.
+    The stencil positions are not validated: a step of 2e-3 x the closest
+    distance cannot make two fluxons coincide.  A row equals the batch of
+    one bit for bit."""
+    zetas = np.asarray(zetas, dtype=complex)
+    h, h2 = _stencil_steps(vc, zetas)
+    psi, G, err = _contour_frames(vc, zetas, quad_tol * 1e-2)
     dz = h[:, None] * _STENCIL_MOVES
     nodes = _MAP_RULE[0]
     z = np.tile(zetas[:, None, None], (1, len(_STENCIL_MOVES), len(nodes), 1))
     z[..., moving] += nodes * dz[..., None]
-    gm = _gauss_manin(z, vcs[0].phi_reduced)[..., moving, :, :]
+    gm = _gauss_manin(z, vc.phi_reduced, only=moving)
     b = dz[..., None, None, None] * gm.swapaxes(-1, -2)
     dpsi = _collocate(psi[:, None], b, 1.0, _MAP_RULE)[0][..., 0, :, :1]
     left = dpsi.conj().swapaxes(-1, -2) @ G[:, None]
     dg = (2.0 * (left @ psi[:, None, :, :1]).real + (left @ dpsi).real)[..., 0, 0]
     g = _frame_metrics(psi[..., :1], G, err)[0][:, 0, 0].real
-    return (0.25 * np.log1p(dg / g[:, None]).sum(axis=1) / h2 + 0j).tolist()
+    return 0.25 * np.log1p(dg / g[:, None]).sum(axis=1) / h2 + 0j
 
 
 def curvature_abelian(vc: ValidatedConfig, moving: int, quad_tol: float = 1e-11,
@@ -718,15 +720,15 @@ def curvature_abelian(vc: ValidatedConfig, moving: int, quad_tol: float = 1e-11,
     coordinate (D_f = 1 only), via the five-point Laplacian with step
     h = 2e-3 x the closest fluxon distance.
 
-    By default this is curvature_abelians of a batch of one: one contour
-    quadrature at quad_tol * 1e-2, continued to the four off-centre points
-    by one collocation step of the Gauss-Manin connection.  metric_fn
-    optionally replaces that by any positions -> scalar g callable (e.g. a
-    closed form), called once per stencil point: the moving fluxon moved
-    by h, -h, ih, -ih and 0."""
+    By default this is curvature_abelians at vc's positions alone: one
+    contour quadrature at quad_tol * 1e-2, continued to the four off-centre
+    points by one collocation step of the Gauss-Manin connection.
+    metric_fn optionally replaces that by any positions -> scalar g
+    callable (e.g. a closed form), called once per stencil point: the
+    moving fluxon moved by h, -h, ih, -ih and 0."""
     if metric_fn is None:
-        return curvature_abelians([vc], moving, quad_tol)[0]
-    h, h2 = _stencil_step(vc, moving)
+        return complex(curvature_abelians(vc, vc.zeta[None], moving, quad_tol)[0])
+    h, h2 = (float(v[0]) for v in _stencil_steps(vc, vc.zeta[None]))
     stencil = []
     for dz in [*(h * _STENCIL_MOVES).tolist(), 0.0]:
         z = vc.zeta.copy()

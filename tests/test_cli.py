@@ -1,7 +1,9 @@
 import json
 import math
 import sys
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from fluxholo import FluxConfig, curvature_abelian, validate
@@ -113,55 +115,99 @@ class TestCurvatureMap:
             assert row == f"{u.real:.10g},{u.imag:.10g},{r:.12g}"
 
     def test_chunked_map_equals_single_cells(self, tmp_path):
-        # 20 grid points: the guarded one (1, 1/30) falls in the middle of
-        # a chunk, and the 19 computed cells end in a partial chunk
+        # an 11-column grid around fluxon 1 that spans at least three
+        # blocks: its guarded points fall inside the first block, and each
+        # block's rows equal the single cells bit for bit
         fluxes, base = [0.5, 0.5, 0.5], [0.0, 1.0, 0.4 + 0.5j]
         cfg = write_config(tmp_path, fluxes, base)
         out = tmp_path / "map.csv"
+        ny = 2 * cli.CURVATURE_CHUNK // 11 + 2
         code = main(["--output", str(out), "--collision-guard", "0.06", "curvature-map",
-                     cfg, "--mover", "2", "--grid=0.8:1.2:5,-0.1:0.3:4"])
+                     cfg, "--mover", "2", f"--grid=0.8:1.2:11,-0.1:0.3:{ny}"])
         assert code == 0
         rows = out.read_text().strip().splitlines()[1:]
-        grid = [complex(0.8 + (1.2 - 0.8) * ix / 4, -0.1 + (0.3 + 0.1) * iy / 3)
-                for iy in range(4) for ix in range(5)]
+        grid = [complex(0.8 + (1.2 - 0.8) * ix / 10, -0.1 + (0.3 + 0.1) * iy / (ny - 1))
+                for iy in range(ny) for ix in range(11)]
         computed = [u for u in grid if abs(u - 1.0) > 0.06]
-        assert [i for i, u in enumerate(grid) if u not in computed] == [7]
-        chunks = [computed[lo:lo + cli.CURVATURE_CHUNK]
+        blocks = [computed[lo:lo + cli.CURVATURE_CHUNK]
                   for lo in range(0, len(computed), cli.CURVATURE_CHUNK)]
-        assert len(chunks) > 1 and len(chunks[-1]) < cli.CURVATURE_CHUNK
-        assert any(grid.index(c[0]) < 7 < grid.index(c[-1]) for c in chunks)
+        assert len(blocks) >= 3
+        guarded = [i for i, u in enumerate(grid) if u not in computed]
+        assert guarded and all(grid.index(blocks[0][0]) < i < grid.index(blocks[0][-1])
+                               for i in guarded)
+        vc = validate(FluxConfig(base, fluxes))
         single = {}
         for u in computed:
-            vc = validate(FluxConfig([0.0, 1.0, u], fluxes))
-            single[u] = curvature_abelian(vc, moving=2, quad_tol=1e-8)
-        for chunk in chunks:
-            vcs = [validate(FluxConfig([0.0, 1.0, u], fluxes)) for u in chunk]
-            assert transport.curvature_abelians(vcs, moving=2, quad_tol=1e-8) == [
-                single[u] for u in chunk]
+            single[u] = curvature_abelian(validate(FluxConfig([0.0, 1.0, u], fluxes)),
+                                          moving=2, quad_tol=1e-8)
+        for block in blocks:
+            zetas = np.array([[0.0, 1.0, u] for u in block])
+            assert np.array_equal(transport.curvature_abelians(vc, zetas, 2, quad_tol=1e-8),
+                                  [single[u] for u in block])
+        assert len(rows) == len(grid)
         for row, u in zip(rows, grid):
             r = f"{single[u].real:.12g}" if u in single else "nan"
             assert row == f"{u.real:.10g},{u.imag:.10g},{r}"
 
     def test_map_validates_each_cell_once(self, tmp_path, monkeypatch):
-        # the 5 x 4 map above: the configuration and each of its 19
-        # computed cells are validated once, by the command; nothing
-        # validates the stencil positions
-        callers = []
-        original = config.validate
+        # a 5 x 4 map with one guarded point: the command validates the
+        # configuration once and its 19 computed cells once, as one array
+        # of positions; the coincidence rule runs once per cell and once for
+        # the configuration, and nothing validates the stencil positions
+        calls = []
+        originals = {name: getattr(config, name)
+                     for name in ("validate", "first_refused", "_coincidence")}
 
-        def counting(*args, **kwargs):
-            callers.append(sys._getframe(1).f_globals["__name__"])
-            return original(*args, **kwargs)
+        def counting(name):
+            def counted(*args, **kwargs):
+                rows = len(args[0]) if name == "first_refused" else 1
+                calls.append((name, sys._getframe(1).f_globals["__name__"], rows))
+                return originals[name](*args, **kwargs)
+            return counted
 
         for module in list(sys.modules.values()):
-            if module.__name__.startswith("fluxholo") and getattr(
-                    module, "validate", None) is original:
-                monkeypatch.setattr(module, "validate", counting)
+            for name, original in originals.items():
+                if module.__name__.startswith("fluxholo") and getattr(
+                        module, name, None) is original:
+                    monkeypatch.setattr(module, name, counting(name))
         cfg = write_config(tmp_path, [0.5, 0.5, 0.5], [0.0, 1.0, 0.4 + 0.5j])
         code = main(["--output", str(tmp_path / "map.csv"), "--collision-guard", "0.06",
                      "curvature-map", cfg, "--mover", "2", "--grid=0.8:1.2:5,-0.1:0.3:4"])
         assert code == 0
-        assert callers == ["fluxholo.cli"] * (1 + 19)
+        assert calls == [("validate", "fluxholo.cli", 1),
+                         ("_coincidence", "fluxholo.config", 1),
+                         ("first_refused", "fluxholo.cli", 19),
+                         *[("_coincidence", "fluxholo.config", 1)] * 19]
+
+    def test_zero_flux_mover_is_flat(self, tmp_path):
+        # a mover with no flux is no branch point: its Gauss-Manin matrix is
+        # zero, Psi does not change along the stencil, and every cell reads 0
+        cfg = write_config(tmp_path, [0.5, 0.7, 0.0], [0.0, 1.0 + 0.3j, 0.4 + 0.8j])
+        out = tmp_path / "map.csv"
+        code = main(["--output", str(out), "curvature-map", cfg,
+                     "--mover", "2", "--grid=0.2:0.8:3,0.6:1.1:2"])
+        assert code == 0
+        rows = out.read_text().strip().splitlines()[1:]
+        assert len(rows) == 6 and all(r.endswith(",0") for r in rows)
+
+    def test_map_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # the map runs in blocks of cells: the tracemalloc peak of the
+        # benchmark's 17 x 13 half-flux map stays within twice that of a
+        # 4 x 4 map (one block for all 221 cells reads about five times)
+        cfg = write_config(tmp_path, [0.5, 0.5, 0.5], [0.0, 1.0, 0.5 + 0.9j])
+
+        def peak(grid):
+            tracemalloc.start()
+            try:
+                assert main(["--output", str(tmp_path / "map.csv"), "curvature-map", cfg,
+                             "--mover", "2", f"--grid={grid}"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small = "-0.6:1.6:4,0.3:1.5:4"
+        peak(small)
+        assert peak("-0.6:1.6:17,0.3:1.5:13") <= 2.0 * peak(small)
 
     def test_failing_cell_in_a_later_chunk(self, tmp_path, capsys):
         # the last cell, in the second chunk, sits 1e-13 from fluxon 0,

@@ -126,3 +126,24 @@ def test_batch_rows_equal_single_calls(phis):
         assert np.array_equal(whole[b], _gauss_manin(batch[b], phis))
         assert np.array_equal(whole[b], _gauss_manin(batch[b:b + 2], phis)[0])
     assert not whole[:, np.asarray(phis) == 0.0].any()
+
+
+@pytest.mark.parametrize("phis", [[0.4, 0.5, 0.6],
+                                  [0.5, 0.7, 0.0],
+                                  [0.0, 0.45, 0.55, 0.35, 0.6]])
+def test_only_equals_the_full_slice(phis):
+    # the curvature map builds the mover's matrices alone: on a batch,
+    # only=a is the full call's slice a bit for bit, zeros included for a
+    # fluxon with phi' = 0
+    from fluxholo.metric import _gauss_manin
+
+    rng = np.random.default_rng(11)
+    base = np.array(POSITIONS[:len(phis)])
+    batch = base + 0.05 * (rng.normal(size=(3, 4, len(base)))
+                           + 1j * rng.normal(size=(3, 4, len(base))))
+    whole = _gauss_manin(batch, phis)
+    for a in range(len(phis)):
+        only = _gauss_manin(batch, phis, only=a)
+        assert only.shape == whole[..., a, :, :].shape
+        assert np.array_equal(only, whole[..., a, :, :])
+        assert only.any() == (phis[a] != 0.0)

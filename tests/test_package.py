@@ -96,6 +96,11 @@ def test_removed_names_stay_gone():
     # the sums run on plain numpy temporaries: no work arrays
     assert not hasattr(metric, "_Work") and not hasattr(metric._BruteForce, "_chunk")
     assert not hasattr(session, "_work")
+    # the curvature map takes one configuration and an array of positions:
+    # the stencil steps of all its cells come from one call, and validate
+    # shares its coincidence rule with the map's one check of the grid
+    assert not hasattr(transport, "_stencil_step") and not hasattr(transport, "_min_distance")
+    assert not hasattr(config, "_check_distinct")
 
 
 # Prints, as JSON, the scipy modules loaded after each step.  The steps

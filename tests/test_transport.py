@@ -327,14 +327,6 @@ class TestCurvature:
     def test_two_fluxon_curvature_vanishes(self):
         assert_within_tolerance(check_flat_curvature())
 
-    def test_batch_needs_one_flux_assignment(self):
-        # a batch shares the first cell's fluxes, so cells of different
-        # fluxes (each with one free mode) are refused
-        vcs = [validate(FluxConfig([0.0, 1.0, 0.4 + 0.5j], f))
-               for f in ([0.5, 0.5, 0.5], [0.5, 0.5, 0.6])]
-        with pytest.raises(ValueError, match="one flux assignment"):
-            transport.curvature_abelians(vcs, moving=2, quad_tol=1e-8)
-
     def test_half_flux_closed_form_cross_check(self):
         u = 0.35 + 0.45j
         vc = validate(FluxConfig([0.0, 1.0, u], [0.5, 0.5, 0.5]))
@@ -354,7 +346,7 @@ class TestCurvature:
         cells += [0.012j, 0.009 + 0.009j, 1.0 + 0.012j, 0.991 + 0.008j, 0.5 + 0.012j]
         vcs = [validate(FluxConfig([0.0, 1.0, u], fluxes)) for u in cells]
         assert min(min(abs(u), abs(u - 1.0)) / vc.diameter for u, vc in zip(cells, vcs)) < 0.012
-        values = transport.curvature_abelians(vcs, moving=2, quad_tol=1e-8)
+        values = transport.curvature_abelians(vcs[0], [vc.zeta for vc in vcs], 2, quad_tol=1e-8)
         five = factorized_metric(fluxes, tol=1e-8)
         for vc, r in zip(vcs, values):
             for metric_fn in (lambda z: metric_half_fluxes(z[2]), lambda z: five(z)[0, 0].real):
@@ -369,14 +361,14 @@ class TestCurvature:
         # by about 2e-8 relative
         cells = [-0.4 + 0.2j, 0.35 + 0.45j, 0.9 + 1.3j, 1.4 + 0.7j]
         vcs = [validate(FluxConfig([0.0, 1.0, u], [0.5, 0.5, 0.5])) for u in cells]
-        values = transport.curvature_abelians(vcs, moving=2, quad_tol=1e-8)
+        values = transport.curvature_abelians(vcs[0], [vc.zeta for vc in vcs], 2, quad_tol=1e-8)
 
         def log_g(u):
             return mpmath.log(8 * mpmath.re(mpmath.ellipk(u) * mpmath.conj(mpmath.ellipk(1 - u))))
 
         with mpmath.workdps(40):
             for vc, u, r in zip(vcs, cells, values):
-                h = transport._stencil_step(vc, 2)[0]
+                h = float(transport._stencil_steps(vc, vc.zeta[None])[0][0])
                 centre = mpmath.mpc(u.real, u.imag)
                 ring = sum(log_g(centre + mpmath.mpf(h) * move) for move in (1, -1, 1j, -1j))
                 exact = float((ring - 4 * log_g(centre)) / (4 * mpmath.mpf(h) ** 2))
@@ -393,9 +385,9 @@ class TestCurvature:
             return frames(vc, zetas, tol, columns)
 
         monkeypatch.setattr(transport, "_contour_frames", counted)
-        vcs = [validate(FluxConfig([0.0, 1.0, u], [0.5, 0.5, 0.5]))
-               for u in (0.3 + 0.4j, 0.6 + 0.9j, -0.2 + 0.5j)]
-        transport.curvature_abelians(vcs, moving=2, quad_tol=1e-8)
+        vc = validate(FluxConfig([0.0, 1.0, 0.3 + 0.4j], [0.5, 0.5, 0.5]))
+        zetas = [[0.0, 1.0, u] for u in (0.3 + 0.4j, 0.6 + 0.9j, -0.2 + 0.5j)]
+        transport.curvature_abelians(vc, zetas, 2, quad_tol=1e-8)
         assert calls == [3]
 
     def test_flat_when_maximal(self, three_identical_09):
