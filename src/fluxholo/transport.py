@@ -26,14 +26,16 @@ monodromies, which preserve G.  The numeric monodromy that holonomy
 reports is expressed in the rows of that frame, which may order the
 fluxons differently from the configuration's own cut order.
 
-The transport ODE is linear, dPsi/dt = Psi A(t)^T, and an in-house
-adaptive stepper integrates it: a 5-stage Gauss-Legendre collocation step
-(order 10) whose error estimate is its difference from the 4-stage
-collocation step (order 8) on that rule's own Gauss nodes (_collocate).
-The nine node positions of a step go to _gauss_manin as one batch.  When
-D_f = N - 1 the connection is flat and U(t) = Psi~(t)^{-1} Psi~(0), so
-only Psi is integrated; otherwise U advances by the same step.  ode_tol
-bounds the error estimate of each step at ode_tol / 10 (see
+The transport ODE is linear, dPsi/dt = Psi A(t)^T, so the propagator of
+a step does not depend on the steps before it.  An in-house integrator
+refines a table of steps over the whole path by bisection, each round's
+new steps in one batch: a step's propagator comes from a 5-stage
+Gauss-Legendre collocation step (order 10) from the identity, and its
+error estimate is the difference from the 4-stage collocation step
+(order 8) on that rule's own Gauss nodes (_collocate).  When D_f = N - 1
+the connection is flat and U(t) = Psi~(t)^{-1} Psi~(0), so only Psi is
+integrated; otherwise U gets its own propagators on the same table.
+ode_tol bounds the error estimate of each step at ode_tol / 10 (see
 _TransportProblem.solve).  The package needs no ODE library.
 """
 
@@ -357,7 +359,7 @@ def connection(vc: ValidatedConfig, tol: float = 1e-10) -> list:
 
 
 # --------------------------------------------------------------------------
-# the transport ODE: a 10th-order Gauss collocation stepper
+# the transport ODE: 10th-order Gauss collocation on a table of steps
 # --------------------------------------------------------------------------
 
 #: Stages of a transport step.  s-stage Gauss-Legendre collocation has
@@ -398,6 +400,8 @@ def _rules(*stages: int):
 #: The transport's step, of order 10 with its order-8 companion, and the
 #: curvature map's, of order 6 on the three Gauss nodes.
 _STEP_RULE, _MAP_RULE = _rules(_STAGES, _STAGES - 1), _rules(3)
+#: Where a transport step evaluates the path: its nodes and its end.
+_STEP_POINTS = np.append(_STEP_RULE[0], 1.0)
 
 
 def _collocate(y0, b, h: float, rule):
@@ -429,8 +433,22 @@ _MIN_STEP = 1e-10
 _LOCAL_SHARE = 0.1
 
 
-def _relative(x, scale) -> float:
-    return float(np.abs(x).max()) / max(1.0, float(np.abs(scale).max()))
+def _relative(x, scale) -> np.ndarray:
+    """The largest entry of each matrix of x over max(1, the largest entry
+    of the matching matrix of scale), floored at _ROUNDOFF."""
+    size = np.maximum(1.0, np.abs(scale).max(axis=(-2, -1)))
+    return np.maximum(np.abs(x).max(axis=(-2, -1)) / size, _ROUNDOFF)
+
+
+def _chain(y0, changes):
+    """The matrices y at the start of each step and at the end of the last,
+    for y -> y + y C over the changes C in order."""
+    starts = np.empty((len(changes), *y0.shape), dtype=complex)
+    y = y0
+    for i, change in enumerate(changes):
+        starts[i] = y
+        y = y + y @ change
+    return starts, y
 
 
 # --------------------------------------------------------------------------
@@ -463,13 +481,19 @@ class _TransportProblem:
     stored divided by its largest entry at the start, which leaves U
     unchanged.
 
+    Both equations are linear, so the propagator of a step, y -> y (I + C)
+    from the step's start, does not depend on the other steps: solve
+    refines one table of steps over the whole path, and a round evaluates
+    all its new steps in one batch.
+
     When every monomial column is free (D_f = N - 1 for fractional
     fluxes) the connection is flat, U(t) = Psi~(t)^{-1} Psi~(0) with Psi~
     the contour matrix without its zero anchor row, and only Psi is
-    integrated.  Otherwise U advances by the same step.
+    integrated.  Otherwise U gets its own propagators on the same table.
 
     nfev counts the Gauss-Manin evaluations, nine per attempted step (at
-    the step's nodes); n_steps counts the accepted steps."""
+    the step's nodes); n_steps counts the steps of the final table, which
+    solve leaves in table."""
 
     def __init__(self, vc: ValidatedConfig, path: ControlPath,
                  quad_tol: float, collision_guard: float | None):
@@ -482,6 +506,7 @@ class _TransportProblem:
         self.phis = vc.phi_reduced
         self.dim = vc.counts.D_f
         self.flat = self.dim == psi.shape[1]
+        self.eye = np.eye(psi.shape[1])
         self.guard = guard_distance(vc, collision_guard)
         self.diagonal = np.diag(np.full(vc.n_fluxons, np.inf))
         self.nfev = 0
@@ -502,70 +527,139 @@ class _TransportProblem:
             raise CollisionGuardTripped(
                 f"fluxons within {self.guard:g} of each other at t = {t:.4f}")
 
-    def generators(self, index: int, s: float, h: float) -> np.ndarray:
-        """A^T at the nodes of _STEP_RULE on [s, s + h] of segment index, from
-        one _gauss_manin batch.  The collision guard is checked at each node
-        and at the step's end, which needs its position alone."""
-        nodes = s + h * np.append(_STEP_RULE[0], 1.0)
-        z, v = self.path.segments[index].states(nodes)
-        self.check_guard(index, nodes, z)
-        self.nfev += len(nodes) - 1
-        return np.einsum("ia,iakj->ijk", v[:-1], _gauss_manin(z[:-1], self.phis))
+    def propagators(self, seg, lo, hi):
+        """Psi's propagators on the steps [lo, hi] of the segments seg: the
+        changes C of the 5-stage rule, their estimates |C - C'| against the
+        4-stage rule's C', relative to max(1, |I + C|), and the stage values
+        and slopes of both rules from y0 = I (_collocate).
 
-    def step(self, index: int, s: float, h: float, psi, u):
-        """Psi and U (None when flat) after one collocation step over
-        [s, s + h] on segment index, and the larger difference of the two
-        from the companion's, relative to max(1, ||Psi||) and max(1, ||U||).
-        K at a stage comes from Psi's stage value Y_i and slope Y_i A_i^T,
-        so the U^T equation, (U^T)' = U^T K^T, steps on the same nodes."""
-        change, stages, slopes = _collocate(psi, self.generators(index, s, h), h, _STEP_RULE)
-        ends = psi + change
-        err = _relative(ends[0] - ends[1], psi)
-        if u is None:
-            return ends[0], None, err
-        f = stages[:, :, :self.dim]
-        left = f.conj().transpose(0, 2, 1) @ self.G
-        k = -np.linalg.solve(left @ f, left @ slopes[:, :, :self.dim])
-        u_ends = u.T + _collocate(u.T, k.transpose(0, 2, 1), h, _STEP_RULE)[0]
-        return ends[0], u_ends[0].T, max(err, _relative(u_ends[0] - u_ends[1], u))
+        The nodes of every step go to _gauss_manin as one batch, and the
+        generators, each scaled by its step's length, to one _collocate
+        call.  Each segment's positions come from one call of its states;
+        the collision guard is checked at every node and at each step's
+        end, which needs its position alone."""
+        width = hi - lo
+        nodes = lo[:, None] + width[:, None] * _STEP_POINTS
+        runs = [0, *(np.flatnonzero(seg[1:] != seg[:-1]) + 1).tolist(), len(seg)]
+        z, v = [], []
+        for a, b in zip(runs[:-1], runs[1:]):
+            at = nodes[a:b].ravel()
+            z_at, v_at = self.path.segments[int(seg[a])].states(at)
+            self.check_guard(int(seg[a]), at, z_at)
+            z.append(z_at)
+            v.append(v_at)
+        z, v = (np.concatenate(parts).reshape(*nodes.shape, -1)[:, :-1] for parts in (z, v))
+        self.nfev += z.shape[0] * z.shape[1]
+        gens = np.einsum("sia,siakj->sijk", width[:, None, None] * v, _gauss_manin(z, self.phis))
+        change, stages, slopes = _collocate(self.eye, gens, 1.0, _STEP_RULE)
+        err = _relative(change[:, 0] - change[:, 1], self.eye + change[:, 0])
+        return change[:, 0], err, stages, slopes
+
+    def coefficient_propagators(self, starts, stages, slopes):
+        """U's propagators, U^T -> U^T (I + C), and their estimates as in
+        propagators, on steps where Psi starts at starts, from Psi's stage
+        values and slopes there (those of propagators, right-multiplied by
+        starts).  K at a stage comes from Psi's stage value Y_i and slope
+        Y_i A_i^T, so the U^T equation, (U^T)' = U^T K^T, steps on the same
+        nodes."""
+        f = starts[:, None] @ stages[..., :self.dim]
+        left = f.conj().swapaxes(-1, -2) @ self.G
+        k = -np.linalg.solve(left @ f, left @ (starts[:, None] @ slopes[..., :self.dim]))
+        eye = np.eye(self.dim)
+        change = _collocate(eye, k.swapaxes(-1, -2), 1.0, _STEP_RULE)[0]
+        return change[:, 0], _relative(change[:, 0] - change[:, 1], eye + change[:, 0])
 
     def solve(self, ode_tol: float):
         """(Psi(1), U(1)) for U(0) = identity.
 
-        Each segment of the path is integrated on its own parameter, so no
-        step straddles a joint, where the velocity jumps.  A step (see
-        step) is accepted when its error estimate is at most ode_tol / 10;
-        the next step is scaled by 0.9 (bound / error)^(1/(2 _STAGES - 1)),
-        between 0.2x and 4x.  The estimate never reads below _ROUNDOFF, so a
-        bound below it (ode_tol below about 1.4e-13) shrinks the step until
-        it falls below 1e-10 of a segment, which raises ODEStepUnderflow."""
+        The step table starts as one step [0, 1] per segment of the path,
+        so no step straddles a joint, where the velocity jumps.  It is laid
+        out like _quad.integrate_panels' panel table: segment, step ends
+        and each step's propagator, in path order.  A round evaluates Psi's
+        propagators on the new steps and bisects every step whose estimate
+        exceeds ode_tol / 10.  When none does and U is not flat, U's
+        propagators on the steps without them come from Psi at each step's
+        start (the prefix products of the table) and the same rule bisects
+        by the larger of a step's two estimates.  Psi(1) and U(1) are the
+        ordered products.
+
+        No estimate reads below _ROUNDOFF, so ode_tol below about 1.4e-13
+        raises ODEStepUnderflow before any evaluation.  So does a failing
+        step below 1e-10 of a segment, and a bisection whose two halves
+        both fail with estimates no lower than their parent's: that
+        estimate is round-off, which bisecting only doubles."""
         bound = _LOCAL_SHARE * ode_tol
-        power = 1.0 / (2 * _STAGES - 1)
-        psi = self.psi0
-        u = None if self.flat else np.eye(self.dim, dtype=complex)
-        h = 0.125
-        for index in range(len(self.path.segments)):
-            s = 0.0
-            while s < 1.0:
-                last = h >= 1.0 - s
-                step = 1.0 - s if last else h
-                new_psi, new_u, err = self.step(index, s, step, psi, u)
-                err = max(err, _ROUNDOFF)
-                if err <= bound:
-                    psi, u = new_psi, new_u
-                    s = 1.0 if last else s + step
-                    self.n_steps += 1
-                    h = step * min(4.0, 0.9 * (bound / err) ** power)
-                else:
-                    h = step * max(0.2, 0.9 * (bound / err) ** power)
-                    if h < _MIN_STEP:
-                        t = (index + s) / len(self.path.segments)
-                        raise ODEStepUnderflow(
-                            f"transport step {h:.3g} below {_MIN_STEP:g} of a segment "
-                            f"at t = {t:.4f}: ode_tol {ode_tol:g} is out of reach")
-        if u is None:
-            u = np.linalg.solve(psi[:-1], self.psi0[:-1])
-        return psi, u
+        if bound < _ROUNDOFF:
+            raise ODEStepUnderflow(
+                f"ode_tol {ode_tol:g} is out of reach: no transport step's estimate "
+                f"reads below {_ROUNDOFF:.3g}")
+        n, c = len(self.path.segments), self.psi0.shape[1]
+        table = {"seg": np.arange(n), "lo": np.zeros(n), "hi": np.ones(n),
+                 "above": np.full(n, np.inf), "err": np.empty(n),
+                 "change": np.empty((n, c, c), dtype=complex)}
+        if not self.flat:
+            # what U's propagators need, which the flat regime does not carry
+            table.update(stages=np.empty((n, _STEP_RULE[0].size, c, c), dtype=complex),
+                         slopes=np.empty((n, _STEP_RULE[0].size, c, c), dtype=complex),
+                         u_change=np.empty((n, self.dim, self.dim), dtype=complex),
+                         u_err=np.empty(n))
+        new = np.arange(n)
+        while True:
+            change, err, stages, slopes = self.propagators(
+                *(table[key][new] for key in ("seg", "lo", "hi")))
+            table["change"][new], table["err"][new] = change, err
+            if not self.flat:
+                table["stages"][new], table["slopes"][new] = stages, slopes
+                table["u_err"][new] = np.nan
+            fail = ~(table["err"] <= bound)
+            if not (self.flat or fail.any()):
+                pending = np.isnan(table["u_err"])
+                starts = _chain(self.psi0, table["change"])[0][pending]
+                table["u_change"][pending], table["u_err"][pending] = \
+                    self.coefficient_propagators(starts, table["stages"][pending],
+                                                 table["slopes"][pending])
+                table["err"] = np.maximum(table["err"], table["u_err"])
+                fail = ~(table["err"] <= bound)
+            if not fail.any():
+                break
+            self._refuse(table, fail, ode_tol)
+            # each failing step is repeated in place and becomes its two
+            # halves, which keeps the table in path order
+            copies = 1 + fail
+            rows = np.repeat(np.arange(len(fail)), copies)
+            table = {key: col[rows] for key, col in table.items()}
+            left = (np.cumsum(copies) - copies)[fail]
+            new = (left[:, None] + np.arange(2)).ravel()
+            mid = 0.5 * (table["lo"][left] + table["hi"][left])
+            table["hi"][left], table["lo"][left + 1] = mid, mid
+            table["above"][new] = table["err"][new]
+        self.table, self.n_steps = table, len(table["seg"])
+        psi = _chain(self.psi0, table["change"])[1]
+        if self.flat:
+            return psi, np.linalg.solve(psi[:-1], self.psi0[:-1])
+        return psi, _chain(np.eye(self.dim, dtype=complex), table["u_change"])[1].T
+
+    def _refuse(self, table, fail, ode_tol: float) -> None:
+        """ODEStepUnderflow where bisecting the failing steps cannot help:
+        a half would fall below _MIN_STEP of a segment, or two halves of one
+        step both fail and neither reads below that step's estimate.  The
+        halves of a step are neighbours in the table of equal width, the
+        left one at an even multiple of its width (the ends are dyadic)."""
+        seg, lo, hi, err, above = (table[key] for key in ("seg", "lo", "hi", "err", "above"))
+        small = fail & (hi - lo < 2.0 * _MIN_STEP)
+        stuck = fail & ~(err < above)
+        if not (small.any() or stuck.any()):
+            return
+        width = hi - lo
+        pair = (((lo / width) % 2.0 == 0.0)[:-1] & (seg[1:] == seg[:-1])
+                & (width[1:] == width[:-1]) & stuck[:-1] & stuck[1:])
+        for where, why in ((small, f"a step below {_MIN_STEP:g} of a segment"),
+                           (np.append(pair, False), "bisection no longer lowers the estimate")):
+            if where.any():
+                i = int(np.argmax(where))
+                t = (seg[i] + lo[i]) / len(self.path.segments)
+                raise ODEStepUnderflow(f"transport at t = {t:.4f} needs {why}: "
+                                       f"ode_tol {ode_tol:g} is out of reach")
 
 
 def _transport(vc: ValidatedConfig, path: ControlPath, ode_tol: float,
@@ -584,8 +678,8 @@ def parallel_transport(vc: ValidatedConfig, path: ControlPath, p0,
 
     Returns (p_final, info); info reports the relative drift of the
     conserved zero-mode norm p^* g p (g at the end from the continued
-    contour matrix), the accepted step count and the number of
-    Gauss-Manin evaluations.
+    contour matrix), the number of steps of the final step table and the
+    number of Gauss-Manin evaluations.
     """
     coeffs = np.asarray(p0.coefficients if isinstance(p0, ModeVector) else p0,
                         dtype=complex)

@@ -73,6 +73,10 @@ def test_removed_names_stay_gone():
                  "_magnus", "_expm", "_R15", "_GAUSS3", "_MOMENTS", "_PADE6"):
         assert not hasattr(transport, name)
     assert not hasattr(transport._TransportProblem, "coefficient_generators")
+    # the transport refines one table of steps by bisection, each round in
+    # one batch: no sequential step or per-step generators
+    for name in ("step", "generators"):
+        assert not hasattr(transport._TransportProblem, name)
     # every contour arm runs between fluxons adjacent in cut order and
     # starts as one panel: no breakpoints; the metric of one configuration
     # is its frame's batch of one, and the validation mode is not kept

@@ -254,7 +254,7 @@ class TestParallelTransport:
         # 0.024 or more from fluxon 1 (the guard is 0.0104); its end trips
         prob = transport._TransportProblem(two_fluxon, loop, 1e-10, None)
         with pytest.raises(CollisionGuardTripped, match="t = 0.5000"):
-            prob.generators(0, 0.5, 0.5)
+            prob.propagators(np.array([0]), np.array([0.5]), np.array([1.0]))
 
 
 class TestHolonomy:
@@ -407,10 +407,11 @@ class TestCurvature:
 
 # -- the stepper against scipy's DOP853 -----------------------------------------
 
-def dop853_transport(vc, path, quad_tol=1e-10):
+def dop853_transport(vc, path, quad_tol=1e-10, rtol=1e-12):
     """U(1) by the independent route: the full (Psi, U) system,
     dPsi/dt = Psi A^T and dU/dt = -g^{-1} Psi_f^* G (dPsi_f/dt) U, with
-    scipy's DOP853 at rtol = atol = 1e-12, from the same contour frame."""
+    scipy's DOP853 at rtol = atol (1e-12 by default), from the same
+    contour frame."""
     psi, G, _ = _contour_frame(vc, quad_tol)
     psi0 = psi / np.abs(psi).max()
     f, n = vc.counts.D_f, psi0.size
@@ -424,7 +425,7 @@ def dop853_transport(vc, path, quad_tol=1e-10):
         return np.concatenate([dp.ravel(), du.ravel()])
 
     y0 = np.concatenate([psi0.ravel(), np.eye(f, dtype=complex).ravel()])
-    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=1e-12, atol=1e-12)
+    sol = solve_ivp(rhs, (0.0, 1.0), y0, method="DOP853", rtol=rtol, atol=rtol)
     assert sol.success
     return sol.y[n:, -1].reshape(f, f)
 
@@ -535,13 +536,88 @@ class TestStepper:
     @pytest.mark.parametrize("name", ["encircle", "c7-ellipse", "c10-r0.25"])
     def test_tolerance_below_roundoff_underflows(self, name):
         # the estimate never reads below the rounding of the Gauss-Manin
-        # matrices, so the step shrinks to its floor and the stepper gives
-        # up at once
+        # matrices, so the transport gives up at once, before any step
         vc, loop = ORACLE_LOOPS[name]()
         t0 = time.perf_counter()
         with pytest.raises(ODEStepUnderflow):
             holonomy(vc, loop, ode_tol=1e-18)
         assert time.perf_counter() - t0 < 1.0
+
+    @pytest.mark.parametrize("ode_tol", [1e-13, 2e-13, 5e-13])
+    @pytest.mark.parametrize("name", ["encircle", "c7-ellipse", "c10-r0.25"])
+    def test_tolerance_near_roundoff_holds_or_refuses(self, name, ode_tol):
+        # near the round-off floor the table either converges to ode_tol or
+        # refuses at once, never doubling itself round after round; the
+        # oracle runs at 3e-14 (measured within 2.2e-14 of DOP853 at 1e-14),
+        # since at its default 1e-12 it is itself off by up to 4.3e-13
+        vc, loop = ORACLE_LOOPS[name]()
+        t0 = time.perf_counter()
+        try:
+            res = holonomy(vc, loop, ode_tol=ode_tol)
+        except ODEStepUnderflow:
+            assert time.perf_counter() - t0 < 1.0
+            return
+        oracle = dop853_transport(vc, loop, rtol=3e-14)
+        assert np.abs(res.u - oracle).max() <= ode_tol
+
+    def test_estimates_bisection_cannot_lower_refuse(self, monkeypatch):
+        # estimates at round-off do not fall when a step is bisected; two
+        # halves that read no lower than their step stop the table in the
+        # second round instead of doubling it until the depth floor (raised
+        # here to 1e-3, so that a table without the rule stops at 1024 steps)
+        vc, loop = ORACLE_LOOPS["encircle"]()
+        monkeypatch.setattr(transport, "_relative", lambda x, scale: np.full(len(x), 1e-9))
+        monkeypatch.setattr(transport, "_MIN_STEP", 1e-3)
+        prob = transport._TransportProblem(vc, loop, 1e-10, None)
+        with pytest.raises(ODEStepUnderflow, match="no longer lowers"):
+            prob.solve(1e-9)
+        assert prob.nfev == 9 * 3
+
+    def test_depth_floor_refuses(self, monkeypatch):
+        # the encircle loop needs steps of 1/64 at 1e-8; a floor of 0.05
+        # stops it when a failing step of 1/16 would be halved
+        vc, loop = ORACLE_LOOPS["encircle"]()
+        monkeypatch.setattr(transport, "_MIN_STEP", 0.05)
+        with pytest.raises(ODEStepUnderflow, match="below 0.05 of a segment"):
+            holonomy(vc, loop, ode_tol=1e-8)
+
+    @pytest.mark.parametrize("ode_tol", [1e-8, 1e-10])
+    @pytest.mark.parametrize("fluxes", [[0.9, 0.9, 0.9], [0.5, 0.5, 0.5]], ids=["flat", "u"])
+    @pytest.mark.parametrize("name", ["then", "parametric"])
+    def test_step_table_invariants(self, name, fluxes, ode_tol, monkeypatch):
+        # the final table tiles every segment exactly and in path order,
+        # every step's estimate is within the bound, nfev counts nine nodes
+        # per attempted step, and n_steps is the table's size; the
+        # two-segment path's batches cross its joint, and the parametric
+        # segment takes its states node by node
+        vc = validate(FluxConfig(BASE, fluxes))
+        if name == "then":
+            # PATHS' circle runs through fluxon 1; this one keeps 0.28 away
+            first = ControlPath.segment(BASE, 2, 1.0 + 2.0j)
+            path = first.then(ControlPath.circle(first.end, 0, 0.3 + 0.3j))
+        else:
+            path = PATHS[name]()
+        prob = transport._TransportProblem(vc, path, 1e-10, None)
+        batches = []
+        propagators = prob.propagators
+
+        def counted(seg, lo, hi):
+            batches.append(seg.copy())
+            return propagators(seg, lo, hi)
+
+        monkeypatch.setattr(prob, "propagators", counted)
+        prob.solve(ode_tol)
+        table = prob.table
+        assert np.all(np.diff(table["seg"]) >= 0)
+        for index in range(len(path.segments)):
+            lo, hi = (table[key][table["seg"] == index] for key in ("lo", "hi"))
+            assert lo[0] == 0.0 and hi[-1] == 1.0 and np.array_equal(lo[1:], hi[:-1])
+        assert np.all(table["err"] <= transport._LOCAL_SHARE * ode_tol)
+        assert prob.nfev == 9 * sum(len(seg) for seg in batches)
+        assert prob.n_steps == len(table["seg"]) > len(path.segments)
+        if len(path.segments) == 2:
+            assert np.array_equal(batches[0], [0, 1])
+            assert any(len(set(seg.tolist())) == 2 for seg in batches[1:])
 
     @pytest.mark.parametrize("name, steps", [("encircle", (32, 64)), ("c10-r0.25", (6, 12))])
     def test_order_at_fixed_steps(self, name, steps):
@@ -555,10 +631,13 @@ class TestStepper:
 
         def fixed(n):
             prob = transport._TransportProblem(vc, loop, 1e-10, None)
-            psi, u = prob.psi0, None if prob.flat else np.eye(prob.dim, dtype=complex)
-            for i in range(n):
-                psi, u, _ = prob.step(0, i / n, 1.0 / n, psi, u)
-            return np.linalg.solve(psi[:-1], prob.psi0[:-1]) if u is None else u
+            change, _, stages, slopes = prob.propagators(
+                np.zeros(n, dtype=int), np.arange(n) / n, np.arange(1, n + 1) / n)
+            starts, psi = transport._chain(prob.psi0, change)
+            if prob.flat:
+                return np.linalg.solve(psi[:-1], prob.psi0[:-1])
+            u_change = prob.coefficient_propagators(starts, stages, slopes)[0]
+            return transport._chain(np.eye(prob.dim, dtype=complex), u_change)[1].T
 
         ref = fixed(256)
         coarse, fine = (np.abs(fixed(n) - ref).max() for n in steps)
